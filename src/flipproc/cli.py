@@ -1,17 +1,28 @@
 """Command line front end.
 
 Machine-readable output (JSON or CSV) goes to stdout or --out; diagnostics
-go to stderr.  Exit codes: 0 success or affirmative verdict, 1 negative
-verdict, 2 input error, 3 resource cap exceeded.
+go to stderr.  Exit codes:
+
+0  success or affirmative verdict
+1  negative verdict
+2  input error: a malformed or invalid rule or kernel file (including
+   non-finite kernel values), a missing file, a bad argument (argparse
+   rejects a --t-max, --dt, --time or --eps that is not finite and
+   positive), and an integration that fails (IntegrationError: the state
+   left [0, 1] or stopped being finite, so the step size was too large)
+   or asks for more steps than a float can count (OverflowError)
+3  resource cap exceeded (CapExceeded)
 """
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from .codes import CapExceeded, enumerate_classes
 from .dynamics import (
+    IntegrationError,
     integrate,
     kernel_to_json,
     load_kernel,
@@ -176,6 +187,15 @@ def _cmd_named(args):
 
 # -------------------------------------------------------------------- parser
 
+def _positive_float(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}"
+        )
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="flipproc",
@@ -231,8 +251,8 @@ def build_parser():
     p = add("integrate", _cmd_integrate, "integrate the trajectory, CSV output")
     p.add_argument("rule")
     p.add_argument("kernel")
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--t-max", type=_positive_float, required=True)
+    p.add_argument("--dt", type=_positive_float, default=1e-3)
     p.add_argument("--expert-nongraphon", action="store_true",
                    help="integrate non-graphon starts (no domain guarantees)")
 
@@ -240,7 +260,7 @@ def build_parser():
     p.add_argument("rule")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w0", required=True, help="step kernel JSON to sample from")
-    p.add_argument("--time", type=float, required=True)
+    p.add_argument("--time", type=_positive_float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--runs", type=int, default=1)
 
@@ -249,8 +269,8 @@ def build_parser():
     p.add_argument("rule")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w0", required=True)
-    p.add_argument("--time", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--time", type=_positive_float, required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--runs", type=int, default=5)
 
@@ -273,7 +293,7 @@ def main(argv=None):
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RuleValidationError as exc:
+    except (RuleValidationError, IntegrationError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError, ZeroDivisionError,

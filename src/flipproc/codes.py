@@ -8,14 +8,20 @@ low k1(k1-1)/2 bits of any order k2 >= k1: a code keeps its meaning when
 read at a higher order.  Rule lifting relies on this.
 
 Orbit classes of (graph, ordered root pair) triples under simultaneous
-relabelling are canonicalized by brute-force minimum over the k! images;
-results are memoized per element, so sweeping a whole orbit costs one
-orbit computation.
+relabelling are named by their lexicographically least member.  The census
+of one order is built once, on first use, and cached: numpy byte tables of
+the relabelling action give every graph its least image, the automorphisms
+of each such canonical graph then act on the root pairs alone, and an
+int32 table of shape (2^P, k, k) maps every triple to its class.  At order
+6 the table takes 4.7 MB; canonical_class is a lookup in it.
 """
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_CAP = 6
 CAP_ENV_VAR = "FLIPPROC_CAP"
@@ -235,71 +241,110 @@ def apply_perm_graph(sigma, code):
 
 # --------------------------------------------------------------- orbit classes
 
-_canon_memo = {}
+@dataclass(frozen=True)
+class _Census:
+    """The orbit census of one order: the classes sorted by canonical
+    representative, and index[bits, a - 1, b - 1], the position in
+    `classes` of the class of (bits, a, b) (-1 on the diagonal a == b)."""
+
+    classes: tuple
+    index: np.ndarray
 
 
-def _orbit_of(k, bits, a, b):
-    pmaps = _pair_maps(k)
-    perms = all_perms(k)
-    seen = set()
-    for idx, sigma in enumerate(perms):
-        seen.add((
-            apply_perm_bits(pmaps[idx], bits),
-            sigma[a - 1],
-            sigma[b - 1],
-        ))
-    return seen
+def _image_keys(k, shift):
+    """Byte tables of the relabelling action, tagged with the permutation.
+
+    keys[s, j, v] is the image of the code v << 8j under all_perms(k)[s],
+    shifted left by `shift`; the byte j = 0 also carries s in the low
+    bits.  OR-ing one entry per byte of a code therefore gives
+    (image << shift) | s, and the minimum of that over s names both the
+    least image and a permutation that reaches it."""
+    p = num_pairs(k)
+    chunks = (p + 7) // 8
+    fact = len(all_perms(k))
+    bit_images = np.zeros((fact, chunks * 8), dtype=np.int64)
+    bit_images[:, :p] = np.left_shift(1, np.array(_pair_maps(k)))
+    byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1
+    keys = (bit_images.reshape(fact, chunks, 8) @ byte_bits) << shift
+    keys[:, 0, :] |= np.arange(fact)[:, None]
+    return keys
 
 
-def canonical_class(element, _memo=_canon_memo):
+def _all_codes_keys(keys_s, p):
+    """Tagged images of all 2^p codes, in code order, under one
+    permutation: the outer OR of its byte tables, high byte first."""
+    top = len(keys_s) - 1
+    out = keys_s[top, : 1 << (p - 8 * top)]
+    for j in range(top - 1, -1, -1):
+        out = (out[:, None] | keys_s[j]).ravel()
+    return out
+
+
+@functools.lru_cache(maxsize=None)  # one entry per order, and orders are capped
+def _census(k):
+    p = num_pairs(k)
+    perms = np.array(all_perms(k)) - 1
+    fact = len(perms)
+    shift = (fact - 1).bit_length()
+    keys = _image_keys(k, shift)
+
+    # 1. the canonical unrooted graph of every code (its least image) and a
+    #    permutation that carries the code onto it
+    best = _all_codes_keys(keys[0], p)
+    for s in range(1, fact):
+        np.minimum(best, _all_codes_keys(keys[s], p), out=best)
+    graphs, graph_of = np.unique(best >> shift, return_inverse=True)
+    sigma = perms[best & ((1 << shift) - 1)]
+
+    # 2. the automorphisms of each canonical graph act on the root pairs;
+    #    the least image of a pair names its class, visited in sorted order
+    #    because graphs are sorted and pairs run lexicographically
+    images = keys[:, 0, graphs & 0xFF]
+    for j in range(1, keys.shape[1]):
+        images |= keys[:, j, (graphs >> 8 * j) & 0xFF]
+    is_aut = (images >> shift) == graphs
+    classes = []
+    class_of = np.full((len(graphs), k, k), -1, dtype=np.int32)
+    for g_idx, g in enumerate(graphs.tolist()):
+        auts = perms[is_aut[:, g_idx]]
+        least = (auts[:, :, None] * k + auts[:, None, :]).min(axis=0)
+        for a, b in itertools.permutations(range(k), 2):
+            root = int(least[a, b])
+            if root == a * k + b:
+                # orbit-stabilizer: k! / |Aut(g)| * |Aut(g)-orbit of (a, b)|
+                size = fact // len(auts) * int(np.count_nonzero(least == root))
+                class_of[g_idx, a, b] = len(classes)
+                classes.append(OrbitClass(
+                    RootedPairGraph(GraphCode(k, g), a + 1, b + 1), size
+                ))
+            else:
+                class_of[g_idx, a, b] = class_of[g_idx, root // k, root % k]
+
+    # 3. every (bits, a, b), relabelled onto its canonical graph
+    index = class_of[graph_of[:, None, None], sigma[:, :, None], sigma[:, None, :]]
+    index.flags.writeable = False
+    return _Census(tuple(classes), index)
+
+
+def canonical_class(element, cap=None):
     """The orbit class of a pair-rooted graph: minimal orbit element
-    (lexicographic on (bits, a, b)) plus the orbit size."""
+    (lexicographic on (bits, a, b)) plus the orbit size.  The order is
+    held to the same cap as the census, which this reads."""
     k = element.order
-    key = (k, element.graph.bits, element.a, element.b)
-    got = _memo.get(key)
-    if got is None:
-        orbit = _orbit_of(k, element.graph.bits, element.a, element.b)
-        canon = min(orbit)
-        size = len(orbit)
-        for member in orbit:
-            _memo[(k,) + member] = (canon, size)
-        got = (canon, size)
-    canon, size = got
-    return OrbitClass(
-        RootedPairGraph(GraphCode(k, canon[0]), canon[1], canon[2]), size
-    )
+    _check_cap(k, cap, "orbit census")
+    census = _census(k)
+    return census.classes[
+        census.index[element.graph.bits, element.a - 1, element.b - 1]
+    ]
 
 
 def enumerate_classes(k, cap=None):
     """All orbit classes of pair-rooted graphs at order k, sorted by their
-    canonical representatives.  Order 1 has no pairs, hence no classes."""
+    canonical representatives.  Order 1 has no pairs, hence no classes.
+    The census is built once per order; each call returns a fresh list."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     _check_cap(k, cap, "orbit census")
     if k == 1:
         return []
-    out = []
-    seen = set()
-    ordered_pairs = [
-        (a, b)
-        for a in range(1, k + 1)
-        for b in range(1, k + 1)
-        if a != b
-    ]
-    for bits in range(1 << num_pairs(k)):
-        for a, b in ordered_pairs:
-            if (bits, a, b) in seen:
-                continue
-            orbit = _orbit_of(k, bits, a, b)
-            seen |= orbit
-            canon = min(orbit)
-            size = len(orbit)
-            for member in orbit:
-                _canon_memo[(k,) + member] = (canon, size)
-            # the sweep visits triples in canonical order, so the first
-            # unseen member of each orbit is its minimum
-            out.append(OrbitClass(
-                RootedPairGraph(GraphCode(k, canon[0]), canon[1], canon[2]),
-                size,
-            ))
-    return out
+    return list(_census(k).classes)

@@ -40,6 +40,10 @@ def _exact(value):
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _finite(value):
+    return _exact(value) or math.isfinite(value)
+
+
 class StepKernel:
     """Symmetric block kernel: weights are part measures summing to 1,
     values[i][j] is the constant on block i x j.  Exact rational weights
@@ -54,6 +58,8 @@ class StepKernel:
         if not weights:
             raise ValueError("a step kernel needs at least one part")
         for w in weights:
+            if not _finite(w):
+                raise ValueError(f"non-finite part weight {w}")
             if w < 0:
                 raise ValueError(f"negative part weight {w}")
         total = sum(weights)
@@ -67,6 +73,10 @@ class StepKernel:
             raise ValueError(
                 f"value matrix must be {m}x{m} to match the {m} parts"
             )
+        for row in values:
+            for v in row:
+                if not _finite(v):
+                    raise ValueError(f"non-finite block value {v}")
         for i in range(m):
             for j in range(i + 1, m):
                 if values[i][j] != values[j][i]:
@@ -535,6 +545,11 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False):
         s4 = comp.values(weights, v + dt * s3)
         v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         t += dt
+        if not np.isfinite(v).all():
+            raise IntegrationError(
+                f"state is no longer finite at time {t:.6g}; "
+                f"reduce the step size"
+            )
         if graphon_mode:
             over = max(0.0, float(v.max()) - 1.0, float(-v.min()))
             if over > CLAMP_TOLERANCE:

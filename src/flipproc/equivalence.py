@@ -134,7 +134,7 @@ def coeff_vector(rule, cap=None):
             if z == 0:
                 continue
             for a, b in ((i, j), (j, i)):
-                cls = canonical_class(RootedPairGraph(code, a, b))
+                cls = canonical_class(RootedPairGraph(code, a, b), cap)
                 coeffs[cls] += z
     return CoeffVector(k, classes, coeffs)
 
@@ -165,13 +165,19 @@ def lift(rule, to, cap=None):
     return Rule(to, entries)
 
 
+def _common_order(rule1, rule2, cap=None):
+    """The two rules at the larger of their orders, the lower one lifted."""
+    to = max(rule1.order, rule2.order)
+    return tuple(
+        lift(rule, to, cap) if rule.order < to else rule
+        for rule in (rule1, rule2)
+    )
+
+
 def compare(rule1, rule2, cap=None):
     """Decide trajectory equivalence exactly.  Rules of different orders are
     compared after lifting the lower-order one."""
-    if rule1.order != rule2.order:
-        to = max(rule1.order, rule2.order)
-        rule1 = lift(rule1, to, cap) if rule1.order < to else rule1
-        rule2 = lift(rule2, to, cap) if rule2.order < to else rule2
+    rule1, rule2 = _common_order(rule1, rule2, cap)
     v1 = coeff_vector(rule1, cap)
     v2 = coeff_vector(rule2, cap)
     differing = None
@@ -186,10 +192,7 @@ def dilation_factor(rule1, rule2, cap=None):
     """The positive rational C with coeffs(rule1) = C * coeffs(rule2)
     everywhere, meaning rule1 runs the shared trajectory C times faster.
     Two zero vectors give 1; no positive proportionality gives None."""
-    if rule1.order != rule2.order:
-        to = max(rule1.order, rule2.order)
-        rule1 = lift(rule1, to, cap) if rule1.order < to else rule1
-        rule2 = lift(rule2, to, cap) if rule2.order < to else rule2
+    rule1, rule2 = _common_order(rule1, rule2, cap)
     v1 = coeff_vector(rule1, cap)
     v2 = coeff_vector(rule2, cap)
     factor = None

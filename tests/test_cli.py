@@ -186,6 +186,46 @@ def test_integrate_rejects_bad_kernel(tr_file, tmp_path, capsys):
     assert "expert_nongraphon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "R", "K", "--t-max", "inf"],
+    ["integrate", "R", "K", "--t-max", "0"],
+    ["integrate", "R", "K", "--t-max", "1", "--dt", "nan"],
+    ["integrate", "R", "K", "--t-max", "1", "--dt", "-0.1"],
+    ["simulate", "R", "--n", "5", "--w0", "K", "--time=-inf", "--seed", "1"],
+    ["transference", "R", "--n", "5", "--w0", "K", "--time", "0.1",
+     "--eps", "nan", "--seed", "1"],
+])
+def test_float_arguments_must_be_finite_and_positive(
+        argv, tr_file, kernel_file, capsys):
+    argv = [tr_file if a == "R" else kernel_file if a == "K" else a
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "finite positive" in capsys.readouterr().err
+
+
+def test_integrate_step_too_large(tr_file, kernel_file, capsys):
+    assert main(["integrate", tr_file, kernel_file,
+                 "--t-max", "1", "--dt", "5"]) == 2
+    assert "reduce the step size" in capsys.readouterr().err
+
+
+def test_integrate_step_count_overflows(tr_file, kernel_file, capsys):
+    assert main(["integrate", tr_file, kernel_file,
+                 "--t-max", "1e300", "--dt", "1e-300"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_velocity_rejects_non_finite_kernel(tr_file, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"weights": ["1/2", "1/2"], '
+                    '"values": [[NaN, 0.5], [0.5, 0.3]]}')
+    assert main(["velocity", tr_file, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite block value" in captured.err
+
+
 def test_simulate_csv(tr_file, kernel_file, capsys):
     assert main(["simulate", tr_file, "--n", "20", "--w0", kernel_file,
                  "--time", "0.01", "--seed", "4", "--runs", "2"]) == 0

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipproc import (
     CapExceeded,
@@ -162,9 +164,9 @@ def test_canonical_class_triangle_example():
 
 
 def test_census_counts_match_independent_count():
-    expected_totals = {2: 4, 3: 48, 4: 768, 5: 20480}
-    expected_counts = {2: 2, 3: 8, 4: 40, 5: 240}
-    for k in (2, 3, 4, 5):
+    expected_totals = {2: 4, 3: 48, 4: 768, 5: 20480, 6: 983040}
+    expected_counts = {2: 2, 3: 8, 4: 40, 5: 240, 6: 1992}
+    for k in (2, 3, 4, 5, 6):
         classes = enumerate_classes(k)
         assert len(classes) == oracles.burnside_class_count(k) == expected_counts[k]
         total = sum(cls.size for cls in classes)
@@ -178,7 +180,7 @@ def test_census_counts_match_independent_count():
 
 def test_census_partitions_every_element():
     # each element canonicalizes into exactly one census class
-    for k in (2, 3, 4):
+    for k in (2, 3, 4, 5):
         classes = enumerate_classes(k)
         index = {cls.canon.key(): cls for cls in classes}
         counts = {cls.canon.key(): 0 for cls in classes}
@@ -206,16 +208,22 @@ def test_order_one_has_no_classes():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_classes(9)
+    with pytest.raises(CapExceeded):
+        canonical_class(RootedPairGraph(GraphCode(7, 0), 1, 2))
     with pytest.raises(ValueError):
         enumerate_classes(0)
 
 
 def test_enumeration_cap_env(monkeypatch):
     monkeypatch.setenv("FLIPPROC_CAP", "3")
+    element = RootedPairGraph(GraphCode(4, 0), 1, 2)
     with pytest.raises(CapExceeded):
         enumerate_classes(4)
+    with pytest.raises(CapExceeded):
+        canonical_class(element)
     # explicit argument beats the environment
     assert len(enumerate_classes(4, cap=4)) == 40
+    assert canonical_class(element, cap=4).size == 12
     monkeypatch.setenv("FLIPPROC_CAP", "not-a-number")
     with pytest.raises(ValueError):
         enumerate_classes(3)
@@ -236,3 +244,24 @@ def test_canonical_matches_independent_canonicalizer():
             a, b = rng.sample(range(1, k + 1), 2)
             cls = canonical_class(RootedPairGraph(GraphCode(k, bits), a, b))
             assert cls.canon.key() == oracles.canon_triple(k, bits, a, b)
+
+
+@st.composite
+def _element_and_permutation(draw):
+    k = draw(st.integers(min_value=2, max_value=6))
+    bits = draw(st.integers(min_value=0, max_value=(1 << num_pairs(k)) - 1))
+    a, b = draw(st.permutations(range(1, k + 1)))[:2]
+    sigma = tuple(draw(st.permutations(range(1, k + 1))))
+    return RootedPairGraph(GraphCode(k, bits), a, b), sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element_and_permutation())
+def test_canonical_class_property(case):
+    element, sigma = case
+    cls = canonical_class(element)
+    assert canonical_class(apply_perm(sigma, element)) == cls
+    k = element.order
+    assert cls.canon.key() == oracles.canon_triple(
+        k, element.graph.bits, element.a, element.b
+    )

@@ -2,6 +2,7 @@
 integration against closed forms, stability bounds, and the density formula
 cross-check."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -198,11 +199,16 @@ def test_integrate_refuses_non_graphon_without_flag():
     assert traj.final.values[0][0] == 1.5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrate_detects_domain_escape():
     # unnormalized row doubling the edge indicator: drift 2w blows past 1
     runaway = Rule(2, {(1, 1): F(2)})
     with pytest.raises(IntegrationError):
         integrate(runaway, constant_kernel(0.5), 1.0)
+    # outside the graphon domain the cubic drift overflows to inf and nan
+    huge = StepKernel((F(1, 2), F(1, 2)), ((1e100, 1e100), (1e100, 1e100)))
+    with pytest.raises(IntegrationError, match="no longer finite"):
+        integrate(TR, huge, 1.0, h=0.1, expert_nongraphon=True)
 
 
 def test_integrate_argument_errors():
@@ -295,6 +301,17 @@ def test_kernel_json_round_trip():
     assert again == kern
     with pytest.raises(ValueError):
         kernel_from_json('{"weights": ["1"], "values": [[0.5]], "x": 1}')
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite block value"):
+        StepKernel((F(1, 2), F(1, 2)), ((0.5, bad), (bad, 0.5)))
+    with pytest.raises(ValueError, match="non-finite part weight"):
+        StepKernel((bad, 0.5), ((0.5, 0.5), (0.5, 0.5)))
+    text = '{"weights": ["1"], "values": [[%s]]}' % json.dumps(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel_from_json(text)
 
 
 # ------------------------------------------------------------- density formula
