@@ -69,27 +69,10 @@ def pair_index(i, j):
     return (j - 1) * (j - 2) // 2 + (i - 1)
 
 
+@functools.lru_cache(maxsize=8)
 def pair_list(k):
     """All pairs inside [k] in bit-index (colex) order."""
-    return _pair_list(k)
-
-
-def _pair_list_uncached(k):
-    out = []
-    for j in range(2, k + 1):
-        for i in range(1, j):
-            out.append((i, j))
-    return tuple(out)
-
-
-_pair_list_memo = {}
-
-
-def _pair_list(k):
-    got = _pair_list_memo.get(k)
-    if got is None:
-        got = _pair_list_memo[k] = _pair_list_uncached(k)
-    return got
+    return tuple((i, j) for j in range(2, k + 1) for i in range(1, j))
 
 
 def full_bits(k):
@@ -116,7 +99,7 @@ class GraphCode:
 
     def edges(self):
         return tuple(
-            p for idx, p in enumerate(_pair_list(self.order))
+            p for idx, p in enumerate(pair_list(self.order))
             if self.bits >> idx & 1
         )
 
@@ -175,34 +158,19 @@ class OrbitClass:
 
 # ---------------------------------------------------------------- group action
 
-_perms_memo = {}
-
-
+@functools.lru_cache(maxsize=8)
 def all_perms(k):
     """All permutations of [k]; sigma[i-1] is the image of vertex i."""
-    got = _perms_memo.get(k)
-    if got is None:
-        got = _perms_memo[k] = tuple(
-            itertools.permutations(range(1, k + 1))
-        )
-    return got
+    return tuple(itertools.permutations(range(1, k + 1)))
 
 
-_pair_maps_memo = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _pair_maps(k):
     """For each permutation, the induced map on pair bit indices."""
-    got = _pair_maps_memo.get(k)
-    if got is None:
-        pairs = _pair_list(k)
-        maps = []
-        for sigma in all_perms(k):
-            maps.append(tuple(
-                pair_index(sigma[i - 1], sigma[j - 1]) for i, j in pairs
-            ))
-        got = _pair_maps_memo[k] = tuple(maps)
-    return got
+    return tuple(
+        tuple(pair_index(sigma[i - 1], sigma[j - 1]) for i, j in pair_list(k))
+        for sigma in all_perms(k)
+    )
 
 
 def apply_perm_bits(pair_map, bits):
@@ -239,6 +207,98 @@ def apply_perm_graph(sigma, code):
     return GraphCode(k, apply_perm_bits(pmap, code.bits))
 
 
+# ----------------------------------------------------------- action in numpy
+# Every k!-sweep over a batch of codes reads the same byte tables of the
+# action, a block of codes at a time, so that no temporary holds more than
+# about BLOCK_ELEMENTS images whatever the batch size.
+
+BLOCK_ELEMENTS = 1 << 14
+
+
+@functools.lru_cache(maxsize=8)
+def _byte_images(k):
+    """table[s, j, v]: the image of the code v << 8j under all_perms(k)[s].
+    Images fit int32 up to order 8, and pairs of them (f << P) | h int64;
+    beyond that the k! sweep is out of reach anyway."""
+    p = num_pairs(k)
+    if p > 31:
+        raise CapExceeded(f"relabelling tables stop at order 8, got order {k}")
+    fact = len(all_perms(k))
+    chunks = max(1, (p + 7) // 8)
+    pair_maps = np.array(_pair_maps(k), dtype=np.int64).reshape(fact, p)
+    bit_images = np.zeros((fact, chunks * 8), dtype=np.int64)
+    bit_images[:, :p] = np.left_shift(1, pair_maps)
+    byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1
+    table = (bit_images.reshape(fact, chunks, 8) @ byte_bits).astype(np.int32)
+    table.flags.writeable = False
+    return table
+
+
+def perm_images(k, codes):
+    """images[s, i], the image of codes[i] under all_perms(k)[s], as an
+    int32 array of shape (k!, len(codes))."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() >> num_pairs(k)):
+        raise ValueError(f"graph codes out of range for order {k}")
+    table = _byte_images(k)
+    out = table[:, 0, codes & 0xFF]
+    for j in range(1, table.shape[1]):
+        out |= table[:, j, (codes >> 8 * j) & 0xFF]
+    return out
+
+
+def _blocks(n, width):
+    """Slices of range(n) whose blocks of `width` images each stay within
+    BLOCK_ELEMENTS."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    return [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
+def _pair_images(k, f, h):
+    """images[s, i] = (f'[i] << P) | h'[i], the index pair (f[i], h[i])
+    relabelled by all_perms(k)[s]."""
+    images = perm_images(k, f).astype(np.int64)
+    images <<= num_pairs(k)
+    images |= perm_images(k, h)
+    return images
+
+
+def pair_orbits(k, f, h):
+    """The relabelling orbit of each index pair (f[i], h[i]) of graph
+    codes: its key, the least image (f' << P) | h' over all permutations,
+    and its size.  Two pairs share an orbit iff their keys are equal."""
+    f = np.asarray(f, dtype=np.int64)
+    h = np.asarray(h, dtype=np.int64)
+    fact = len(_byte_images(k))
+    keys = np.empty(len(f), dtype=np.int64)
+    sizes = np.empty(len(f), dtype=np.int64)
+    for blk in _blocks(len(f), fact):
+        images = _pair_images(k, f[blk], h[blk])
+        keys[blk] = images.min(axis=0)
+        # orbit-stabilizer: k! / the number of permutations fixing the pair
+        fixed = images == f[blk] << num_pairs(k) | h[blk]
+        sizes[blk] = fact // np.count_nonzero(fixed, axis=0)
+    return keys, sizes
+
+
+def orbit_members(k, keys):
+    """All members (f << P) | h of the distinct pair orbits named by
+    `keys` (from pair_orbits), sorted within each block of orbits, and for
+    each member the position in `keys` of its orbit."""
+    keys = np.asarray(keys, dtype=np.int64)
+    p = num_pairs(k)
+    members = [np.empty(0, dtype=np.int64)]
+    owners = [np.empty(0, dtype=np.int64)]
+    for blk in _blocks(len(keys), len(_byte_images(k))):
+        images = _pair_images(k, keys[blk] >> p, keys[blk] & full_bits(k))
+        # distinct orbits share no member, so the column of any occurrence
+        # of a value is its orbit
+        uniq, first = np.unique(images, return_index=True)
+        members.append(uniq)
+        owners.append(first % images.shape[1] + blk.start)
+    return np.concatenate(members), np.concatenate(owners)
+
+
 # --------------------------------------------------------------- orbit classes
 
 @dataclass(frozen=True)
@@ -259,14 +319,8 @@ def _image_keys(k, shift):
     bits.  OR-ing one entry per byte of a code therefore gives
     (image << shift) | s, and the minimum of that over s names both the
     least image and a permutation that reaches it."""
-    p = num_pairs(k)
-    chunks = (p + 7) // 8
-    fact = len(all_perms(k))
-    bit_images = np.zeros((fact, chunks * 8), dtype=np.int64)
-    bit_images[:, :p] = np.left_shift(1, np.array(_pair_maps(k)))
-    byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1
-    keys = (bit_images.reshape(fact, chunks, 8) @ byte_bits) << shift
-    keys[:, 0, :] |= np.arange(fact)[:, None]
+    keys = _byte_images(k).astype(np.int64) << shift
+    keys[:, 0, :] |= np.arange(len(keys))[:, None]
     return keys
 
 
@@ -299,10 +353,7 @@ def _census(k):
     # 2. the automorphisms of each canonical graph act on the root pairs;
     #    the least image of a pair names its class, visited in sorted order
     #    because graphs are sorted and pairs run lexicographically
-    images = keys[:, 0, graphs & 0xFF]
-    for j in range(1, keys.shape[1]):
-        images |= keys[:, j, (graphs >> 8 * j) & 0xFF]
-    is_aut = (images >> shift) == graphs
+    is_aut = perm_images(k, graphs) == graphs
     classes = []
     class_of = np.full((len(graphs), k, k), -1, dtype=np.int32)
     for g_idx, g in enumerate(graphs.tolist()):

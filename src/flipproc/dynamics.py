@@ -538,27 +538,34 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False):
     times = [0.0]
     states = [start]
     t = 0.0
-    for dt in steps:
-        s1 = comp.values(weights, v)
-        s2 = comp.values(weights, v + (dt / 2.0) * s1)
-        s3 = comp.values(weights, v + (dt / 2.0) * s2)
-        s4 = comp.values(weights, v + dt * s3)
-        v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        t += dt
-        if not np.isfinite(v).all():
-            raise IntegrationError(
-                f"state is no longer finite at time {t:.6g}; "
-                f"reduce the step size"
-            )
-        if graphon_mode:
-            over = max(0.0, float(v.max()) - 1.0, float(-v.min()))
-            if over > CLAMP_TOLERANCE:
+    try:
+        for dt in steps:
+            s1 = comp.values(weights, v)
+            s2 = comp.values(weights, v + (dt / 2.0) * s1)
+            s3 = comp.values(weights, v + (dt / 2.0) * s2)
+            s4 = comp.values(weights, v + dt * s3)
+            v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            t += dt
+            if not np.isfinite(v).all():
                 raise IntegrationError(
-                    f"state left [0, 1] by {over:.3e} at time {t:.6g}; "
-                    f"reduce the step size or check the starting kernel"
+                    f"state is no longer finite at time {t:.6g}; "
+                    f"reduce the step size"
                 )
-            np.clip(v, 0.0, 1.0, out=v)
-        v = (v + v.T) / 2.0
-        times.append(t)
-        states.append(StepKernel(start.weights, tuple(tuple(row) for row in v)))
+            if graphon_mode:
+                over = max(0.0, float(v.max()) - 1.0, float(-v.min()))
+                if over > CLAMP_TOLERANCE:
+                    raise IntegrationError(
+                        f"state left [0, 1] by {over:.3e} at time {t:.6g}; "
+                        f"reduce the step size or check the starting kernel"
+                    )
+                np.clip(v, 0.0, 1.0, out=v)
+            v = (v + v.T) / 2.0
+            times.append(t)
+            states.append(StepKernel(start.weights, tuple(tuple(row) for row in v)))
+    except OverflowError as exc:
+        # Python float powers on the one-part path overflow instead of
+        # returning inf
+        raise IntegrationError(
+            f"state overflowed after time {t:.6g}; reduce the step size"
+        ) from exc
     return Trajectory(times, states, rule.order, h)

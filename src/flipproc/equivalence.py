@@ -17,25 +17,36 @@ probability-mass perturbation along root-stabilizer pair orbits for
 symmetric non-deterministic ones).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .codes import (
     CapExceeded,
     GraphCode,
-    OrbitClass,
-    RootedPairGraph,
-    all_perms,
-    apply_perm_bits,
-    canonical_class,
     enumerate_classes,
     enumeration_cap,
+    full_bits,
     num_pairs,
+    orbit_members,
     pair_index,
     pair_list,
+    pair_orbits,
+    perm_images,
+    _blocks,
+    _census,
     _pair_maps,
 )
-from .rules import Rule, is_deterministic, is_symmetric, rule_problems, validate
+from .rules import (
+    Rule,
+    entry_codes,
+    is_deterministic,
+    is_symmetric,
+    rule_problems,
+    validate,
+)
 
 
 class CoeffVector:
@@ -120,22 +131,50 @@ def coeff_vector(rule, cap=None):
     """Exact trajectory coefficients of a rule, one per orbit class.
 
     Only explicit rows contribute: an identity row keeps every pair
-    indicator, so its expected change is zero everywhere.
+    indicator, so its expected change is zero everywhere.  Row f adds to
+    the classes of (f, i, j) and (f, j, i) its expected change of the
+    pair {i, j}: the mass of its replacements that hold the pair, less 1
+    if f holds it.
     """
     k = rule.order
     classes = enumerate_classes(k, cap)
-    coeffs = {cls: Fraction(0) for cls in classes}
-    pairs = pair_list(k)
-    for f, row in rule.rows().items():
-        code = GraphCode(k, f)
-        for idx, (i, j) in enumerate(pairs):
-            mass = sum(p for h, p in row.items() if h >> idx & 1)
-            z = mass - (1 if f >> idx & 1 else 0)
-            if z == 0:
-                continue
-            for a, b in ((i, j), (j, i)):
-                cls = canonical_class(RootedPairGraph(code, a, b), cap)
-                coeffs[cls] += z
+    if not classes:
+        return CoeffVector(k, classes, {})
+    p = num_pairs(k)
+    # integer numerators over the common denominator; each row also enters
+    # as a diagonal term of numerator -denom, which subtracts f's own pairs
+    rows = np.fromiter(rule.rows(), dtype=np.int64)
+    denom = math.lcm(*(q.denominator for q in rule.entries.values()))
+    f, h = entry_codes(rule)
+    f = np.concatenate([f, rows])
+    h = np.concatenate([h, rows])
+    if f.size and (f.min() < 0 or f.max() >> p):
+        raise ValueError(f"row index out of range for order {k}")
+    nums = [q.numerator * (denom // q.denominator) for q in rule.entries.values()]
+    nums += [-denom] * len(rows)
+    # each term enters at most 2p class sums, so no sum can exceed 2p times
+    # the total |numerator|; beyond int64, exact Python integers
+    dtype = np.int64 if 2 * p * sum(map(abs, nums)) < 1 << 62 else object
+    nums = np.array(nums, dtype=dtype)
+
+    order = np.argsort(f, kind="stable")
+    f, h, nums = f[order], h[order], nums[order]
+    index = _census(k).index
+    first, second = np.array(pair_list(k)).T - 1
+    acc = np.zeros(len(classes), dtype=dtype)
+    for blk in _blocks(len(f), p):
+        fb = f[blk]
+        starts = np.flatnonzero(np.diff(fb, prepend=-1))
+        held = h[blk, None] >> np.arange(p) & 1
+        z = np.add.reduceat(nums[blk, None] * held, starts, axis=0)
+        graphs = fb[starts, None]
+        np.add.at(acc, index[graphs, first, second], z)
+        np.add.at(acc, index[graphs, second, first], z)
+    zero = Fraction(0)
+    coeffs = {
+        cls: Fraction(c, denom) if c else zero
+        for cls, c in zip(classes, acc.tolist())
+    }
     return CoeffVector(k, classes, coeffs)
 
 
@@ -224,24 +263,29 @@ def symmetrize(rule, cap=None):
             f"symmetrizing at order {k} sweeps {k}! relabellings per entry, "
             f"beyond the enumeration cap {enumeration_cap(cap)}"
         )
-    pmaps = _pair_maps(k)
-    group = len(pmaps)
-    acc = {}
-    for (f, h), p in rule.entries.items():
-        for pmap in pmaps:
-            key = (apply_perm_bits(pmap, f), apply_perm_bits(pmap, h))
-            acc[key] = acc.get(key, 0) + p
-    explicit = rule.rows()
-    touched = {f for f, _ in acc}
-    for f in touched:
-        # relabellings that land on an identity row contribute their whole
-        # mass back to the diagonal
-        implicit = sum(
-            1 for pmap in pmaps if apply_perm_bits(pmap, f) not in explicit
-        )
-        if implicit:
-            acc[(f, f)] = acc.get((f, f), 0) + implicit
-    return Rule(k, {key: Fraction(v, group) for key, v in acc.items()})
+    # the identity rows among the relabellings of explicit rows enter as
+    # explicit diagonal entries of mass 1
+    explicit = np.fromiter(rule.rows(), dtype=np.int64)
+    row_keys, _ = pair_orbits(k, explicit, explicit)
+    diagonals, _ = orbit_members(k, sorted(set(row_keys.tolist())))
+    graphs = diagonals & full_bits(k)
+    identity = graphs[~np.isin(graphs, explicit)]
+    f, h = entry_codes(rule)
+    keys, _ = pair_orbits(k, np.concatenate([f, identity]),
+                          np.concatenate([h, identity]))
+    masses = list(rule.entries.values()) + [1] * len(identity)
+    sums = {}
+    for key, q in zip(keys.tolist(), masses):
+        sums[key] = sums.get(key, 0) + q
+    # every member of an orbit gets the orbit's mass over its size
+    members, owners = orbit_members(k, list(sums))
+    sizes = np.bincount(owners, minlength=len(sums)).tolist()
+    shares = [Fraction(total, size) for total, size in zip(sums.values(), sizes)]
+    p, mask = num_pairs(k), full_bits(k)
+    return Rule(k, {
+        (m >> p, m & mask): shares[o]
+        for m, o in zip(members.tolist(), owners.tolist())
+    })
 
 
 # ------------------------------------------------------- symmetric-rule tools
@@ -249,17 +293,16 @@ def symmetrize(rule, cap=None):
 def _stabilizer_pair_orbits(k, f):
     """Orbits of the pair indices under the stabilizer of the graph f,
     each as a sorted tuple of bit indices, ordered by smallest index."""
-    pmaps = _pair_maps(k)
-    stab = [pmap for pmap in pmaps if apply_perm_bits(pmap, f) == f]
+    stab = np.array(_pair_maps(k))[perm_images(k, [f])[:, 0] == f]
     seen = set()
     orbits = []
     for idx in range(num_pairs(k)):
         if idx in seen:
             continue
-        orb = {pmap[idx] for pmap in stab}
+        orb = set(stab[:, idx].tolist())
         seen |= orb
         orbits.append(tuple(sorted(orb)))
-    return orbits, stab
+    return orbits
 
 
 def orbit_edge_histogram(rule, f, pair):
@@ -271,7 +314,7 @@ def orbit_edge_histogram(rule, f, pair):
     if not is_symmetric(rule):
         raise ValueError("edge histograms are defined for symmetric rules")
     idx = _pair_index_of(k, pair)
-    orbits, _ = _stabilizer_pair_orbits(k, bits)
+    orbits = _stabilizer_pair_orbits(k, bits)
     orbit = next(o for o in orbits if idx in o)
     mask = 0
     for b in orbit:
@@ -308,7 +351,7 @@ def classify_unique(rule, cap=None):
     validate(rule)
     if rule.order <= 2:
         return UniquenessVerdict(True, "order-2", None)
-    sym = is_symmetric(rule)
+    sym = is_symmetric(rule, cap)
     if sym and is_deterministic(rule):
         return UniquenessVerdict(True, "symmetric-deterministic", None)
     if not sym:
@@ -334,10 +377,9 @@ def _check_witness(rule, witness, cap=None):
 
 def _pair_orbit(k, f, h):
     """The orbit of the index pair (f, h) under simultaneous relabelling."""
-    return {
-        (apply_perm_bits(pmap, f), apply_perm_bits(pmap, h))
-        for pmap in _pair_maps(k)
-    }
+    members, _ = orbit_members(k, pair_orbits(k, [f], [h])[0])
+    p, mask = num_pairs(k), full_bits(k)
+    return [(m >> p, m & mask) for m in members.tolist()]
 
 
 class _SymRow:
@@ -346,7 +388,7 @@ class _SymRow:
     def __init__(self, k, f, row):
         self.f = f
         self.row = row
-        self.orbits, self.stab = _stabilizer_pair_orbits(k, f)
+        self.orbits = _stabilizer_pair_orbits(k, f)
         self.masks = []
         for orb in self.orbits:
             mask = 0
@@ -415,7 +457,7 @@ def _perturbation_witness(rule, cap=None):
 
 
 def _orbit_size(k, f, h):
-    return len(_pair_orbit(k, f, h))
+    return int(pair_orbits(k, [f], [h])[1][0])
 
 
 def _case_one(rule, sr, cap=None):
@@ -536,13 +578,12 @@ def _case_four(rule, sr, cap=None):
     of the row.  The witness is valid but no longer symmetric."""
     k = rule.order
     f = sr.f
-    pmaps = _pair_maps(k)
-    moved = next(
-        (pmap for pmap in pmaps if apply_perm_bits(pmap, f) != f), None
-    )
-    if moved is None:
+    images = perm_images(k, [f])[:, 0]
+    moving = np.flatnonzero(images != f)
+    if not moving.size:
         return None
-    g = apply_perm_bits(moved, f)
+    moved = moving[0]
+    g = int(images[moved])
     for pos, orb in enumerate(sr.orbits):
         if len(orb) != 1:
             continue
@@ -556,8 +597,7 @@ def _case_four(rule, sr, cap=None):
             if 0 not in levels or 1 not in levels:
                 continue
             h_minus, h_plus = levels[0], levels[1]
-            sh_minus = apply_perm_bits(moved, h_minus)
-            sh_plus = apply_perm_bits(moved, h_plus)
+            sh_minus, sh_plus = perm_images(k, [h_minus, h_plus])[moved].tolist()
             eps = min(
                 rule.probability(f, h_minus),
                 rule.probability(g, sh_plus),
@@ -616,15 +656,17 @@ def check_k1(rule1, rule2, cap=None):
 
     def orbit_sums(rule):
         sums = {}
-        explicit = rule.rows()
-        for (f, h), p in rule.entries.items():
-            key = min(_pair_orbit(k, f, h))
+        keys, _ = pair_orbits(k, *entry_codes(rule))
+        for key, p in zip(keys.tolist(), rule.entries.values()):
             sums[key] = sums.get(key, Fraction(0)) + p
-        for f in range(1 << num_pairs(k)):
-            if f in explicit:
-                continue
-            key = min(_pair_orbit(k, f, f))
-            sums[key] = sums.get(key, Fraction(0)) + 1
+        graphs = np.arange(1 << num_pairs(k))
+        explicit = np.fromiter(rule.rows(), dtype=np.int64)
+        implicit = graphs[~np.isin(graphs, explicit)]
+        keys, counts = np.unique(
+            pair_orbits(k, implicit, implicit)[0], return_counts=True
+        )
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            sums[key] = sums.get(key, Fraction(0)) + count
         return {key: v for key, v in sums.items() if v != 0}
 
     return orbit_sums(rule1) == orbit_sums(rule2)

@@ -11,7 +11,9 @@ its own index is dropped too, making structural equality semantic equality.
 import json
 from fractions import Fraction
 
-from .codes import apply_perm_bits, full_bits, num_pairs, pair_index, _pair_maps
+import numpy as np
+
+from .codes import _check_cap, full_bits, num_pairs, pair_index, pair_orbits
 
 
 class RuleValidationError(ValueError):
@@ -180,22 +182,36 @@ def _reject_params(family, params):
         raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
 
 
+def entry_codes(rule):
+    """The explicit entries' (from_bits, to_bits) as two int64 arrays, in
+    entry order."""
+    return np.array(list(rule.entries), dtype=np.int64).reshape(-1, 2).T
+
+
 # ----------------------------------------------------------------- predicates
 
-def is_symmetric(rule):
+def is_symmetric(rule, cap=None):
     """Invariance under simultaneous relabelling of both indices.
 
-    Checking every explicit entry against each relabelled position suffices:
-    construction strips zero entries and identity point rows, so any
-    asymmetry involves a positive entry whose image position disagrees, and
-    that entry is explicit on at least one side of the comparison.
+    The rule is symmetric iff every relabelling orbit of index pairs that
+    holds an explicit entry has all of its members explicit, with equal
+    probabilities.  Construction strips zero entries and identity point
+    rows, so an implicit member breaks the symmetry: it has probability 0,
+    or it is the diagonal of an identity row that is the image of an
+    explicit row, and some other entry of that row maps to probability 0.
+    The order is held to the enumeration cap, since the orbits come from a
+    sweep over all k! relabellings.
     """
-    pmaps = _pair_maps(rule.order)
-    for (f, h), p in rule.entries.items():
-        for pmap in pmaps:
-            if rule.probability(apply_perm_bits(pmap, f),
-                                apply_perm_bits(pmap, h)) != p:
-                return False
+    k = rule.order
+    _check_cap(k, cap, "symmetry check")
+    keys, sizes = pair_orbits(k, *entry_codes(rule))
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    if not np.array_equal(counts[inverse], sizes):
+        return False
+    first = {}
+    for key, p in zip(keys.tolist(), rule.entries.values()):
+        if first.setdefault(key, p) != p:
+            return False
     return True
 
 

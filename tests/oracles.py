@@ -3,9 +3,10 @@
 Everything here that checks a package computation re-derives it from
 definitions with separate code paths: the census count comes from the
 orbit-counting lemma, coefficient sums from a term-by-term sweep over all
-rooted elements with a local canonicalizer, isomorphism from a full
-permutation sweep.  Generators (random rules, kernels, graphs) may use
-package constructors since they only build inputs.
+rooted elements with a local canonicalizer, isomorphism, symmetrization
+and the symmetry check from a full permutation sweep.  Generators (random
+rules, kernels, graphs) may use package constructors since they only build
+inputs.
 """
 
 import itertools
@@ -121,6 +122,42 @@ def naive_coeff_sums_fast(rule):
                 key = canon_triple(k, f, a, b)
                 sums[key] = sums.get(key, Fraction(0)) + z
     return sums
+
+
+# ------------------------------------------------- per-permutation symmetry
+
+def naive_symmetrize(rule):
+    """Average of the rule over all k! simultaneous relabellings, each entry
+    moved by every permutation; a relabelling that lands on an identity
+    row puts its mass back on the diagonal."""
+    k = rule.order
+    perms = list(itertools.permutations(range(1, k + 1)))
+    acc = {}
+    for (f, h), p in rule.entries.items():
+        for sigma in perms:
+            key = (apply_sigma_bits(sigma, k, f), apply_sigma_bits(sigma, k, h))
+            acc[key] = acc.get(key, 0) + p
+    explicit = rule.rows()
+    for f in {f for f, _ in acc}:
+        implicit = sum(
+            1 for sigma in perms if apply_sigma_bits(sigma, k, f) not in explicit
+        )
+        if implicit:
+            acc[(f, f)] = acc.get((f, f), 0) + implicit
+    return Rule(k, {key: Fraction(v, len(perms)) for key, v in acc.items()})
+
+
+def naive_is_symmetric(rule):
+    """Every explicit entry equals the probability at each of its k!
+    relabelled positions."""
+    k = rule.order
+    perms = list(itertools.permutations(range(1, k + 1)))
+    return all(
+        rule.probability(apply_sigma_bits(sigma, k, f),
+                         apply_sigma_bits(sigma, k, h)) == p
+        for (f, h), p in rule.entries.items()
+        for sigma in perms
+    )
 
 
 # ----------------------------------------------------------------- generators

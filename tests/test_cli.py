@@ -155,6 +155,13 @@ def test_unique_witness_file(tmp_path, capsys):
     assert witness == Rule(3, {(7, h): F(1, 6) for h in range(1, 7)})
 
 
+def test_unique_cap(tmp_path, capsys):
+    path = tmp_path / "clique7.json"
+    save_rule(make_named("clique-removal", 7), path)
+    assert main(["unique", str(path)]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_k1_banner_and_verdicts(tr_file, ter_file, capsys):
     assert main(["k1", tr_file, ter_file]) == 1
     captured = capsys.readouterr()

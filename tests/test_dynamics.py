@@ -209,6 +209,9 @@ def test_integrate_detects_domain_escape():
     huge = StepKernel((F(1, 2), F(1, 2)), ((1e100, 1e100), (1e100, 1e100)))
     with pytest.raises(IntegrationError, match="no longer finite"):
         integrate(TR, huge, 1.0, h=0.1, expert_nongraphon=True)
+    # on one part the drift is a Python float power, which overflows
+    with pytest.raises(IntegrationError, match="overflowed"):
+        integrate(TR, constant_kernel(1e100), 1.0, h=0.1, expert_nongraphon=True)
 
 
 def test_integrate_argument_errors():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flipproc import (
     CapExceeded,
@@ -24,6 +26,7 @@ from flipproc import (
     orbit_edge_histogram,
     symmetrize,
 )
+from flipproc.codes import num_pairs
 from flipproc.equivalence import _case_one, _case_two, _case_three, _case_four, _SymRow
 
 import oracles
@@ -78,6 +81,14 @@ def test_coefficients_match_elementwise_oracle():
             want = (oracles.naive_coeff_sums(r) if k <= 3
                     else oracles.naive_coeff_sums_fast(r))
             assert _as_triples(coeff_vector(r)) == want
+
+
+def test_coefficients_exact_beyond_int64():
+    # a common denominator of 2^80 * 3^41 leaves int64 for Python integers
+    a, b = F(1, 2**80), F(1, 3**41)
+    r = Rule(4, {(63, 1): a, (63, 6): b, (63, 0): 1 - a - b,
+                 (1, 3): b, (1, 1): 1 - b})
+    assert _as_triples(coeff_vector(r)) == oracles.naive_coeff_sums(r)
 
 
 def test_compare_triangle_removal_vs_identity():
@@ -202,6 +213,66 @@ def test_symmetrize_random_soundness():
         assert is_symmetric(sym)
         assert symmetrize(sym) == sym
         assert compare(r, sym).equivalent
+
+
+@st.composite
+def _sparse_rules(draw):
+    """Valid sparse rules of order 3 to 5, some with the diagonal in a
+    row's support, some symmetrized by the oracle and some of those with
+    one entry dropped (left invalid) to break the symmetry."""
+    k = draw(st.integers(min_value=3, max_value=5))
+    codes = st.integers(min_value=0, max_value=(1 << num_pairs(k)) - 1)
+    entries = {}
+    for f in draw(st.lists(codes, min_size=1, max_size=3, unique=True)):
+        support = draw(st.lists(codes, min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()) and f not in support:
+            support.append(f)
+        weights = draw(st.lists(st.integers(min_value=1, max_value=12),
+                                min_size=len(support), max_size=len(support)))
+        for h, w in zip(support, weights):
+            entries[(f, h)] = F(w, sum(weights))
+    rule = Rule(k, entries)
+    shape = draw(st.sampled_from(["raw", "symmetric", "near-symmetric"]))
+    if shape != "raw":
+        rule = oracles.naive_symmetrize(rule)
+    if shape == "near-symmetric" and rule.entries:
+        drop = draw(st.sampled_from(sorted(rule.entries)))
+        rule = Rule(k, {key: p for key, p in rule.entries.items() if key != drop})
+    return rule
+
+
+# the relabellings of row 1 include the identity rows 2 and 4
+@example(Rule(3, {(1, 0): F(1)}))
+@settings(max_examples=30, deadline=None)
+@given(_sparse_rules())
+def test_symmetrize_matches_per_permutation_oracle(rule):
+    sym = symmetrize(rule)
+    assert sym == oracles.naive_symmetrize(rule)
+    assert symmetrize(sym) == sym
+    assert coeff_vector(sym) == coeff_vector(rule)
+
+
+@example(Rule(3, {(1, 0): F(1)}))
+@example(Rule(3, {(1, 1): F(1, 2), (1, 0): F(1, 2),
+                  (2, 2): F(1, 2), (2, 0): F(1, 2)}))
+@settings(max_examples=40, deadline=None)
+@given(_sparse_rules())
+def test_is_symmetric_matches_per_permutation_oracle(rule):
+    assert is_symmetric(rule) == oracles.naive_is_symmetric(rule)
+
+
+def test_symmetry_sweeps_are_capped():
+    clique7 = make_named("clique-removal", 7)
+    with pytest.raises(CapExceeded):
+        is_symmetric(clique7)
+    with pytest.raises(CapExceeded):
+        classify_unique(clique7)
+    with pytest.raises(CapExceeded):
+        is_symmetric(TR, cap=2)
+    assert is_symmetric(clique7, cap=7)
+    # beyond order 8 the relabelling images outgrow the numpy tables
+    with pytest.raises(CapExceeded):
+        is_symmetric(Rule(9, {(1, 0): F(1)}), cap=9)
 
 
 def test_unique_low_order():
