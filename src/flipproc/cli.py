@@ -135,7 +135,7 @@ def _cmd_k1(args):
 def _cmd_velocity(args):
     rule = _load_valid_rule(args.rule)
     kernel = load_kernel(args.kernel)
-    _emit(kernel_to_json(velocity(rule, kernel)), args.out)
+    _emit(kernel_to_json(velocity(rule, kernel, args.cap)), args.out)
     return 0
 
 
@@ -143,7 +143,8 @@ def _cmd_integrate(args):
     rule = _load_valid_rule(args.rule)
     kernel = load_kernel(args.kernel)
     trajectory = integrate(rule, kernel, args.t_max, args.dt,
-                           expert_nongraphon=args.expert_nongraphon)
+                           expert_nongraphon=args.expert_nongraphon,
+                           cap=args.cap)
     _emit(trajectory.to_csv(), args.out)
     return 0
 
@@ -165,6 +166,7 @@ def _cmd_transference(args):
     kernel = load_kernel(args.w0)
     report, _ = transference_check(
         rule, args.n, kernel, args.time, args.eps, args.seed, runs=args.runs,
+        cap=args.cap,
     )
     _emit_json(report, args.out)
     return 0 if report["pass"] else 1

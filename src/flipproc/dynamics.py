@@ -6,19 +6,34 @@ value matrix.  The class of step kernels is closed under the velocity
 operator of any rule, so trajectories of step-kernel starts stay exactly
 representable and the integrator never discretizes space.
 
-The velocity at a kernel is computed two independent ways: an aggregated
-vectorized evaluation used everywhere (velocity), and a literal term by
-term evaluation of the defining double sum kept as a consistency oracle
-(velocity_direct).
+The velocity is read off the rule's certificate: at parts (x, y) it is
+sum_C coeff(C) t_C(x, y) over the orbit classes C with a nonzero
+coefficient, where t_C is the rooted density of a representative of C with
+its roots pinned to x and y.  Rules with equal certificates therefore get
+equal velocities by construction.  One grid over the assignments of the k
+vertices to parts serves every class: each class's representative is
+relabelled so that its roots are vertices 1 and 2, the class terms are
+summed on the grid, and the k - 2 free vertices are then placed by the
+part weights.  On one part t_C is p^e (1 - p)^(P - e), so the coefficients
+only enter summed per edge count e.
 """
 
+import functools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .codes import GraphCode, RootedPairGraph, num_pairs, pair_list
+from .codes import (
+    CapExceeded,
+    GraphCode,
+    RootedPairGraph,
+    enumeration_cap,
+    num_pairs,
+    pair_list,
+)
+from .equivalence import coeff_vector
 from .rooted import (
     RootedGraph,
     _label_key,
@@ -327,141 +342,103 @@ def density_formula_check(base, m, G, z, x, y, tolerance=1e-12):
 
 # ------------------------------------------------------------------- velocity
 
-_GRID_BUDGET = 4_000_000  # floats per row chunk in the vectorized evaluation
+_GRID_BUDGET = 4_000_000  # floats in one m^k density grid and in one chunk
+
+
+def _roots_first(canon):
+    """Edge flags, in pair_list order, of a pair-rooted graph relabelled so
+    that its roots are vertices 1 and 2; the free vertices keep their
+    order."""
+    k = canon.order
+    old = [canon.a, canon.b]
+    old += [v for v in range(1, k + 1) if v not in old]
+    return [canon.graph.has_edge(old[i - 1], old[j - 1]) for i, j in pair_list(k)]
 
 
 class _CompiledVelocity:
-    """Row data of a rule laid out for vectorized velocity evaluation."""
+    """The nonzero coefficients of a rule with one representative per
+    class, its roots relabelled to vertices 1 and 2 so that all classes
+    share one grid of part assignments."""
 
-    def __init__(self, rule):
-        k = rule.order
-        self.k = k
-        self.pairs = pair_list(k)
-        P = len(self.pairs)
-        rows = sorted(rule.rows().items())
-        fbits = []
-        edge = []
-        zmat = []
-        for f, row in rows:
-            zrow = []
-            for idx in range(P):
-                mass = sum(p for h, p in row.items() if h >> idx & 1)
-                zrow.append(float(mass) - (1.0 if f >> idx & 1 else 0.0))
-            if any(zrow):
-                fbits.append(f)
-                edge.append([bool(f >> idx & 1) for idx in range(P)])
-                zmat.append(zrow)
-        self.fbits = fbits
-        self.edge = np.array(edge, dtype=bool).reshape(len(fbits), P)
-        self.zmat = np.array(zmat, dtype=float).reshape(len(fbits), P)
-        # one-part evaluation only needs the row totals and edge counts
-        self.point_coeffs = [
-            (2.0 * float(self.zmat[r].sum()), fbits[r].bit_count())
-            for r in range(len(fbits))
-        ]
+    def __init__(self, rule, cap):
+        nonzero = coeff_vector(rule, cap).nonzero()
+        self.k = rule.order
+        self.pairs = pair_list(self.k)
+        self.coeffs = np.array([float(c) for _, c in nonzero])
+        self.edge = np.array(
+            [_roots_first(cls.canon) for cls, _ in nonzero], dtype=bool
+        ).reshape(len(nonzero), len(self.pairs))
+        # on one part t_C = p^e (1 - p)^(P - e): only the exact coefficient
+        # sum per edge count e matters
+        by_edges = {}
+        for cls, c in nonzero:
+            e = cls.canon.graph.edge_count()
+            by_edges[e] = by_edges.get(e, 0) + c
+        self.point_terms = [(float(c), e) for e, c in sorted(by_edges.items()) if c]
 
     def values(self, weights, vals):
         """Velocity block values: weights (m,), vals (m, m) float arrays."""
         k, pairs = self.k, self.pairs
         m = vals.shape[0]
-        P = len(pairs)
-        R = len(self.fbits)
-        out = np.zeros((m, m))
-        if R == 0:
-            return out
         if m == 1:
             p = float(vals[0, 0])
+            P = len(pairs)
             total = 0.0
-            for c, e in self.point_coeffs:
+            for c, e in self.point_terms:
                 total += c * p ** e * (1.0 - p) ** (P - e)
-            out[0, 0] = total
-            return out
-        letters = "abcdefghij"[:k]
-        chunk = max(1, _GRID_BUDGET // (m ** k))
-        for lo in range(0, R, chunk):
-            hi = min(R, lo + chunk)
-            grid = np.ones((hi - lo,) + (m,) * k)
-            sel = self.edge[lo:hi]
+            return np.array([[total]])
+        cells = m ** k
+        if cells > _GRID_BUDGET:
+            raise CapExceeded(
+                f"velocity grid of {m} parts at order {k} has {cells} cells, "
+                f"beyond the budget of {_GRID_BUDGET}"
+            )
+        if not len(self.coeffs):
+            return np.zeros((m, m))
+        # grid[c, x_1, ..., x_k]: coeff(C) times the probability that
+        # vertices placed in parts x_1, ..., x_k induce C's representative
+        density = np.zeros((m,) * k)
+        chunk = _GRID_BUDGET // cells
+        for lo in range(0, len(self.coeffs), chunk):
+            coeffs = self.coeffs[lo:lo + chunk]
+            edge = self.edge[lo:lo + chunk]
+            n = len(coeffs)
+            grid = np.empty((n,) + (m,) * k)
+            grid[...] = coeffs.reshape((n,) + (1,) * k)
             for idx, (i, j) in enumerate(pairs):
                 shape = [1] * (k + 1)
-                shape[i] = m
-                shape[j] = m
+                shape[i] = shape[j] = m
                 wij = vals.reshape(shape)
-                pick = sel[:, idx].reshape((hi - lo,) + (1,) * k)
+                pick = edge[:, idx].reshape((n,) + (1,) * k)
                 grid *= np.where(pick, wij, 1.0 - wij)
-            for idx, (i, j) in enumerate(pairs):
-                subs = "r" + letters
-                operands = [grid]
-                in_subs = [subs]
-                for v in range(1, k + 1):
-                    if v != i and v != j:
-                        operands.append(weights)
-                        in_subs.append(letters[v - 1])
-                contracted = np.einsum(
-                    ",".join(in_subs) + "->r" + letters[i - 1] + letters[j - 1],
-                    *operands,
-                )
-                block = np.einsum("r,rxy->xy", self.zmat[lo:hi, idx], contracted)
-                out += block + block.T
-        return out
+            density += grid.sum(axis=0)
+        # the free vertices 3..k are placed by the part weights
+        for _ in range(k - 2):
+            density = density @ weights
+        return density
 
 
-_compiled_cache = {}
+@functools.lru_cache(maxsize=64)
+def _compiled(rule, cap):
+    return _CompiledVelocity(rule, cap)
 
 
-def _compiled(rule):
-    got = _compiled_cache.get(rule)
-    if got is None:
-        if len(_compiled_cache) > 64:
-            _compiled_cache.clear()
-        got = _compiled_cache[rule] = _CompiledVelocity(rule)
-    return got
-
-
-def velocity(rule, kernel):
-    """The instantaneous drift the rule induces at a kernel, as a kernel on
-    the same parts.  Vectorized; identity rows contribute nothing."""
-    comp = _compiled(rule)
+def _kernel_arrays(kernel):
     weights = np.array([float(w) for w in kernel.weights])
     vals = np.array([[float(v) for v in row] for row in kernel.values])
-    out = comp.values(weights, vals)
+    return weights, vals
+
+
+def velocity(rule, kernel, cap=None):
+    """The instantaneous drift the rule induces at a kernel, as a kernel on
+    the same parts: sum_C coeff(C) t_C(x, y) over the nonzero classes of the
+    rule's certificate.  The certificate is held to the enumeration cap and
+    the grid of part assignments (m^k cells for m parts at order k) to
+    4,000,000 cells; beyond either, CapExceeded."""
+    comp = _compiled(rule, enumeration_cap(cap))
+    out = comp.values(*_kernel_arrays(kernel))
     out = (out + out.T) / 2.0  # exact symmetry against float jitter
     return StepKernel(kernel.weights, tuple(tuple(row) for row in out))
-
-
-def velocity_direct(rule, kernel):
-    """Literal evaluation of the velocity's defining double sum, one rooted
-    term at a time, with expected-change factors read straight off the rule
-    rows.  Quadratically slower than velocity(); kept as an oracle."""
-    k = rule.order
-    m = kernel.num_parts
-    pairs = pair_list(k)
-    out = [[0.0] * m for _ in range(m)]
-    for f in range(1 << num_pairs(k)):
-        row = rule.row(f)
-        code = GraphCode(k, f)
-        for idx, (i, j) in enumerate(pairs):
-            has = f >> idx & 1
-            if row is None:
-                continue  # identity keeps the pair: zero expected change
-            mass = sum(p for h, p in row.items() if h >> idx & 1)
-            z = float(mass - has)
-            if z == 0.0:
-                continue
-            for a, b in ((i, j), (j, i)):
-                element = RootedPairGraph(code, a, b)
-                for x in range(m):
-                    for y in range(m):
-                        out[x][y] += z * float(
-                            rooted_density(element, kernel, x, y)
-                        )
-    return StepKernel(
-        kernel.weights,
-        tuple(
-            tuple((out[x][y] + out[y][x]) / 2.0 for y in range(m))
-            for x in range(m)
-        ),
-    )
 
 
 def lipschitz_constant(k):
@@ -508,7 +485,7 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False):
+def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
     """Integrate the rule's drift from a step kernel with classical
     fixed-step fourth-order steps, a short final step when h does not
     divide t_max, and a guard that keeps graphon starts inside [0, 1]:
@@ -516,6 +493,7 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False):
 
     Non-graphon starts are refused unless expert_nongraphon is set; with
     the flag the dynamics are integrated as-is with no domain guarantees.
+    The drift is held to the same caps as velocity().
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
@@ -527,9 +505,8 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False):
             "starting kernel is not a graphon; pass expert_nongraphon=True "
             "to integrate it anyway (no domain guarantees)"
         )
-    comp = _compiled(rule)
-    weights = np.array([float(w) for w in start.weights])
-    v = np.array([[float(x) for x in row] for row in start.values])
+    comp = _compiled(rule, enumeration_cap(cap))
+    weights, v = _kernel_arrays(start)
 
     n_full = int(t_max / h + 1e-9)
     rem = t_max - n_full * h

@@ -38,7 +38,8 @@ class Rule:
             p = p if isinstance(p, Fraction) else Fraction(p)
             if p == 0:
                 continue
-            norm[(int(f), int(h))] = norm.get((int(f), int(h)), Fraction(0)) + p
+            key = (int(f), int(h))
+            norm[key] = norm[key] + p if key in norm else p
         rows = {}
         for (f, h), p in norm.items():
             rows.setdefault(f, {})[h] = p

@@ -337,19 +337,20 @@ def result_to_csv(result):
 # -------------------------------------------------------------- transference
 
 def transference_check(rule, n, start, horizon, eps, seed, runs=5,
-                       points=10, h=1e-3, max_n=5000):
+                       points=10, h=1e-3, max_n=5000, cap=None):
     """Desk-scale check that the finite process tracks the integrated
     trajectory: at `points` evenly spaced times, each run's maximum block
     deviation from the reference must stay within eps.  The overall verdict
     passes when at least 80% of runs pass every time (an empirical
-    convention at these sizes; individual runs are reported)."""
+    convention at these sizes; individual runs are reported).  The
+    reference trajectory is held to the enumeration cap `cap`."""
     if points < 10:
         raise ValueError(f"need at least 10 sample times, got {points}")
     if not isinstance(start, StepKernel):
         raise ValueError("transference check needs a step-kernel start")
     if eps <= 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
-    trajectory = integrate(rule, start, horizon, h)
+    trajectory = integrate(rule, start, horizon, h, cap=cap)
     config = SimConfig(
         rule=rule, n=n, initial=start, horizon=horizon, seed=seed,
         runs=runs, sample_points=points, max_n=max_n,

@@ -4,9 +4,10 @@ Everything here that checks a package computation re-derives it from
 definitions with separate code paths: the census count comes from the
 orbit-counting lemma, coefficient sums from a term-by-term sweep over all
 rooted elements with a local canonicalizer, isomorphism, symmetrization
-and the symmetry check from a full permutation sweep.  Generators (random
-rules, kernels, graphs) may use package constructors since they only build
-inputs.
+and the symmetry check from a full permutation sweep, and the velocity
+from its defining sum over rows, pairs and rooted densities.  Generators
+(random rules, kernels, graphs) may use package constructors since they
+only build inputs.
 """
 
 import itertools
@@ -157,6 +158,43 @@ def naive_is_symmetric(rule):
                          apply_sigma_bits(sigma, k, h)) == p
         for (f, h), p in rule.entries.items()
         for sigma in perms
+    )
+
+
+# ------------------------------------------------------------------- velocity
+
+def velocity_direct(rule, kernel):
+    """Literal evaluation of the velocity's defining double sum, one rooted
+    term at a time, with expected-change factors read straight off the rule
+    rows (the package's rooted_density evaluates each term).  Quadratically
+    slower than velocity(), and it never forms a certificate."""
+    from flipproc import GraphCode, RootedPairGraph, StepKernel, rooted_density
+    k = rule.order
+    m = kernel.num_parts
+    out = [[0.0] * m for _ in range(m)]
+    for f in range(1 << (k * (k - 1) // 2)):
+        row = rule.row(f)
+        if row is None:
+            continue  # identity keeps every pair: zero expected change
+        code = GraphCode(k, f)
+        for idx, (i, j) in enumerate(pairs_of(k)):
+            mass = sum(p for h, p in row.items() if h >> idx & 1)
+            z = float(mass - (f >> idx & 1))
+            if z == 0.0:
+                continue
+            for a, b in ((i, j), (j, i)):
+                element = RootedPairGraph(code, a, b)
+                for x in range(m):
+                    for y in range(m):
+                        out[x][y] += z * float(
+                            rooted_density(element, kernel, x, y)
+                        )
+    return StepKernel(
+        kernel.weights,
+        tuple(
+            tuple((out[x][y] + out[y][x]) / 2.0 for y in range(m))
+            for x in range(m)
+        ),
     )
 
 

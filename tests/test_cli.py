@@ -233,6 +233,30 @@ def test_velocity_rejects_non_finite_kernel(tr_file, tmp_path, capsys):
     assert captured.out == "" and "non-finite block value" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["velocity", "R", "K"],
+    ["integrate", "R", "K", "--t-max", "0.01"],
+    ["transference", "R", "--n", "20", "--w0", "K", "--time", "0.01",
+     "--eps", "0.5", "--seed", "1", "--runs", "1"],
+])
+def test_dynamics_commands_are_capped(argv, tr_file, kernel_file, capsys):
+    argv = [tr_file if a == "R" else kernel_file if a == "K" else a
+            for a in argv]
+    assert main(["--cap", "2"] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap" in captured.err
+
+
+def test_velocity_grid_cap(tmp_path, capsys):
+    rule = tmp_path / "clique6.json"
+    save_rule(make_named("clique-removal", 6), rule)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"weights": ["1/20"] * 20,
+                                "values": [[0.5] * 20] * 20}))
+    assert main(["velocity", str(rule), str(wide)]) == 3
+    assert "grid" in capsys.readouterr().err
+
+
 def test_simulate_csv(tr_file, kernel_file, capsys):
     assert main(["simulate", tr_file, "--n", "20", "--w0", kernel_file,
                  "--time", "0.01", "--seed", "4", "--runs", "2"]) == 0

@@ -8,14 +8,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipproc import (
+    CapExceeded,
     GraphCode,
     IntegrationError,
     RootedGraph,
     RootedPairGraph,
     Rule,
     StepKernel,
+    coeff_vector,
     constant_kernel,
     density_formula_check,
     integrate,
@@ -28,8 +32,8 @@ from flipproc import (
     max_block_dev,
     rooted_density,
     symmetrize,
+    transference_check,
     velocity,
-    velocity_direct,
     vstar,
 )
 
@@ -134,11 +138,15 @@ def test_velocity_constant_split_matches_one_part():
 def test_velocity_matches_literal_oracle():
     rng = random.Random(17)
     cases = [(2, 1), (2, 3), (3, 1), (3, 2), (3, 4), (4, 2)]
-    for k, m in cases * 3 + [(4, 4), (4, 1)]:
-        r = oracles.random_rule(rng, k)
+    cases = cases * 3 + [(4, 4), (4, 1)] + [(5, 2), (5, 3)] * 2
+    rules = [(oracles.random_rule(rng, k), m) for k, m in cases]
+    # an unnormalized row: the certificate path must give the literal drift
+    # of invalid rules too
+    rules += [(Rule(2, {(1, 1): F(2)}), m) for m in (1, 2)]
+    for r, m in rules:
         kern = oracles.random_kernel(rng, m)
         fast = velocity(r, kern)
-        slow = velocity_direct(r, kern)
+        slow = oracles.velocity_direct(r, kern)
         assert _dev(fast, slow) <= 1e-9
         assert fast.weights == kern.weights
 
@@ -154,6 +162,56 @@ def test_equivalent_rules_share_velocity():
     star = make_named("ignorant", 4, dist={11: F(1)})
     kern = oracles.random_kernel(rng, 2)
     assert _dev(velocity(u, kern), velocity(star, kern)) <= 1e-9
+
+
+@st.composite
+def _kernels(draw):
+    m = draw(st.integers(min_value=1, max_value=3))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=12),
+                            min_size=m, max_size=m))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    vals = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            vals[i][j] = vals[j][i] = draw(unit)
+    return StepKernel([F(w, sum(weights)) for w in weights], vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.randoms(use_true_random=False),
+       _kernels())
+def test_equal_certificates_give_bitwise_equal_velocity(k, rng, kern):
+    rule = oracles.random_rule(rng, k)
+    sigma = rng.sample(range(1, k + 1), k)
+    relabelled = Rule(k, {
+        (oracles.apply_sigma_bits(sigma, k, f),
+         oracles.apply_sigma_bits(sigma, k, h)): p
+        for (f, h), p in rule.entries.items()
+    })
+    for other in (symmetrize(rule), relabelled):
+        assert coeff_vector(other) == coeff_vector(rule)
+        assert velocity(other, kern).values == velocity(rule, kern).values
+
+
+def test_velocity_is_capped():
+    kern = oracles.random_kernel(random.Random(43), 2)
+    # the certificate is held to the enumeration cap
+    with pytest.raises(CapExceeded):
+        velocity(make_named("clique-removal", 7), kern)
+    with pytest.raises(CapExceeded):
+        velocity(TR, kern, cap=2)
+    with pytest.raises(CapExceeded):
+        integrate(TR, kern, 0.01, cap=2)
+    with pytest.raises(CapExceeded):
+        transference_check(TR, 20, kern, 0.01, 0.5, 1, runs=1, cap=2)
+    assert velocity(TR, kern, cap=3).values == velocity(TR, kern).values
+    # and the m^k grid of part assignments to its budget: 20^6 cells
+    wide = StepKernel([F(1, 20)] * 20, [[0.5] * 20] * 20)
+    with pytest.raises(CapExceeded, match="grid"):
+        velocity(make_named("clique-removal", 6), wide)
+    with pytest.raises(CapExceeded, match="grid"):
+        integrate(make_named("clique-removal", 6), wide, 0.01)
+    assert velocity(TR, wide).values[0][0] == pytest.approx(-6 * 0.5 ** 3)
 
 
 # ---------------------------------------------------------------- integration
