@@ -11,7 +11,8 @@ go to stderr.  Exit codes:
    positive), and an integration that fails (IntegrationError: the state
    left [0, 1] or stopped being finite, so the step size was too large)
    or asks for more steps than a float can count (OverflowError)
-3  resource cap exceeded (CapExceeded)
+3  resource cap exceeded (CapExceeded): the graph order, the velocity
+   grid, or the block values an integration would store
 """
 
 import argparse

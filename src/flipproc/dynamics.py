@@ -342,7 +342,9 @@ def density_formula_check(base, m, G, z, x, y, tolerance=1e-12):
 
 # ------------------------------------------------------------------- velocity
 
-_GRID_BUDGET = 4_000_000  # floats in one m^k density grid and in one chunk
+# floats in one m^k density grid and in one chunk, and block values in one
+# stored trajectory
+_GRID_BUDGET = 4_000_000
 
 
 def _roots_first(canon):
@@ -493,7 +495,9 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
 
     Non-graphon starts are refused unless expert_nongraphon is set; with
     the flag the dynamics are integrated as-is with no domain guarantees.
-    The drift is held to the same caps as velocity().
+    The drift is held to the same caps as velocity(), and the trajectory
+    to (steps + 1) * m^2 stored block values for m parts within the same
+    budget of 4,000,000; beyond it, CapExceeded before the first step.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
@@ -505,18 +509,24 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
             "starting kernel is not a graphon; pass expert_nongraphon=True "
             "to integrate it anyway (no domain guarantees)"
         )
-    comp = _compiled(rule, enumeration_cap(cap))
-    weights, v = _kernel_arrays(start)
-
     n_full = int(t_max / h + 1e-9)
     rem = t_max - n_full * h
-    steps = [h] * n_full + ([rem] if rem > h * 1e-9 else [])
+    n_steps = n_full + (rem > h * 1e-9)
+    stored = (n_steps + 1) * len(start.weights) ** 2
+    if stored > _GRID_BUDGET:
+        raise CapExceeded(
+            f"{n_steps} steps store {stored} block values, beyond the budget "
+            f"of {_GRID_BUDGET}; raise the step size or shorten t_max"
+        )
+    comp = _compiled(rule, enumeration_cap(cap))
+    weights, v = _kernel_arrays(start)
 
     times = [0.0]
     states = [start]
     t = 0.0
     try:
-        for dt in steps:
+        for step in range(n_steps):
+            dt = h if step < n_full else rem
             s1 = comp.values(weights, v)
             s2 = comp.values(weights, v + (dt / 2.0) * s1)
             s3 = comp.values(weights, v + (dt / 2.0) * s2)

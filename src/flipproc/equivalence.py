@@ -12,11 +12,19 @@ equivalence.
 Also here: the uniqueness classification.  A rule is the only rule with its
 trajectories exactly when its order is at most 2 or it is symmetric and
 deterministic; otherwise a distinct coefficient-equal witness rule exists
-and is constructed explicitly (symmetrization for asymmetric rules, a
-probability-mass perturbation along root-stabilizer pair orbits for
-symmetric non-deterministic ones).
+and is constructed explicitly.  A row enters the coefficients only through
+its pair marginals, the probability that the replacement holds each pair,
+so any move of mass that keeps them, or trades them between rows of one
+relabelling orbit, keeps the trajectories.  An asymmetric rule's witness is
+its symmetrization.  A symmetric non-deterministic rule gets one of two
+moves: an exchange inside a row between two support graphs A and B that
+differ in at least two pairs (both toggle one pair s where they disagree,
+and the result is symmetrized), or, when every non-deterministic row is
+{L, L + e}, a trade of the toggle of e against a relabelled copy of the
+row.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,40 +52,44 @@ from .rules import (
     entry_codes,
     is_deterministic,
     is_symmetric,
-    rule_problems,
     validate,
 )
 
 
 class CoeffVector:
-    """The full map from orbit classes at one order to their coefficients."""
+    """The coefficients of every orbit class at one order: `values[i]`
+    belongs to `classes[i]`, in census order."""
 
-    __slots__ = ("order", "classes", "coeffs")
+    __slots__ = ("order", "classes", "values")
 
-    def __init__(self, order, classes, coeffs):
+    def __init__(self, order, classes, values):
         self.order = order
         self.classes = tuple(classes)
-        self.coeffs = dict(coeffs)
+        self.values = tuple(values)
 
     def __getitem__(self, cls):
-        return self.coeffs[cls]
+        if cls.order != self.order:
+            raise KeyError(cls)
+        root = cls.canon
+        pos = _census(self.order).index[root.graph.bits, root.a - 1, root.b - 1]
+        return self.values[pos]
 
     def __eq__(self, other):
         if not isinstance(other, CoeffVector):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.values == other.values
 
     def __hash__(self):
-        return hash((self.order, tuple(sorted(self.coeffs.items()))))
+        return hash((self.order, self.values))
 
     def items(self):
-        return [(cls, self.coeffs[cls]) for cls in self.classes]
+        return list(zip(self.classes, self.values))
 
     def nonzero(self):
         return [(cls, c) for cls, c in self.items() if c != 0]
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs.values())
+        return not any(self.values)
 
     def to_json_obj(self):
         out = []
@@ -139,7 +151,7 @@ def coeff_vector(rule, cap=None):
     k = rule.order
     classes = enumerate_classes(k, cap)
     if not classes:
-        return CoeffVector(k, classes, {})
+        return CoeffVector(k, classes, ())
     p = num_pairs(k)
     # integer numerators over the common denominator; each row also enters
     # as a diagonal term of numerator -denom, which subtracts f's own pairs
@@ -171,11 +183,8 @@ def coeff_vector(rule, cap=None):
         np.add.at(acc, index[graphs, first, second], z)
         np.add.at(acc, index[graphs, second, first], z)
     zero = Fraction(0)
-    coeffs = {
-        cls: Fraction(c, denom) if c else zero
-        for cls, c in zip(classes, acc.tolist())
-    }
-    return CoeffVector(k, classes, coeffs)
+    values = [Fraction(c, denom) if c else zero for c in acc.tolist()]
+    return CoeffVector(k, classes, values)
 
 
 def lift(rule, to, cap=None):
@@ -219,11 +228,11 @@ def compare(rule1, rule2, cap=None):
     rule1, rule2 = _common_order(rule1, rule2, cap)
     v1 = coeff_vector(rule1, cap)
     v2 = coeff_vector(rule2, cap)
-    differing = None
-    for cls in v1.classes:
-        if v1[cls] != v2[cls]:
-            differing = cls
-            break
+    differing = next(
+        (cls for cls, a1, a2 in zip(v1.classes, v1.values, v2.values)
+         if a1 != a2),
+        None,
+    )
     return EquivalenceVerdict(differing is None, rule1.order, (v1, v2), differing)
 
 
@@ -235,8 +244,7 @@ def dilation_factor(rule1, rule2, cap=None):
     v1 = coeff_vector(rule1, cap)
     v2 = coeff_vector(rule2, cap)
     factor = None
-    for cls in v1.classes:
-        a1, a2 = v1[cls], v2[cls]
+    for a1, a2 in zip(v1.values, v2.values):
         if a2 == 0:
             if a1 != 0:
                 return None
@@ -343,10 +351,15 @@ def classify_unique(rule, cap=None):
 
     Yes exactly when the order is at most 2, or the rule is symmetric and
     deterministic.  Otherwise a different rule with the same coefficient
-    vector is produced: for an asymmetric rule its symmetrization, and for
-    a symmetric non-deterministic rule a perturbation that moves mass along
-    a stabilizer pair orbit while preserving every coefficient.  Witnesses
-    are verified (valid, distinct, coefficient-equal) before being returned.
+    vector is produced: for an asymmetric rule its symmetrization.  For a
+    symmetric non-deterministic rule, a move that keeps every row's pair
+    marginals: within a row, ε = min(R(f, A), R(f, B)) goes from two
+    support graphs A and B that differ in at least two pairs to A and B
+    with one such pair toggled, and the result is symmetrized; if no row
+    has such a pair, a row f = {L, L + e} moves ε from L + e to L while a
+    relabelled row g = σf moves ε from σL to σ(L + e), and the witness is
+    not symmetric.  Witnesses are verified (valid, distinct,
+    coefficient-equal) before being returned.
     """
     validate(rule)
     if rule.order <= 2:
@@ -358,7 +371,7 @@ def classify_unique(rule, cap=None):
         witness = symmetrize(rule, cap)
         _check_witness(rule, witness, cap)
         return UniquenessVerdict(False, "witness", witness)
-    witness = _perturbation_witness(rule, cap)
+    witness = _marginal_witness(rule, cap)
     _check_witness(rule, witness, cap)
     return UniquenessVerdict(False, "witness", witness)
 
@@ -375,257 +388,48 @@ def _check_witness(rule, witness, cap=None):
         )
 
 
-def _pair_orbit(k, f, h):
-    """The orbit of the index pair (f, h) under simultaneous relabelling."""
-    members, _ = orbit_members(k, pair_orbits(k, [f], [h])[0])
-    p, mask = num_pairs(k), full_bits(k)
-    return [(m >> p, m & mask) for m in members.tolist()]
+def _shift(entries, f, source, target, amount):
+    """Move `amount` of row f's mass from `source` to `target`."""
+    entries[(f, source)] -= amount
+    entries[(f, target)] = entries.get((f, target), 0) + amount
 
 
-class _SymRow:
-    """Cached per-row structure for the perturbation search."""
-
-    def __init__(self, k, f, row):
-        self.f = f
-        self.row = row
-        self.orbits = _stabilizer_pair_orbits(k, f)
-        self.masks = []
-        for orb in self.orbits:
-            mask = 0
-            for b in orb:
-                mask |= 1 << b
-            self.masks.append(mask)
-
-    def pvec(self, h):
-        return tuple((h & mask).bit_count() for mask in self.masks)
-
-    def pvec_without(self, h, skip):
-        return tuple(
-            (h & mask).bit_count()
-            for pos, mask in enumerate(self.masks)
-            if pos not in skip
-        )
-
-
-def _lowest_bit(x):
-    return x & -x
-
-
-def _apply_delta(entries, k, f, h, amount):
-    """Add `amount` to every entry in the relabelling orbit of (f, h),
-    splitting it equally; returns the orbit size used."""
-    orbit = _pair_orbit(k, f, h)
-    share = Fraction(amount, len(orbit))
-    for key in orbit:
-        entries[key] = entries.get(key, Fraction(0)) + share
-    return len(orbit)
-
-
-def _candidate(rule, deltas):
-    """Build a perturbed rule: deltas are (f, h, signed_total_mass) triples,
-    each spread over the whole relabelling orbit of (f, h)."""
+def _marginal_witness(rule, cap=None):
+    """Witness for a symmetric non-deterministic rule of order >= 3: a
+    move of one row's mass that keeps every pair marginal of every row,
+    hence every class coefficient."""
     k = rule.order
+    rows = rule.rows()
     entries = dict(rule.entries)
-    for f, h, amount in deltas:
-        _apply_delta(entries, k, f, h, amount)
+    for f in sorted(rows):
+        for a, b in itertools.combinations(sorted(rows[f]), 2):
+            if (a ^ b).bit_count() < 2:
+                continue
+            # toggling one pair s where A and B disagree keeps them
+            # disagreeing at s; s leaves the smaller graph if it can, so the
+            # move spreads or narrows the row's edge counts and symmetrizing
+            # cannot undo it
+            if a.bit_count() > b.bit_count():
+                a, b = b, a
+            diff = a & ~b or b & ~a
+            s = diff & -diff
+            eps = min(rows[f][a], rows[f][b])
+            _shift(entries, f, a, a ^ s, eps)
+            _shift(entries, f, b, b ^ s, eps)
+            return symmetrize(Rule(k, entries), cap)
+    # otherwise every non-deterministic row is {L, L + e}.  A row fixed by
+    # every relabelling would need a support closed under relabelling, which
+    # two graphs one pair apart are not at order >= 3, so some relabelling
+    # sigma moves f to g; taking e off at f while sigma(e) goes on at g
+    # keeps every class sum
+    f = next(f for f in sorted(rows) if len(rows[f]) > 1)
+    lo, hi = sorted(rows[f])
+    images = perm_images(k, [f, lo, hi])
+    g, g_lo, g_hi = images[np.flatnonzero(images[:, 0] != f)[0]].tolist()
+    eps = min(rows[f][lo], rows[f][hi])
+    _shift(entries, f, hi, lo, eps)
+    _shift(entries, g, g_lo, g_hi, eps)
     return Rule(k, entries)
-
-
-def _perturbation_witness(rule, cap=None):
-    """Witness for a symmetric non-deterministic rule of order >= 3.
-
-    Searches the four perturbation patterns in a fixed order over rows,
-    stabilizer pair orbits, and support graphs; every candidate is verified
-    before being returned.  If no pattern applies the search fails loudly:
-    silently guessing a witness would corrupt the classification.
-    """
-    k = rule.order
-    rows = [
-        _SymRow(k, f, rule.rows()[f]) for f in sorted(rule.rows())
-    ]
-
-    for case in (_case_one, _case_two, _case_three, _case_four):
-        for sr in rows:
-            cand = case(rule, sr, cap)
-            if cand is not None:
-                return cand
-    raise RuntimeError(
-        "internal error: no perturbation pattern applies to this symmetric "
-        "non-deterministic rule; the case analysis does not cover it and the "
-        "witness cannot be constructed honestly"
-    )
-
-
-def _orbit_size(k, f, h):
-    return int(pair_orbits(k, [f], [h])[1][0])
-
-
-def _case_one(rule, sr, cap=None):
-    """Some support graph meets a stabilizer pair orbit in strictly between
-    0 and all of its pairs: split that graph's mass onto the two neighbours
-    with one such pair fewer and one more."""
-    k = rule.order
-    f = sr.f
-    for h in sorted(sr.row):
-        counts = sr.pvec(h)
-        for pos, orb in enumerate(sr.orbits):
-            size = len(orb)
-            c = counts[pos]
-            if not 0 < c < size:
-                continue
-            mask = sr.masks[pos]
-            h_minus = h ^ _lowest_bit(h & mask)
-            h_plus = h | _lowest_bit(~h & mask)
-            orbit_size = _orbit_size(k, f, h)
-            eps = orbit_size * sr.row[h]
-            cand = _candidate(rule, [
-                (f, h, -eps),
-                (f, h_minus, eps / 2),
-                (f, h_plus, eps / 2),
-            ])
-            if _accept(rule, cand, cap):
-                return cand
-    return None
-
-
-def _case_two(rule, sr, cap=None):
-    """Two support graphs agree on every stabilizer pair orbit except one of
-    size > 1, which one avoids and the other fills: drain both toward the
-    interior."""
-    k = rule.order
-    f = sr.f
-    for pos, orb in enumerate(sr.orbits):
-        size = len(orb)
-        if size < 2:
-            continue
-        mask = sr.masks[pos]
-        groups = {}
-        for h in sorted(sr.row):
-            groups.setdefault(sr.pvec_without(h, {pos}), {}).setdefault(
-                (h & mask).bit_count(), h
-            )
-        for levels in groups.values():
-            if 0 not in levels or size not in levels:
-                continue
-            h0, h1 = levels[0], levels[size]
-            eps = min(
-                _orbit_size(k, f, h0) * sr.row[h0],
-                _orbit_size(k, f, h1) * sr.row[h1],
-            )
-            if size >= 3:
-                g_minus = h0 | _lowest_bit(mask)
-                g_plus = h1 ^ _lowest_bit(h1 & mask)
-                deltas = [
-                    (f, h0, -eps),
-                    (f, h1, -eps),
-                    (f, g_minus, eps),
-                    (f, g_plus, eps),
-                ]
-            else:
-                g = h0 | _lowest_bit(mask)
-                deltas = [
-                    (f, h0, -eps),
-                    (f, h1, -eps),
-                    (f, g, 2 * eps),
-                ]
-            cand = _candidate(rule, deltas)
-            if _accept(rule, cand, cap):
-                return cand
-    return None
-
-
-def _case_three(rule, sr, cap=None):
-    """Two fixed pairs of the stabilizer, all four on/off combinations in
-    the support with the rest equal: shift mass along the diagonal of that
-    2x2 block."""
-    k = rule.order
-    f = sr.f
-    singles = [pos for pos, orb in enumerate(sr.orbits) if len(orb) == 1]
-    for ia in range(len(singles)):
-        for ib in range(ia + 1, len(singles)):
-            pa, pb = singles[ia], singles[ib]
-            mask_a, mask_b = sr.masks[pa], sr.masks[pb]
-            groups = {}
-            for h in sorted(sr.row):
-                key = sr.pvec_without(h, {pa, pb})
-                level = ((h & mask_a).bit_count(), (h & mask_b).bit_count())
-                groups.setdefault(key, {}).setdefault(level, h)
-            for levels in groups.values():
-                if set(levels) != {(0, 0), (0, 1), (1, 0), (1, 1)}:
-                    continue
-                eps = None
-                for (i, j), h in levels.items():
-                    sign = 1 if (i + j) % 2 == 0 else -1
-                    headroom = Fraction(1, 2) + sign * (
-                        Fraction(1, 2) - _orbit_size(k, f, h) * sr.row[h]
-                    )
-                    eps = headroom if eps is None else min(eps, headroom)
-                if eps <= 0:
-                    continue
-                deltas = [
-                    (f, h, (1 if (i + j) % 2 == 0 else -1) * eps)
-                    for (i, j), h in levels.items()
-                ]
-                cand = _candidate(rule, deltas)
-                if _accept(rule, cand, cap):
-                    return cand
-    return None
-
-
-def _case_four(rule, sr, cap=None):
-    """A fixed pair of the stabilizer toggles between two support graphs that
-    agree elsewhere: swap the toggle on this row against a relabelled copy
-    of the row.  The witness is valid but no longer symmetric."""
-    k = rule.order
-    f = sr.f
-    images = perm_images(k, [f])[:, 0]
-    moving = np.flatnonzero(images != f)
-    if not moving.size:
-        return None
-    moved = moving[0]
-    g = int(images[moved])
-    for pos, orb in enumerate(sr.orbits):
-        if len(orb) != 1:
-            continue
-        mask = sr.masks[pos]
-        groups = {}
-        for h in sorted(sr.row):
-            groups.setdefault(sr.pvec_without(h, {pos}), {}).setdefault(
-                (h & mask).bit_count(), h
-            )
-        for levels in groups.values():
-            if 0 not in levels or 1 not in levels:
-                continue
-            h_minus, h_plus = levels[0], levels[1]
-            sh_minus, sh_plus = perm_images(k, [h_minus, h_plus])[moved].tolist()
-            eps = min(
-                rule.probability(f, h_minus),
-                rule.probability(g, sh_plus),
-                1 - rule.probability(f, h_plus),
-                1 - rule.probability(g, sh_minus),
-            )
-            if eps <= 0:
-                continue
-            entries = dict(rule.entries)
-            for key, amount in (
-                ((f, h_minus), -eps),
-                ((g, sh_plus), -eps),
-                ((f, h_plus), eps),
-                ((g, sh_minus), eps),
-            ):
-                entries[key] = entries.get(key, Fraction(0)) + amount
-            cand = Rule(k, entries)
-            if _accept(rule, cand, cap):
-                return cand
-    return None
-
-
-def _accept(rule, cand, cap=None):
-    if rule_problems(cand):
-        return False
-    if cand == rule:
-        return False
-    return compare(rule, cand, cap).equivalent
 
 
 # -------------------------------------------------------- orbit-sum conjecture

@@ -229,8 +229,8 @@ def random_ignorant_rule(rng, k, max_support=4):
 
 
 def random_full_support_symmetric_rule(rng, k, package_symmetrize):
-    """Symmetric rule whose every row has full support: guarantees the
-    perturbation witness search finds an applicable pattern."""
+    """Symmetric rule whose every row has full support, so that each row
+    holds support graphs differing in two or more pairs."""
     space = 1 << (k * (k - 1) // 2)
     entries = {}
     for f in range(space):

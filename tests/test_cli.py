@@ -8,12 +8,15 @@ import pytest
 
 from flipproc import (
     Rule,
+    compare,
     constant_kernel,
     kernel_to_json,
     make_named,
     parse_rule_json,
+    rule_problems,
     rule_to_json,
     save_rule,
+    symmetrize,
 )
 from flipproc.cli import main
 
@@ -155,6 +158,20 @@ def test_unique_witness_file(tmp_path, capsys):
     assert witness == Rule(3, {(7, h): F(1, 6) for h in range(1, 7)})
 
 
+def test_unique_witness_for_symmetric_rule(tmp_path, capsys):
+    # single-edge rows keeping 2/3 and moving 1/3 to the opposite two-path
+    rule = symmetrize(Rule(3, {(2, 5): F(1)}))
+    path = tmp_path / "sym.json"
+    save_rule(rule, path)
+    witness_path = tmp_path / "witness.json"
+    assert main(["unique", str(path), "--witness", str(witness_path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["unique"] is False and captured.err == ""
+    witness = parse_rule_json(witness_path.read_text())
+    assert witness != rule and rule_problems(witness) == []
+    assert compare(rule, witness).equivalent
+
+
 def test_unique_cap(tmp_path, capsys):
     path = tmp_path / "clique7.json"
     save_rule(make_named("clique-removal", 7), path)
@@ -222,6 +239,12 @@ def test_integrate_step_count_overflows(tr_file, kernel_file, capsys):
     assert main(["integrate", tr_file, kernel_file,
                  "--t-max", "1e300", "--dt", "1e-300"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_integrate_step_count_capped(tr_file, kernel_file, capsys):
+    assert main(["integrate", tr_file, kernel_file, "--t-max", "1e9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "steps" in captured.err
 
 
 def test_velocity_rejects_non_finite_kernel(tr_file, tmp_path, capsys):

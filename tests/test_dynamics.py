@@ -272,6 +272,20 @@ def test_integrate_detects_domain_escape():
         integrate(TR, constant_kernel(1e100), 1.0, h=0.1, expert_nongraphon=True)
 
 
+def test_integrate_steps_are_capped():
+    # the stored trajectory, (steps + 1) * m^2 block values, is held to the
+    # grid budget of 4,000,000 before the first step; on two parts that is
+    # 999,999 steps, where the runaway rule leaves [0, 1] at once instead
+    runaway = Rule(2, {(1, 1): F(2)})
+    kern = StepKernel((F(1, 2), F(1, 2)), ((0.5, 0.5), (0.5, 0.5)))
+    with pytest.raises(CapExceeded, match="steps"):
+        integrate(runaway, kern, 1_000_000.0, h=1.0)
+    with pytest.raises(IntegrationError):
+        integrate(runaway, kern, 999_999.0, h=1.0)
+    with pytest.raises(CapExceeded, match="steps"):
+        integrate(TR, constant_kernel(0.5), 1e9)
+
+
 def test_integrate_argument_errors():
     with pytest.raises(ValueError):
         integrate(TR, constant_kernel(0.5), -1.0)

@@ -20,14 +20,15 @@ from flipproc import (
     coeff_vector,
     compare,
     dilation_factor,
+    is_deterministic,
     is_symmetric,
     lift,
     make_named,
     orbit_edge_histogram,
+    rule_problems,
     symmetrize,
 )
 from flipproc.codes import num_pairs
-from flipproc.equivalence import _case_one, _case_two, _case_three, _case_four, _SymRow
 
 import oracles
 
@@ -304,64 +305,77 @@ def test_witness_for_symmetric_coin():
     assert verdict.witness == Rule(3, {(7, h): F(1, 6) for h in range(1, 7)})
 
 
+def _verified_witness(rule):
+    verdict = classify_unique(rule)
+    assert not verdict.unique and verdict.reason == "witness"
+    witness = verdict.witness
+    assert witness is not None and witness != rule
+    assert rule_problems(witness) == []
+    assert compare(rule, witness).equivalent
+    return witness
+
+
 def test_witness_partial_orbit_support():
-    # keep one edge of the triangle uniformly: the support meets the
-    # stabilizer orbit properly, so the first pattern applies
+    # keep one edge of the triangle uniformly: the support graphs differ in
+    # two pairs, so mass moves within the row and is symmetrized
     keep = Rule(3, {(7, 1): F(1, 3), (7, 2): F(1, 3), (7, 4): F(1, 3)})
-    sr = _SymRow(3, 7, keep.rows()[7])
-    cand = _case_one(keep, sr)
-    assert cand == Rule(3, {(7, 0): F(1, 2), (7, 3): F(1, 6),
-                            (7, 5): F(1, 6), (7, 6): F(1, 6)})
-    verdict = classify_unique(keep)
-    assert not verdict.unique and verdict.witness == cand
+    assert is_symmetric(_verified_witness(keep))
 
 
 def test_witness_checkerboard_case():
     # order 4, rows on the 3-path orbit with support on the two fixed pairs
-    # of its stabilizer: only the third pattern applies
+    # of its stabilizer: the diagonal corners differ in two pairs
     base = Rule(4, {(5, 40): F(1, 4), (5, 42): F(1, 4),
                     (5, 56): F(1, 4), (5, 58): F(1, 4)})
-    rule = symmetrize(base)
-    for f in sorted(rule.rows()):
-        sr = _SymRow(4, f, rule.rows()[f])
-        assert _case_one(rule, sr) is None
-        assert _case_two(rule, sr) is None
-    sr = _SymRow(4, 5, rule.rows()[5])
-    cand = _case_three(rule, sr)
-    assert cand is not None and is_symmetric(cand)
-    verdict = classify_unique(rule)
-    assert not verdict.unique
-    assert is_symmetric(verdict.witness)
-    assert compare(rule, verdict.witness).equivalent
+    assert is_symmetric(_verified_witness(symmetrize(base)))
 
 
 def test_witness_relabelled_row_case():
-    # delete one edge with probability 1/2: every orbit argument degenerates
-    # and the witness trades mass against a relabelled row, losing symmetry
+    # delete one edge with probability 1/2: each row's two support graphs
+    # differ in one pair, so the witness trades mass against a relabelled
+    # row, losing symmetry
     rule = symmetrize(Rule(3, {(1, 0): F(1, 2), (1, 1): F(1, 2)}))
     assert rule == Rule(3, {(e, 0): F(1, 6) for e in (1, 2, 4)}
                         | {(e, e): F(5, 6) for e in (1, 2, 4)})
-    for f in sorted(rule.rows()):
-        sr = _SymRow(3, f, rule.rows()[f])
-        assert _case_one(rule, sr) is None
-        assert _case_two(rule, sr) is None
-        assert _case_three(rule, sr) is None
-    sr = _SymRow(3, 1, rule.rows()[1])
-    cand = _case_four(rule, sr)
-    assert cand is not None and not is_symmetric(cand)
-    verdict = classify_unique(rule)
-    assert not verdict.unique
-    assert compare(rule, verdict.witness).equivalent
+    assert not is_symmetric(_verified_witness(rule))
 
 
-def test_uniqueness_search_gap_fails_loudly():
-    # single-edge rows jumping between the empty and complete graphs defeat
-    # all four perturbation patterns; the classifier must say so, not guess
+def test_uniqueness_witness_for_single_edge_jumps():
+    # single-edge rows jumping between the empty and complete graphs, which
+    # the earlier pattern search missed although a witness exists
     gap = Rule(3, {(e, 0): F(1, 3) for e in (1, 2, 4)}
                | {(e, 7): F(2, 3) for e in (1, 2, 4)})
     assert is_symmetric(gap)
-    with pytest.raises(RuntimeError, match="no perturbation pattern"):
-        classify_unique(gap)
+    assert is_symmetric(_verified_witness(gap))
+
+
+@st.composite
+def _symmetric_rules(draw):
+    """symmetrize of a sparse random rule of order 3 to 5."""
+    k = draw(st.integers(min_value=3, max_value=5))
+    codes = st.integers(min_value=0, max_value=(1 << num_pairs(k)) - 1)
+    entries = {}
+    for f in draw(st.lists(codes, min_size=1, max_size=2, unique=True)):
+        support = draw(st.lists(codes, min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(min_value=1, max_value=6),
+                                min_size=len(support), max_size=len(support)))
+        for h, w in zip(support, weights):
+            entries[(f, h)] = F(w, sum(weights))
+    return symmetrize(Rule(k, entries))
+
+
+# rows of 2/3 stay and 1/3 to a graph three pairs away
+@example(symmetrize(Rule(3, {(2, 5): F(1)})))
+# one pair toggled: only the relabelled-row trade applies
+@example(symmetrize(Rule(3, {(1, 0): F(1, 2), (1, 1): F(1, 2)})))
+@settings(max_examples=40, deadline=None)
+@given(_symmetric_rules())
+def test_symmetric_nondeterministic_rules_get_witnesses(rule):
+    assert is_symmetric(rule)
+    if is_deterministic(rule):
+        assert classify_unique(rule).unique
+    else:
+        _verified_witness(rule)
 
 
 def test_random_witnesses_verify():
