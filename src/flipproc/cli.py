@@ -12,7 +12,8 @@ go to stderr.  Exit codes:
    left [0, 1] or stopped being finite, so the step size was too large)
    or asks for more steps than a float can count (OverflowError)
 3  resource cap exceeded (CapExceeded): the graph order, the velocity
-   grid, or the block values an integration would store
+   grid, the block values an integration would store, or the steps a
+   simulation would take
 """
 
 import argparse

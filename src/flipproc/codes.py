@@ -164,47 +164,20 @@ def all_perms(k):
     return tuple(itertools.permutations(range(1, k + 1)))
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_maps(k):
-    """For each permutation, the induced map on pair bit indices."""
-    return tuple(
-        tuple(pair_index(sigma[i - 1], sigma[j - 1]) for i, j in pair_list(k))
-        for sigma in all_perms(k)
-    )
-
-
-def apply_perm_bits(pair_map, bits):
-    out = 0
-    w = bits
-    while w:
-        low = w & -w
-        out |= 1 << pair_map[low.bit_length() - 1]
-        w ^= low
-    return out
-
-
 def apply_perm(sigma, element):
     """Relabel a pair-rooted graph by the permutation sigma of [k]."""
-    k = element.order
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(1, k + 1)):
-        raise ValueError(f"{sigma} is not a permutation of [{k}]")
-    idx = all_perms(k).index(sigma)
-    pmap = _pair_maps(k)[idx]
-    return RootedPairGraph(
-        GraphCode(k, apply_perm_bits(pmap, element.graph.bits)),
-        sigma[element.a - 1],
-        sigma[element.b - 1],
-    )
+    graph = apply_perm_graph(sigma, element.graph)
+    return RootedPairGraph(graph, sigma[element.a - 1], sigma[element.b - 1])
 
 
 def apply_perm_graph(sigma, code):
-    """Relabel an unrooted graph code by the permutation sigma."""
+    """Relabel an unrooted graph code by the permutation sigma of [k]."""
     k = code.order
     sigma = tuple(sigma)
-    idx = all_perms(k).index(sigma)
-    pmap = _pair_maps(k)[idx]
-    return GraphCode(k, apply_perm_bits(pmap, code.bits))
+    if sorted(sigma) != list(range(1, k + 1)):
+        raise ValueError(f"{sigma} is not a permutation of [{k}]")
+    images = perm_images(k, [code.bits])
+    return GraphCode(k, int(images[all_perms(k).index(sigma), 0]))
 
 
 # ----------------------------------------------------------- action in numpy
@@ -225,7 +198,11 @@ def _byte_images(k):
         raise CapExceeded(f"relabelling tables stop at order 8, got order {k}")
     fact = len(all_perms(k))
     chunks = max(1, (p + 7) // 8)
-    pair_maps = np.array(_pair_maps(k), dtype=np.int64).reshape(fact, p)
+    # pair_maps[s, idx]: the bit index that all_perms(k)[s] sends idx to
+    pair_maps = np.array([
+        [pair_index(sigma[i - 1], sigma[j - 1]) for i, j in pair_list(k)]
+        for sigma in all_perms(k)
+    ], dtype=np.int64).reshape(fact, p)
     bit_images = np.zeros((fact, chunks * 8), dtype=np.int64)
     bit_images[:, :p] = np.left_shift(1, pair_maps)
     byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1

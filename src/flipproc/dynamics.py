@@ -161,6 +161,11 @@ def kernel_from_json_obj(obj):
         raise ValueError(f"unknown fields in kernel: {sorted(extra)}")
     if "weights" not in obj or "values" not in obj:
         raise ValueError("kernel JSON needs weights and values")
+    if not isinstance(obj["weights"], list):
+        raise ValueError("kernel weights must be a list")
+    if not isinstance(obj["values"], list) or not all(
+            isinstance(row, list) for row in obj["values"]):
+        raise ValueError("kernel values must be a list of lists")
     weights = []
     for w in obj["weights"]:
         if isinstance(w, str):

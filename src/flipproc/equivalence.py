@@ -24,32 +24,29 @@ and the result is symmetrized), or, when every non-deterministic row is
 row.
 """
 
+import collections
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .codes import (
-    CapExceeded,
-    GraphCode,
     enumerate_classes,
-    enumeration_cap,
     full_bits,
     num_pairs,
     orbit_members,
-    pair_index,
     pair_list,
     pair_orbits,
     perm_images,
     _blocks,
     _census,
-    _pair_maps,
+    _check_cap,
 )
 from .rules import (
     Rule,
     entry_codes,
+    entry_numerators,
     is_deterministic,
     is_symmetric,
     validate,
@@ -156,13 +153,12 @@ def coeff_vector(rule, cap=None):
     # integer numerators over the common denominator; each row also enters
     # as a diagonal term of numerator -denom, which subtracts f's own pairs
     rows = np.fromiter(rule.rows(), dtype=np.int64)
-    denom = math.lcm(*(q.denominator for q in rule.entries.values()))
+    denom, nums = entry_numerators(rule)
     f, h = entry_codes(rule)
     f = np.concatenate([f, rows])
     h = np.concatenate([h, rows])
     if f.size and (f.min() < 0 or f.max() >> p):
         raise ValueError(f"row index out of range for order {k}")
-    nums = [q.numerator * (denom // q.denominator) for q in rule.entries.values()]
     nums += [-denom] * len(rows)
     # each term enters at most 2p class sums, so no sum can exceed 2p times
     # the total |numerator|; beyond int64, exact Python integers
@@ -195,11 +191,7 @@ def lift(rule, to, cap=None):
     k1 = rule.order
     if to < k1:
         raise ValueError(f"cannot lift an order-{k1} rule down to order {to}")
-    if to > enumeration_cap(cap):
-        raise CapExceeded(
-            f"lifting to order {to} materializes rows over 2^{num_pairs(to)} "
-            f"graphs, beyond the enumeration cap {enumeration_cap(cap)}"
-        )
+    _check_cap(to, cap, "lifting")
     if to == k1:
         return Rule(k1, dict(rule.entries))
     low = num_pairs(k1)
@@ -261,87 +253,51 @@ def dilation_factor(rule1, rule2, cap=None):
 
 # -------------------------------------------------------------- symmetrization
 
+def _orbit_sums(rule, cap=None):
+    """(denom, {key: [mass, size]}) for every relabelling orbit of index
+    pairs that an explicit row touches: key from pair_orbits, mass the
+    orbit's total as a numerator over denom, size its member count.
+    Relabelled identity rows add mass 1 on their diagonal, and a touched
+    row's diagonal orbit is listed even at mass 0.  An orbit left out holds
+    identity rows only: mass = size on the diagonal, 0 elsewhere."""
+    k = rule.order
+    _check_cap(k, cap, "relabelling sweep")
+    explicit = np.fromiter(rule.rows(), dtype=np.int64)
+    row_keys, _ = pair_orbits(k, explicit, explicit)
+    diag_keys = sorted(set(row_keys.tolist()))
+    diagonals, owners = orbit_members(k, diag_keys)
+    diag_sizes = np.bincount(owners, minlength=len(diag_keys)).tolist()
+    # identity rows per diagonal orbit, counted in the order of members
+    implicit = ~np.isin(diagonals & full_bits(k), explicit)
+    identity = collections.Counter(owners[implicit].tolist())
+    f, h = entry_codes(rule)
+    keys, sizes = pair_orbits(k, f, h)
+    denom, nums = entry_numerators(rule)
+    sums = {}
+    for key, num, size in zip(keys.tolist(), nums, sizes.tolist()):
+        sums.setdefault(key, [0, size])[0] += num
+    for o, count in identity.items():
+        sums.setdefault(diag_keys[o], [0, diag_sizes[o]])[0] += count * denom
+    for key, size in zip(diag_keys, diag_sizes):
+        sums.setdefault(key, [0, size])
+    return denom, sums
+
+
 def symmetrize(rule, cap=None):
     """Average the rule over simultaneous relabellings of both indices.
     The result is symmetric, row-stochastic whenever the input is, and has
     the same coefficient vector, hence the same trajectories."""
     k = rule.order
-    if k > enumeration_cap(cap):
-        raise CapExceeded(
-            f"symmetrizing at order {k} sweeps {k}! relabellings per entry, "
-            f"beyond the enumeration cap {enumeration_cap(cap)}"
-        )
-    # the identity rows among the relabellings of explicit rows enter as
-    # explicit diagonal entries of mass 1
-    explicit = np.fromiter(rule.rows(), dtype=np.int64)
-    row_keys, _ = pair_orbits(k, explicit, explicit)
-    diagonals, _ = orbit_members(k, sorted(set(row_keys.tolist())))
-    graphs = diagonals & full_bits(k)
-    identity = graphs[~np.isin(graphs, explicit)]
-    f, h = entry_codes(rule)
-    keys, _ = pair_orbits(k, np.concatenate([f, identity]),
-                          np.concatenate([h, identity]))
-    masses = list(rule.entries.values()) + [1] * len(identity)
-    sums = {}
-    for key, q in zip(keys.tolist(), masses):
-        sums[key] = sums.get(key, 0) + q
+    denom, sums = _orbit_sums(rule, cap)
     # every member of an orbit gets the orbit's mass over its size
-    members, owners = orbit_members(k, list(sums))
-    sizes = np.bincount(owners, minlength=len(sums)).tolist()
-    shares = [Fraction(total, size) for total, size in zip(sums.values(), sizes)]
+    shares = [(key, Fraction(num, denom * size))
+              for key, (num, size) in sums.items() if num]
+    members, owners = orbit_members(k, [key for key, _ in shares])
     p, mask = num_pairs(k), full_bits(k)
     return Rule(k, {
-        (m >> p, m & mask): shares[o]
+        (m >> p, m & mask): shares[o][1]
         for m, o in zip(members.tolist(), owners.tolist())
     })
-
-
-# ------------------------------------------------------- symmetric-rule tools
-
-def _stabilizer_pair_orbits(k, f):
-    """Orbits of the pair indices under the stabilizer of the graph f,
-    each as a sorted tuple of bit indices, ordered by smallest index."""
-    stab = np.array(_pair_maps(k))[perm_images(k, [f])[:, 0] == f]
-    seen = set()
-    orbits = []
-    for idx in range(num_pairs(k)):
-        if idx in seen:
-            continue
-        orb = set(stab[:, idx].tolist())
-        seen |= orb
-        orbits.append(tuple(sorted(orb)))
-    return orbits
-
-
-def orbit_edge_histogram(rule, f, pair):
-    """For a symmetric rule: the distribution of how many pairs of the
-    root pair's stabilizer orbit are edges of the replacement, as
-    {count: probability}.  f may be a GraphCode or raw bits."""
-    bits = f.bits if isinstance(f, GraphCode) else int(f)
-    k = rule.order
-    if not is_symmetric(rule):
-        raise ValueError("edge histograms are defined for symmetric rules")
-    idx = _pair_index_of(k, pair)
-    orbits = _stabilizer_pair_orbits(k, bits)
-    orbit = next(o for o in orbits if idx in o)
-    mask = 0
-    for b in orbit:
-        mask |= 1 << b
-    row = rule.row(bits)
-    if row is None:
-        row = {bits: Fraction(1)}
-    hist = {count: Fraction(0) for count in range(len(orbit) + 1)}
-    for h, p in row.items():
-        hist[(h & mask).bit_count()] += p
-    return hist
-
-
-def _pair_index_of(k, pair):
-    i, j = pair
-    idx = pair_index(i, j)
-    if idx >= num_pairs(k):
-        raise ValueError(f"pair {pair} outside order {k}")
-    return idx
 
 
 # ----------------------------------------------------------------- uniqueness
@@ -451,26 +407,16 @@ def check_k1(rule1, rule2, cap=None):
     """
     if rule1.order != rule2.order:
         raise ValueError("the orbit-sum check compares rules of equal order")
-    k = rule1.order
-    if k > enumeration_cap(cap):
-        raise CapExceeded(
-            f"orbit sums at order {k} sweep all 2^{num_pairs(k)} rows, "
-            f"beyond the enumeration cap {enumeration_cap(cap)}"
-        )
+    p, mask = num_pairs(rule1.order), full_bits(rule1.order)
 
-    def orbit_sums(rule):
-        sums = {}
-        keys, _ = pair_orbits(k, *entry_codes(rule))
-        for key, p in zip(keys.tolist(), rule.entries.values()):
-            sums[key] = sums.get(key, Fraction(0)) + p
-        graphs = np.arange(1 << num_pairs(k))
-        explicit = np.fromiter(rule.rows(), dtype=np.int64)
-        implicit = graphs[~np.isin(graphs, explicit)]
-        keys, counts = np.unique(
-            pair_orbits(k, implicit, implicit)[0], return_counts=True
-        )
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            sums[key] = sums.get(key, Fraction(0)) + count
-        return {key: v for key, v in sums.items() if v != 0}
+    def listed(rule):
+        # the sums that differ from an orbit of identity rows alone
+        denom, sums = _orbit_sums(rule, cap)
+        out = {}
+        for key, (num, size) in sums.items():
+            default = size if key >> p == key & mask else 0
+            if num != default * denom:
+                out[key] = Fraction(num, denom)
+        return out
 
-    return orbit_sums(rule1) == orbit_sums(rule2)
+    return listed(rule1) == listed(rule2)

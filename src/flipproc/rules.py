@@ -8,7 +8,9 @@ normalizes: exact zeros are dropped and a row stored as the point mass on
 its own index is dropped too, making structural equality semantic equality.
 """
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -78,24 +80,36 @@ class Rule:
         return f"Rule(order={self.order}, entries={len(self.entries)})"
 
 
+def entry_numerators(rule):
+    """(denom, nums): the explicit entries over their common denominator,
+    nums[i] / denom == the i-th entry, as Python integers."""
+    denom = math.lcm(*(p.denominator for p in rule.entries.values()))
+    return denom, [p.numerator * (denom // p.denominator)
+                   for p in rule.entries.values()]
+
+
 def rule_problems(rule):
-    """Every validation violation, as human-readable strings."""
+    """Every validation violation, as human-readable strings, found on the
+    integer numerators; codes stay Python ints, as JSON can pass int64."""
     problems = []
     limit = 1 << num_pairs(rule.order)
-    for f, row in sorted(rule.rows().items()):
+    denom, nums = entry_numerators(rule)
+    # entries are sorted by (from, to), so each row's entries are adjacent
+    terms = zip(rule.entries.items(), nums)
+    for f, row in itertools.groupby(terms, key=lambda term: term[0][0][0]):
         if not 0 <= f < limit:
             problems.append(f"row index {f} out of range for order {rule.order}")
-        total = Fraction(0)
-        for h, p in sorted(row.items()):
+        total = 0
+        for ((_, h), p), num in row:
             if not 0 <= h < limit:
                 problems.append(
                     f"replacement index {h} out of range for order {rule.order}"
                 )
-            if p < 0 or p > 1:
+            if num < 0 or num > denom:
                 problems.append(f"entry ({f} -> {h}) has probability {p} outside [0, 1]")
-            total += p
-        if total != 1:
-            problems.append(f"row {f} has row sum {total}")
+            total += num
+        if total != denom:
+            problems.append(f"row {f} has row sum {Fraction(total, denom)}")
     return problems
 
 
@@ -257,6 +271,10 @@ def rule_to_json(rule):
     return json.dumps(rule_to_json_obj(rule), indent=2) + "\n"
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rule_from_json_obj(obj):
     if not isinstance(obj, dict):
         raise ValueError("rule JSON must be an object")
@@ -266,13 +284,16 @@ def rule_from_json_obj(obj):
     if "order" not in obj:
         raise ValueError("rule JSON is missing the order")
     order = obj["order"]
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     default = obj.get("default", "identity")
     if default != "identity":
         raise ValueError(f"unsupported default {default!r}; only identity rows are implicit")
+    items = obj.get("entries", [])
+    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+        raise ValueError("rule entries must be a list of objects")
     entries = {}
-    for item in obj.get("entries", []):
+    for item in items:
         extra = set(item) - {"from", "to", "p"}
         if extra:
             raise ValueError(f"unknown fields in rule entry: {sorted(extra)}")
@@ -280,12 +301,12 @@ def rule_from_json_obj(obj):
             f, h = item["from"], item["to"]
         except KeyError as missing:
             raise ValueError(f"rule entry is missing {missing}")
-        if not isinstance(f, int) or not isinstance(h, int):
+        if not _is_int(f) or not _is_int(h):
             raise ValueError("entry graph codes must be integers")
         p = item.get("p")
         if isinstance(p, str):
             p = Fraction(p)  # accepts "p/q" and decimal strings, both exact
-        elif isinstance(p, int) and not isinstance(p, bool):
+        elif _is_int(p):
             p = Fraction(p)
         else:
             raise ValueError(

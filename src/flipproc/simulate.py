@@ -21,6 +21,7 @@ from random import Random
 from .codes import CapExceeded, pair_list
 from .dynamics import StepKernel, integrate
 
+_STEP_BUDGET = 10_000_000
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -243,6 +244,7 @@ def run(config, reference=None):
     """Simulate config.runs independent processes and record block densities
     at the sample times.  reference, when given, must map each sample time
     to a kernel on the same parts; per-run absolute deviations are filled in.
+    Beyond 10,000,000 steps over all runs, CapExceeded before the first.
     """
     rule = config.rule
     n = config.n
@@ -260,6 +262,14 @@ def run(config, reference=None):
         raise ValueError(f"horizon must be nonnegative, got {config.horizon}")
     if config.runs < 1:
         raise ValueError(f"runs must be positive, got {config.runs}")
+    times = _sample_times(config.horizon, config.sample_points)
+    targets = [int(t * n * n + 1e-9) for t in times]
+    total_steps = max(targets) if targets else 0
+    if config.runs * total_steps > _STEP_BUDGET:
+        raise CapExceeded(
+            f"{config.runs} runs of {total_steps} steps exceed the step "
+            f"budget of {_STEP_BUDGET}; shorten the horizon or run fewer"
+        )
 
     from_kernel = isinstance(config.initial, StepKernel)
     if from_kernel:
@@ -267,8 +277,6 @@ def run(config, reference=None):
     else:
         sizes = (n,)
 
-    times = _sample_times(config.horizon, config.sample_points)
-    targets = [int(t * n * n + 1e-9) for t in times]
     compiled = _compile_rows(rule)
 
     ref_mats = None
@@ -291,7 +299,6 @@ def run(config, reference=None):
         idx = list(range(n))
         snapshots = []
         next_target = 0
-        total_steps = max(targets) if targets else 0
         for ell in range(total_steps + 1):
             while next_target < len(targets) and targets[next_target] == ell:
                 snapshots.append(block_densities(adj, sizes))

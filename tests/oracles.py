@@ -3,11 +3,12 @@
 Everything here that checks a package computation re-derives it from
 definitions with separate code paths: the census count comes from the
 orbit-counting lemma, coefficient sums from a term-by-term sweep over all
-rooted elements with a local canonicalizer, isomorphism, symmetrization
-and the symmetry check from a full permutation sweep, and the velocity
-from its defining sum over rows, pairs and rooted densities.  Generators
-(random rules, kernels, graphs) may use package constructors since they
-only build inputs.
+rooted elements with a local canonicalizer, isomorphism, symmetrization,
+the symmetry check, edge histograms and orbit sums from a full
+permutation sweep, validity from a Fraction sum of every row, and the
+velocity from its defining sum over rows, pairs and rooted densities.
+Generators (random rules, kernels, graphs) may use package constructors
+since they only build inputs.
 """
 
 import itertools
@@ -159,6 +160,66 @@ def naive_is_symmetric(rule):
         for (f, h), p in rule.entries.items()
         for sigma in perms
     )
+
+
+def orbit_edge_histogram(rule, f, pair):
+    """For a symmetric rule: the distribution of how many pairs of the
+    root pair's orbit under the stabilizer of the graph f are edges of the
+    replacement, as {count: probability}."""
+    k = rule.order
+    if not naive_is_symmetric(rule):
+        raise ValueError("edge histograms are defined for symmetric rules")
+    i, j = pair
+    if i == j or not (1 <= i <= k and 1 <= j <= k):
+        raise ValueError(f"pair {pair} outside order {k}")
+    stabilizer = [sigma for sigma in itertools.permutations(range(1, k + 1))
+                  if apply_sigma_bits(sigma, k, f) == f]
+    orbit = {pair_index(sigma[i - 1], sigma[j - 1]) for sigma in stabilizer}
+    mask = sum(1 << idx for idx in orbit)
+    row = rule.row(f) or {f: Fraction(1)}
+    hist = {count: Fraction(0) for count in range(len(orbit) + 1)}
+    for h, p in row.items():
+        hist[(h & mask).bit_count()] += p
+    return hist
+
+
+# ------------------------------------------------------- orbit sums, validity
+
+def naive_orbit_sums(rule):
+    """Total mass of every relabelling orbit of index pairs (F, H), by a
+    sweep over all 2^P rows with identity rows as mass 1 on the diagonal,
+    each entry named by its least image over all k! permutations; zero
+    sums are dropped.  Equal sums are the conjectured check_k1 verdict."""
+    k = rule.order
+    perms = list(itertools.permutations(range(1, k + 1)))
+    sums = {}
+    for f in range(1 << len(pairs_of(k))):
+        for h, p in (rule.row(f) or {f: Fraction(1)}).items():
+            key = min((apply_sigma_bits(sigma, k, f), apply_sigma_bits(sigma, k, h))
+                      for sigma in perms)
+            sums[key] = sums.get(key, Fraction(0)) + p
+    return {key: v for key, v in sums.items() if v != 0}
+
+
+def naive_rule_problems(rule):
+    """Validation problems from an exact Fraction sum of every row."""
+    problems = []
+    limit = 1 << len(pairs_of(rule.order))
+    for f, row in sorted(rule.rows().items()):
+        if not 0 <= f < limit:
+            problems.append(f"row index {f} out of range for order {rule.order}")
+        total = Fraction(0)
+        for h, p in sorted(row.items()):
+            if not 0 <= h < limit:
+                problems.append(
+                    f"replacement index {h} out of range for order {rule.order}"
+                )
+            if p < 0 or p > 1:
+                problems.append(f"entry ({f} -> {h}) has probability {p} outside [0, 1]")
+            total += p
+        if total != 1:
+            problems.append(f"row {f} has row sum {total}")
+    return problems
 
 
 # ------------------------------------------------------------------- velocity

@@ -280,6 +280,16 @@ def test_velocity_grid_cap(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["transference", "--eps", "0.05"]])
+def test_simulation_steps_capped(command, tr_file, kernel_file, capsys):
+    # 2 runs of floor(1 * 3000^2) steps, beyond the step budget
+    argv = [command[0], tr_file, "--n", "3000", "--w0", kernel_file,
+            "--time", "1", "--seed", "1", "--runs", "2"] + command[1:]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "steps" in captured.err
+
+
 def test_simulate_csv(tr_file, kernel_file, capsys):
     assert main(["simulate", tr_file, "--n", "20", "--w0", kernel_file,
                  "--time", "0.01", "--seed", "4", "--runs", "2"]) == 0
@@ -309,6 +319,26 @@ def test_invalid_rule_file(tmp_path, capsys):
     path.write_text('{"order": 2, "entries": [{"from": 1, "to": 0, "p": "1/2"}]}\n')
     assert main(["coeffs", str(path)]) == 2
     assert "row 1 has row sum 1/2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("coeffs", '{"order": 3, "entries": 5}'),
+    ("coeffs", '{"order": 3, "entries": [5]}'),
+    ("coeffs", '{"order": true, "entries": []}'),
+    ("coeffs", '{"order": 3, "entries": [{"from": true, "to": 0, "p": "1"}]}'),
+    ("coeffs", '{"order": 3, "entries": [{"from": 7, "to": false, "p": "1"}]}'),
+    ("velocity", '{"weights": ["1"], "values": 0.5}'),
+    ("velocity", '{"weights": ["1"], "values": [0.5]}'),
+    ("velocity", '{"weights": "1", "values": [[0.5]]}'),
+], ids=["entries-number", "entries-of-numbers", "order-true", "from-true",
+        "to-false", "values-number", "values-of-numbers", "weights-string"])
+def test_malformed_json_shapes(command, text, tr_file, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = [command, str(path)] if command == "coeffs" else [command, tr_file, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_missing_file(capsys):

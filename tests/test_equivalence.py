@@ -24,7 +24,6 @@ from flipproc import (
     is_symmetric,
     lift,
     make_named,
-    orbit_edge_histogram,
     rule_problems,
     symmetrize,
 )
@@ -217,11 +216,9 @@ def test_symmetrize_random_soundness():
 
 
 @st.composite
-def _sparse_rules(draw):
-    """Valid sparse rules of order 3 to 5, some with the diagonal in a
-    row's support, some symmetrized by the oracle and some of those with
-    one entry dropped (left invalid) to break the symmetry."""
-    k = draw(st.integers(min_value=3, max_value=5))
+def _valid_rules(draw, min_order=2, max_order=4):
+    """Valid sparse rules, some with the diagonal in a row's support."""
+    k = draw(st.integers(min_value=min_order, max_value=max_order))
     codes = st.integers(min_value=0, max_value=(1 << num_pairs(k)) - 1)
     entries = {}
     for f in draw(st.lists(codes, min_size=1, max_size=3, unique=True)):
@@ -232,13 +229,22 @@ def _sparse_rules(draw):
                                 min_size=len(support), max_size=len(support)))
         for h, w in zip(support, weights):
             entries[(f, h)] = F(w, sum(weights))
-    rule = Rule(k, entries)
+    return Rule(k, entries)
+
+
+@st.composite
+def _sparse_rules(draw):
+    """Valid sparse rules of order 3 to 5, some symmetrized by the oracle
+    and some of those with one entry dropped (left invalid) to break the
+    symmetry."""
+    rule = draw(_valid_rules(3, 5))
     shape = draw(st.sampled_from(["raw", "symmetric", "near-symmetric"]))
     if shape != "raw":
         rule = oracles.naive_symmetrize(rule)
     if shape == "near-symmetric" and rule.entries:
         drop = draw(st.sampled_from(sorted(rule.entries)))
-        rule = Rule(k, {key: p for key, p in rule.entries.items() if key != drop})
+        rule = Rule(rule.order,
+                    {key: p for key, p in rule.entries.items() if key != drop})
     return rule
 
 
@@ -397,14 +403,14 @@ def test_orbit_edge_histograms():
     def nonzero(hist):
         return {c: p for c, p in hist.items() if p}
 
-    assert nonzero(orbit_edge_histogram(TR, 7, (1, 2))) == {0: F(1)}
-    assert nonzero(orbit_edge_histogram(TER, 7, (1, 2))) == {2: F(1)}
-    assert nonzero(orbit_edge_histogram(IDENTITY3, 7, (1, 2))) == {3: F(1)}
-    assert nonzero(orbit_edge_histogram(IDENTITY3, 1, (1, 3))) == {0: F(1)}
+    assert nonzero(oracles.orbit_edge_histogram(TR, 7, (1, 2))) == {0: F(1)}
+    assert nonzero(oracles.orbit_edge_histogram(TER, 7, (1, 2))) == {2: F(1)}
+    assert nonzero(oracles.orbit_edge_histogram(IDENTITY3, 7, (1, 2))) == {3: F(1)}
+    assert nonzero(oracles.orbit_edge_histogram(IDENTITY3, 1, (1, 3))) == {0: F(1)}
     with pytest.raises(ValueError):
-        orbit_edge_histogram(Rule(3, {(1, 0): F(1)}), 7, (1, 2))
+        oracles.orbit_edge_histogram(Rule(3, {(1, 0): F(1)}), 7, (1, 2))
     with pytest.raises(ValueError):
-        orbit_edge_histogram(TR, 7, (1, 4))
+        oracles.orbit_edge_histogram(TR, 7, (1, 4))
 
 
 def test_histogram_reconstructs_symmetric_coefficients():
@@ -420,7 +426,7 @@ def test_histogram_reconstructs_symmetric_coefficients():
         for cls, coeff in vec.items():
             bits = cls.canon.graph.bits
             a, b = cls.canon.a, cls.canon.b
-            hist = orbit_edge_histogram(rule, bits, (a, b))
+            hist = oracles.orbit_edge_histogram(rule, bits, (a, b))
             orbit_len = sum(1 for _ in hist) - 1
             mean = sum(c * p for c, p in hist.items())
             idx_is_edge = GraphCode(k, bits).has_edge(a, b)
@@ -432,6 +438,7 @@ def test_check_k1_banner_and_examples():
     assert "CONJECTURE" in K1_BANNER
     assert not check_k1(TR, TER)
     assert check_k1(TR, TR)
+    assert check_k1(make_named("identity", 1), make_named("identity", 1))
     with pytest.raises(ValueError):
         check_k1(TR, make_named("identity", 4))
     with pytest.raises(CapExceeded):
@@ -443,3 +450,92 @@ def test_check_k1_invariant_under_symmetrization():
     for _ in range(30):
         r = oracles.random_rule(rng, rng.randint(2, 3))
         assert check_k1(r, symmetrize(r))
+
+
+@st.composite
+def _altered(draw, rule):
+    """The rule as it is, or made invalid: one entry halved, negated or
+    zeroed, or an extra (f, f) entry on an explicit row."""
+    how = draw(st.sampled_from(["as-is", "halved", "negated", "zeroed", "diagonal"]))
+    if how == "as-is" or not rule.entries:
+        return rule
+    entries = dict(rule.entries)
+    f, h = draw(st.sampled_from(sorted(entries)))
+    if how == "diagonal":
+        entries[(f, f)] = entries.get((f, f), 0) + 1
+    else:
+        entries[(f, h)] *= {"halved": F(1, 2), "negated": -1, "zeroed": 0}[how]
+    return Rule(rule.order, entries)
+
+
+@st.composite
+def _partner(draw, rule):
+    """An independent valid rule of the same order, a relabelled copy or
+    the symmetrization."""
+    k = rule.order
+    how = draw(st.sampled_from(["independent", "relabelled", "symmetrized"]))
+    if how == "independent":
+        return draw(_valid_rules(k, k))
+    if how == "relabelled":
+        sigma = draw(st.permutations(range(1, k + 1)))
+        return Rule(k, {
+            (oracles.apply_sigma_bits(sigma, k, f),
+             oracles.apply_sigma_bits(sigma, k, h)): p
+            for (f, h), p in rule.entries.items()
+        })
+    return symmetrize(rule)
+
+
+# the first and second rule of one example share this base rule
+_k1_base = st.shared(_valid_rules(), key="k1-base")
+
+
+# row 1 holds no diagonal mass in the first rule and 1 in the second: the
+# touched diagonal orbit must count as 0, not as the identity default 1
+@example(Rule(2, {(1, 0): F(1)}), Rule(2, {(1, 0): F(1), (1, 1): F(1)}))
+@settings(max_examples=60, deadline=None)
+@given(_k1_base.flatmap(_altered),
+       _k1_base.flatmap(_partner).flatmap(_altered))
+def test_orbit_sums_and_problems_match_oracles(rule1, rule2):
+    assert check_k1(rule1, rule2) == (
+        oracles.naive_orbit_sums(rule1) == oracles.naive_orbit_sums(rule2)
+    )
+    assert rule_problems(rule1) == oracles.naive_rule_problems(rule1)
+    assert rule_problems(rule2) == oracles.naive_rule_problems(rule2)
+
+
+def _mixture(rule1, rule2, lam):
+    """lam * R1 + (1 - lam) * R2 over full matrices, identity rows
+    included."""
+    entries = {}
+    for f in set(rule1.rows()) | set(rule2.rows()):
+        for rule, weight in ((rule1, lam), (rule2, 1 - lam)):
+            for h, p in (rule.row(f) or {f: F(1)}).items():
+                entries[(f, h)] = entries.get((f, h), 0) + weight * p
+    return Rule(rule1.order, entries)
+
+
+_mix_base = st.shared(_valid_rules(2, 5), key="mix-base")
+
+
+@settings(max_examples=30, deadline=None)
+@given(_mix_base, _mix_base.flatmap(lambda r: _valid_rules(r.order, r.order)),
+       st.fractions(min_value=0, max_value=1, max_denominator=12))
+def test_certificates_linear_under_mixing(rule1, rule2, lam):
+    mixed = _mixture(rule1, rule2, lam)
+    assert rule_problems(mixed) == []
+    v1, v2 = coeff_vector(rule1), coeff_vector(rule2)
+    assert coeff_vector(mixed).values == tuple(
+        lam * a + (1 - lam) * b for a, b in zip(v1.values, v2.values)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_k1_base, _k1_base.flatmap(_partner), st.integers(min_value=1, max_value=3))
+def test_lift_preserves_certificates(rule1, rule2, extra):
+    to = min(rule1.order + extra, 5)
+    lifted1, lifted2 = lift(rule1, to), lift(rule2, to)
+    assert compare(lifted1, rule1).equivalent
+    assert (coeff_vector(lifted1) == coeff_vector(lifted2)) == (
+        coeff_vector(rule1) == coeff_vector(rule2)
+    )

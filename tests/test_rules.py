@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipproc import (
     Rule,
@@ -18,6 +20,7 @@ from flipproc import (
     rule_from_json_obj,
     rule_to_json,
     rule_to_json_obj,
+    rule_problems,
     validate,
 )
 
@@ -61,6 +64,38 @@ def test_validation_catches_out_of_range_and_bad_probabilities():
     assert any("outside [0, 1]" in p for p in exc.value.problems)
     with pytest.raises(ValueError):
         Rule(0, {})
+    # codes beyond int64, as JSON can carry them
+    huge = Rule(2, {(1 << 63, 0): F(1, 2), (1, 1 << 64): F(3, 2)})
+    assert rule_problems(huge) == oracles.naive_rule_problems(huge) == [
+        "replacement index 18446744073709551616 out of range for order 2",
+        "entry (1 -> 18446744073709551616) has probability 3/2 outside [0, 1]",
+        "row 1 has row sum 3/2",
+        "row index 9223372036854775808 out of range for order 2",
+        "row 9223372036854775808 has row sum 1/2",
+    ]
+
+
+@st.composite
+def _raw_entries(draw):
+    """Order and raw entries with zeros, identity point rows and values
+    outside [0, 1]."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    codes = st.integers(min_value=0, max_value=(1 << (k * (k - 1) // 2)) - 1)
+    values = st.sampled_from([F(0), F(1), F(1, 2), F(-1, 3), F(2), 1, 0])
+    entries = draw(st.dictionaries(st.tuples(codes, codes), values, max_size=8))
+    for f in draw(st.lists(codes, max_size=2)):
+        entries[(f, f)] = F(1)
+    return k, entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_entries())
+def test_normalization_is_idempotent(case):
+    k, entries = case
+    rule = Rule(k, entries)
+    again = Rule(k, rule.entries)
+    assert again == rule and hash(again) == hash(rule)
+    assert again.entries == rule.entries and again.rows() == rule.rows()
 
 
 def test_named_triangle_removal():

@@ -1,6 +1,7 @@
 """Seeding discipline, single steps, block densities, full runs, and the
 finite-process-to-trajectory transference check."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from flipproc import (
     step,
     transference_check,
 )
+from flipproc import simulate
 from flipproc.simulate import _randbelow, _sample_tuple
 
 F = Fraction
@@ -169,6 +171,26 @@ def test_run_argument_guards():
                     initial=constant_kernel(0.5), horizon=0.1, seed=0)
     with pytest.raises(CapExceeded):
         run(big)
+
+
+def test_run_steps_are_capped(monkeypatch):
+    tr = make_named("triangle-removal", 3)
+    # 2 runs of floor(1 * 3000^2) steps exceed the budget before the start
+    # graph is sampled, which would take seconds at this n
+    big = SimConfig(rule=tr, n=3000, initial=constant_kernel(0.5),
+                    horizon=1.0, seed=0, runs=2)
+    with pytest.raises(CapExceeded, match="steps"):
+        run(big)
+    # the budget bounds runs * floor(T n^2): reaching it exactly still runs
+    monkeypatch.setattr(simulate, "_STEP_BUDGET", 200)
+    fits = SimConfig(rule=tr, n=10, initial=constant_kernel(0.5),
+                     horizon=1.0, seed=0, runs=2)
+    assert len(run(fits).samples) == 2
+    with pytest.raises(CapExceeded):
+        run(dataclasses.replace(fits, runs=3))
+    with pytest.raises(CapExceeded):
+        transference_check(tr, 10, constant_kernel(0.5), 1.0, 0.5, seed=0,
+                           runs=3)
 
 
 def test_run_deviations_against_reference():
