@@ -31,12 +31,12 @@ from .dynamics import (
     velocity,
 )
 from .equivalence import (
+    _dilation,
     K1_BANNER,
     check_k1,
     classify_unique,
     coeff_vector,
     compare,
-    dilation_factor,
     lift,
     symmetrize,
 )
@@ -92,13 +92,13 @@ def _cmd_compare(args):
     r2 = _load_valid_rule(args.rule2)
     verdict = compare(r1, r2, args.cap)
     obj = verdict.to_json_obj()
+    affirmative = verdict.equivalent
     if args.dilation:
-        factor = dilation_factor(r1, r2, args.cap)
+        factor = _dilation(*verdict.vectors)
         obj["dilation"] = None if factor is None else str(factor)
-        _emit_json(obj, args.out)
-        return 0 if factor is not None else 1
+        affirmative = factor is not None
     _emit_json(obj, args.out)
-    return 0 if verdict.equivalent else 1
+    return 0 if affirmative else 1
 
 
 def _cmd_lift(args):
@@ -182,8 +182,11 @@ def _cmd_named(args):
         raw = json.loads(args.dist)
         if not isinstance(raw, dict):
             raise ValueError("--dist must be a JSON object {code: probability}")
+        if not all(isinstance(p, (int, float, str)) and not isinstance(p, bool)
+                   for p in raw.values()):
+            raise ValueError("--dist probabilities must be numbers or strings")
         params["dist"] = {int(code): Fraction(p) for code, p in raw.items()}
-    rule = make_named(args.family, args.k, **params)
+    rule = make_named(args.family, args.k, args.cap, **params)
     validate(rule)
     _emit(rule_to_json(rule), args.out)
     return 0

@@ -31,6 +31,7 @@ from .codes import (
     RootedPairGraph,
     enumeration_cap,
     num_pairs,
+    pair_index,
     pair_list,
 )
 from .equivalence import coeff_vector
@@ -291,18 +292,12 @@ def density_formula_check(base, m, G, z, x, y, tolerance=1e-12):
     )
 
     blown = blowup(base, m)
-    order = list(blown.roots) + [
-        v for v in sorted(blown.vertices, key=_label_key)
-        if v not in blown.roots
-    ]
+    order = list(blown.roots) + blown.nonroots()
     pos = {v: i + 1 for i, v in enumerate(order)}
     bits = 0
     for e in blown.edges:
         u, v = tuple(e)
-        i, j = pos[u], pos[v]
-        if i > j:
-            i, j = j, i
-        bits |= 1 << ((j - 1) * (j - 2) // 2 + (i - 1))
+        bits |= 1 << pair_index(pos[u], pos[v])
     element = RootedPairGraph(GraphCode(len(order), bits), 1, 2)
     numeric = rooted_density(element, kernel, index[x], index[y])
 
@@ -463,13 +458,11 @@ class Trajectory:
     """A fixed-step integration record: states[i] is the kernel at times[i];
     all states share the starting partition."""
 
-    __slots__ = ("times", "states", "order", "h")
+    __slots__ = ("times", "states")
 
-    def __init__(self, times, states, order, h):
+    def __init__(self, times, states):
         self.times = tuple(times)
         self.states = tuple(states)
-        self.order = order
-        self.h = h
 
     @property
     def final(self):
@@ -560,4 +553,4 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
         raise IntegrationError(
             f"state overflowed after time {t:.6g}; reduce the step size"
         ) from exc
-    return Trajectory(times, states, rule.order, h)
+    return Trajectory(times, states)

@@ -49,6 +49,7 @@ from .rules import (
     entry_numerators,
     is_deterministic,
     is_symmetric,
+    row_codes,
     validate,
 )
 
@@ -152,13 +153,15 @@ def coeff_vector(rule, cap=None):
     p = num_pairs(k)
     # integer numerators over the common denominator; each row also enters
     # as a diagonal term of numerator -denom, which subtracts f's own pairs
-    rows = np.fromiter(rule.rows(), dtype=np.int64)
+    rows = row_codes(rule)
     denom, nums = entry_numerators(rule)
     f, h = entry_codes(rule)
     f = np.concatenate([f, rows])
     h = np.concatenate([h, rows])
-    if f.size and (f.min() < 0 or f.max() >> p):
-        raise ValueError(f"row index out of range for order {k}")
+    # f | h is negative, or holds a bit past p, exactly when f or h does
+    either = f | h
+    if either.size and (either.min() < 0 or either.max() >> p):
+        raise ValueError(f"graph codes out of range for order {k}")
     nums += [-denom] * len(rows)
     # each term enters at most 2p class sums, so no sum can exceed 2p times
     # the total |numerator|; beyond int64, exact Python integers
@@ -205,19 +208,12 @@ def lift(rule, to, cap=None):
     return Rule(to, entries)
 
 
-def _common_order(rule1, rule2, cap=None):
-    """The two rules at the larger of their orders, the lower one lifted."""
-    to = max(rule1.order, rule2.order)
-    return tuple(
-        lift(rule, to, cap) if rule.order < to else rule
-        for rule in (rule1, rule2)
-    )
-
-
 def compare(rule1, rule2, cap=None):
     """Decide trajectory equivalence exactly.  Rules of different orders are
     compared after lifting the lower-order one."""
-    rule1, rule2 = _common_order(rule1, rule2, cap)
+    to = max(rule1.order, rule2.order)
+    rule1, rule2 = (lift(rule, to, cap) if rule.order < to else rule
+                    for rule in (rule1, rule2))
     v1 = coeff_vector(rule1, cap)
     v2 = coeff_vector(rule2, cap)
     differing = next(
@@ -225,16 +221,12 @@ def compare(rule1, rule2, cap=None):
          if a1 != a2),
         None,
     )
-    return EquivalenceVerdict(differing is None, rule1.order, (v1, v2), differing)
+    return EquivalenceVerdict(differing is None, to, (v1, v2), differing)
 
 
-def dilation_factor(rule1, rule2, cap=None):
-    """The positive rational C with coeffs(rule1) = C * coeffs(rule2)
-    everywhere, meaning rule1 runs the shared trajectory C times faster.
-    Two zero vectors give 1; no positive proportionality gives None."""
-    rule1, rule2 = _common_order(rule1, rule2, cap)
-    v1 = coeff_vector(rule1, cap)
-    v2 = coeff_vector(rule2, cap)
+def _dilation(v1, v2):
+    """The positive rational C with v1 = C * v2 for two certificates of one
+    order; 1 for two zero vectors, None without positive proportionality."""
     factor = None
     for a1, a2 in zip(v1.values, v2.values):
         if a2 == 0:
@@ -251,6 +243,13 @@ def dilation_factor(rule1, rule2, cap=None):
     return factor if factor > 0 else None
 
 
+def dilation_factor(rule1, rule2, cap=None):
+    """The positive rational C with coeffs(rule1) = C * coeffs(rule2)
+    everywhere, meaning rule1 runs the shared trajectory C times faster.
+    Two zero vectors give 1; no positive proportionality gives None."""
+    return _dilation(*compare(rule1, rule2, cap).vectors)
+
+
 # -------------------------------------------------------------- symmetrization
 
 def _orbit_sums(rule, cap=None):
@@ -262,7 +261,7 @@ def _orbit_sums(rule, cap=None):
     identity rows only: mass = size on the diagonal, 0 elsewhere."""
     k = rule.order
     _check_cap(k, cap, "relabelling sweep")
-    explicit = np.fromiter(rule.rows(), dtype=np.int64)
+    explicit = row_codes(rule)
     row_keys, _ = pair_orbits(k, explicit, explicit)
     diag_keys = sorted(set(row_keys.tolist()))
     diagonals, owners = orbit_members(k, diag_keys)

@@ -57,9 +57,6 @@ class RootedGraph:
     def has_edge(self, u, v):
         return v in self._adj[u]
 
-    def is_root(self, v):
-        return v in self.roots
-
     def nonroots(self):
         rs = set(self.roots)
         return [v for v in sorted(self.vertices, key=_label_key) if v not in rs]
@@ -236,53 +233,57 @@ def vstar(g):
 
 # ----------------------------------------------------- isomorphism, rrr maps
 
-def _iso_maps(g1, g2):
-    """Generate isomorphisms g1 -> g2 matching roots in order."""
-    if len(g1.vertices) != len(g2.vertices):
-        return
-    if len(g1.edges) != len(g2.edges):
-        return
-    if len(g1.roots) != len(g2.roots):
-        return
-    deg1 = sorted(len(g1.neighbors(v)) for v in g1.vertices)
-    deg2 = sorted(len(g2.neighbors(v)) for v in g2.vertices)
-    if deg1 != deg2:
-        return
-    phi = {}
-    for r1, r2 in zip(g1.roots, g2.roots):
-        phi[r1] = r2
-    for (u, v) in itertools.combinations(g1.roots, 2):
-        if g1.has_edge(u, v) != g2.has_edge(phi[u], phi[v]):
-            return
-    for u, img in phi.items():
-        if len(g1.neighbors(u)) != len(g2.neighbors(img)):
-            return
-    free = sorted(
-        (v for v in g1.vertices if not g1.is_root(v)),
-        key=lambda v: (-len(g1.neighbors(v)), _label_key(v)),
-    )
+def _maps(src, dst, injective):
+    """Generate the maps src -> dst of the module docstring, as
+    dictionaries; with `injective`, only the injective ones.  The roots of
+    src go onto each choice of as many roots of dst, kept in root order; the
+    non-roots follow by decreasing degree, each tried on the non-roots of dst
+    in label order.  A non-root may go to c when c is adjacent to the images of its
+    mapped neighbours and to none of the images of its mapped non-neighbours;
+    dst has no loops, so two vertices share an image only if not adjacent."""
+    dst_free = dst.nonroots()
+    src_free = sorted(src.nonroots(), key=lambda v: -len(src.neighbors(v)))
 
-    def extend(i, used):
-        if i == len(free):
+    def extend(phi, i):
+        if i == len(src_free):
             yield dict(phi)
             return
-        v = free[i]
-        dv = len(g1.neighbors(v))
-        for c in sorted(g2.vertices, key=_label_key):
-            if c in used or g2.is_root(c):
-                continue
-            if len(g2.neighbors(c)) != dv:
-                continue
-            if any(g1.has_edge(u, v) != g2.has_edge(img, c)
-                   for u, img in phi.items()):
-                continue
-            phi[v] = c
-            used.add(c)
-            yield from extend(i + 1, used)
-            del phi[v]
-            used.discard(c)
+        v = src_free[i]
+        near = src.neighbors(v)
+        allowed = set(dst_free)
+        for u, img in phi.items():
+            if u in near:
+                allowed &= dst.neighbors(img)
+            else:
+                allowed -= dst.neighbors(img)
+        if injective:
+            allowed -= set(phi.values())
+        for c in dst_free:
+            if c in allowed:
+                phi[v] = c
+                yield from extend(phi, i + 1)
+                del phi[v]
 
-    yield from extend(0, set(phi[r] for r in g1.roots))
+    for chosen in itertools.combinations(dst.roots, len(src.roots)):
+        phi = dict(zip(src.roots, chosen))
+        if all(src.has_edge(u, v) == dst.has_edge(phi[u], phi[v])
+               for u, v in itertools.combinations(src.roots, 2)):
+            yield from extend(phi, 0)
+
+
+def _shape(g):
+    """Vertex, edge and root counts and the degree sequence: equal for
+    isomorphic rooted graphs."""
+    return (len(g.vertices), len(g.edges), len(g.roots),
+            sorted(len(g.neighbors(v)) for v in g.vertices))
+
+
+def _iso_maps(g1, g2):
+    """Generate isomorphisms g1 -> g2 matching roots in order.  With equal
+    vertex and root counts an injective map is a bijection, so the
+    injective maps are exactly these isomorphisms."""
+    if _shape(g1) == _shape(g2):
+        yield from _maps(g1, g2, injective=True)
 
 
 def find_isomorphism(g1, g2):
@@ -307,42 +308,7 @@ def count_rrr_maps(src, dst):
     from src to dst, as dictionaries.  Maps need not be injective on
     non-roots, but strict order preservation makes them injective on roots;
     more roots in src than dst means there are none."""
-    maps = []
-    nr_dst = [v for v in sorted(dst.vertices, key=_label_key)
-              if not dst.is_root(v)]
-    src_free = sorted(
-        (v for v in src.vertices if not src.is_root(v)),
-        key=lambda v: (-len(src.neighbors(v)), _label_key(v)),
-    )
-
-    def consistent(phi, v, c):
-        for u, img in phi.items():
-            has = src.has_edge(u, v)
-            if img == c:
-                if has:
-                    return False
-                continue
-            if has != dst.has_edge(img, c):
-                return False
-        return True
-
-    def extend(phi, i):
-        if i == len(src_free):
-            maps.append(dict(phi))
-            return
-        v = src_free[i]
-        for c in nr_dst:
-            if consistent(phi, v, c):
-                phi[v] = c
-                extend(phi, i + 1)
-                del phi[v]
-
-    for chosen in itertools.combinations(range(len(dst.roots)), len(src.roots)):
-        phi = {src.roots[i]: dst.roots[p] for i, p in enumerate(chosen)}
-        if all(src.has_edge(u, v) == dst.has_edge(phi[u], phi[v])
-               for u, v in itertools.combinations(src.roots, 2)):
-            extend(phi, 0)
-    return maps
+    return list(_maps(src, dst, injective=False))
 
 
 def blowup_vectors_equivalent(base, m, n):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import _check_cap, full_bits, num_pairs, pair_index, pair_orbits
+from .codes import _check_cap, full_bits, num_pairs, pair_orbits
 
 
 class RuleValidationError(ValueError):
@@ -122,18 +122,13 @@ def validate(rule):
 
 # --------------------------------------------------------------- named rules
 
-def _graph_bits(k, edges):
-    bits = 0
-    for i, j in edges:
-        bits |= 1 << pair_index(i, j)
-    return bits
-
-
-def make_named(family, k, **params):
+def make_named(family, k, cap=None, **params):
     """Construct a named rule family at order k.  Families:
     identity, triangle-removal, triangle-edge-removal, complementing,
     extremist (threshold=...), clique-removal, ignorant (dist=...),
-    component-completion (not implemented)."""
+    component-completion (not implemented).  complementing, extremist and
+    ignorant list all 2^C(k, 2) rows, so their order is held to the
+    enumeration cap."""
     family = family.replace("_", "-")
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
@@ -152,6 +147,9 @@ def make_named(family, k, **params):
             raise ValueError("triangle-edge-removal is an order-3 rule")
         third = Fraction(1, 3)
         return Rule(3, {(7, 7 ^ (1 << e)): third for e in range(3)})
+
+    if family in ("complementing", "extremist", "ignorant"):
+        _check_cap(k, cap, f"the {family} rule")
 
     if family == "complementing":
         comp = full_bits(k)
@@ -197,10 +195,24 @@ def _reject_params(family, params):
         raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
 
 
+def _int64_codes(codes, k):
+    """Graph codes as an int64 array; a code past int64 is out of range at
+    every order that the numpy tables reach."""
+    try:
+        return np.array(codes, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"graph codes out of range for order {k}") from None
+
+
 def entry_codes(rule):
     """The explicit entries' (from_bits, to_bits) as two int64 arrays, in
     entry order."""
-    return np.array(list(rule.entries), dtype=np.int64).reshape(-1, 2).T
+    return _int64_codes(list(rule.entries), rule.order).reshape(-1, 2).T
+
+
+def row_codes(rule):
+    """The explicit rows' from_bits as an int64 array, in row order."""
+    return _int64_codes(list(rule.rows()), rule.order)
 
 
 # ----------------------------------------------------------------- predicates

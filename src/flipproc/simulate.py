@@ -22,6 +22,7 @@ from .codes import CapExceeded, pair_list
 from .dynamics import StepKernel, integrate
 
 _STEP_BUDGET = 10_000_000
+_MAX_N = 5000
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -85,7 +86,6 @@ class SimConfig:
     seed: int
     runs: int = 1
     sample_points: int = 10
-    max_n: int = 5000
 
 
 @dataclass
@@ -244,7 +244,8 @@ def run(config, reference=None):
     """Simulate config.runs independent processes and record block densities
     at the sample times.  reference, when given, must map each sample time
     to a kernel on the same parts; per-run absolute deviations are filled in.
-    Beyond 10,000,000 steps over all runs, CapExceeded before the first.
+    Beyond 5,000 vertices or 10,000,000 steps over all runs, CapExceeded
+    before the first step.
     """
     rule = config.rule
     n = config.n
@@ -253,9 +254,9 @@ def run(config, reference=None):
             f"n = {n} is below the rule order {rule.order}; a step cannot "
             f"sample enough distinct vertices"
         )
-    if n > config.max_n:
+    if n > _MAX_N:
         raise CapExceeded(
-            f"n = {n} exceeds the configured maximum {config.max_n} "
+            f"n = {n} exceeds the maximum {_MAX_N} "
             f"(adjacency storage grows quadratically)"
         )
     if config.horizon < 0:
@@ -298,13 +299,12 @@ def run(config, reference=None):
             adj = _graph_from_edges(config.initial, n)
         idx = list(range(n))
         snapshots = []
-        next_target = 0
-        for ell in range(total_steps + 1):
-            while next_target < len(targets) and targets[next_target] == ell:
-                snapshots.append(block_densities(adj, sizes))
-                next_target += 1
-            if ell < total_steps:
+        done = 0
+        for target in targets:
+            for _ in range(target - done):
                 step(adj, rule, rng, compiled, idx)
+            done = target
+            snapshots.append(block_densities(adj, sizes))
         result.samples.append(snapshots)
         if ref_mats is not None:
             result.deviations.append([
@@ -344,7 +344,7 @@ def result_to_csv(result):
 # -------------------------------------------------------------- transference
 
 def transference_check(rule, n, start, horizon, eps, seed, runs=5,
-                       points=10, h=1e-3, max_n=5000, cap=None):
+                       points=10, cap=None):
     """Desk-scale check that the finite process tracks the integrated
     trajectory: at `points` evenly spaced times, each run's maximum block
     deviation from the reference must stay within eps.  The overall verdict
@@ -357,10 +357,10 @@ def transference_check(rule, n, start, horizon, eps, seed, runs=5,
         raise ValueError("transference check needs a step-kernel start")
     if eps <= 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
-    trajectory = integrate(rule, start, horizon, h, cap=cap)
+    trajectory = integrate(rule, start, horizon, cap=cap)
     config = SimConfig(
         rule=rule, n=n, initial=start, horizon=horizon, seed=seed,
-        runs=runs, sample_points=points, max_n=max_n,
+        runs=runs, sample_points=points,
     )
     result = run(config, reference=trajectory.nearest_state)
     per_run = []

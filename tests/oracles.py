@@ -328,14 +328,28 @@ def random_rooted_graph(rng, n, roots=0, p=0.5):
     return RootedGraph(verts, edges, root_list)
 
 
+def random_relabelling(rng, g):
+    """g with its vertex labels shuffled among themselves."""
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    relabel = dict(zip(sorted(g.vertices), perm))
+    return RootedGraph(
+        [relabel[v] for v in g.vertices],
+        [(relabel[u], relabel[v]) for u, v in (tuple(e) for e in g.edges)],
+        [relabel[v] for v in g.roots],
+    )
+
+
 # ------------------------------------------------------ brute-force matchers
 
-def brute_isomorphic(g1, g2):
-    """Isomorphism respecting root order, by full permutation sweep."""
+def brute_isomorphisms(g1, g2):
+    """Every isomorphism g1 -> g2 that sends the i-th root to the i-th
+    root, as dictionaries, by full permutation sweep."""
     v1 = sorted(g1.vertices, key=repr)
     v2 = sorted(g2.vertices, key=repr)
     if len(v1) != len(v2) or len(g1.roots) != len(g2.roots):
-        return False
+        return []
+    out = []
     for perm in itertools.permutations(v2):
         phi = dict(zip(v1, perm))
         if any(phi[r1] != r2 for r1, r2 in zip(g1.roots, g2.roots)):
@@ -344,8 +358,13 @@ def brute_isomorphic(g1, g2):
             g1.has_edge(u, v) == g2.has_edge(phi[u], phi[v])
             for u, v in itertools.combinations(v1, 2)
         ):
-            return True
-    return False
+            out.append(phi)
+    return out
+
+
+def brute_isomorphic(g1, g2):
+    """Isomorphism respecting root order, by full permutation sweep."""
+    return bool(brute_isomorphisms(g1, g2))
 
 
 def brute_rrr_maps(src, dst):

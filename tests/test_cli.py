@@ -63,9 +63,40 @@ def test_named_with_parameters(capsys):
                  "--dist", '{"0": "1/3", "1": "2/3"}']) == 0
     rule = parse_rule_json(capsys.readouterr().out)
     assert rule.probability(1, 1) == F(2, 3)
+    # JSON numbers are read exactly, like strings
+    assert main(["named", "ignorant", "--k", "2",
+                 "--dist", '{"0": 0.5, "1": "1/2", "3": 0}']) == 0
+    rule = parse_rule_json(capsys.readouterr().out)
+    assert rule.probability(1, 0) == rule.probability(1, 1) == F(1, 2)
     assert main(["named", "extremist", "--k", "3", "--threshold", "1"]) == 0
     rule = parse_rule_json(capsys.readouterr().out)
     assert rule.probability(1, 7) == 1
+
+
+@pytest.mark.parametrize("dist", [
+    '{"7": null}', '{"7": [1]}', '{"7": {"p": 1}}', '{"7": true, "0": false}',
+])
+def test_named_dist_rejects_non_numbers(capsys, dist):
+    assert main(["named", "ignorant", "--k", "3", "--dist", dist]) == 2
+    assert "--dist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["complementing", "extremist", "ignorant"])
+def test_named_dense_families_are_capped(capsys, family):
+    extra = ["--dist", '{"0": 1}'] if family == "ignorant" else []
+    assert main(["named", family, "--k", "7", *extra]) == 3
+    assert "enumeration cap" in capsys.readouterr().err
+    assert main(["--cap", "2", "named", family, "--k", "3", *extra]) == 3
+    assert main(["--cap", "3", "named", family, "--k", "3", *extra]) == 0
+
+
+def test_named_sparse_families_are_uncapped(capsys):
+    assert main(["named", "clique-removal", "--k", "7"]) == 0
+    assert parse_rule_json(capsys.readouterr().out) == make_named(
+        "clique-removal", 7)
+    assert main(["--cap", "2", "named", "identity", "--k", "9"]) == 0
+    assert main(["--cap", "2", "named", "triangle-removal", "--k", "3"]) == 0
+    assert main(["--cap", "2", "named", "triangle-edge-removal", "--k", "3"]) == 0
 
 
 def test_named_unimplemented_family(capsys):

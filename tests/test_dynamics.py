@@ -119,9 +119,12 @@ def test_velocity_complementing():
 
 
 def test_velocity_identity_zero():
+    two_parts = StepKernel((F(1, 2), F(1, 2)), ((0.3, 0.7), (0.7, 0.2)))
     for k in (1, 2, 3):
         out = velocity(make_named("identity", k), constant_kernel(0.37))
         assert out.values[0][0] == 0.0
+        out = velocity(make_named("identity", k), two_parts)
+        assert out.values == ((0.0, 0.0), (0.0, 0.0))
 
 
 def test_velocity_constant_split_matches_one_part():

@@ -9,6 +9,7 @@ import pytest
 from flipproc import (
     RootedGraph,
     are_twins,
+    automorphisms,
     blowup,
     blowup_vectors_equivalent,
     class_sizes,
@@ -22,6 +23,7 @@ from flipproc import (
     twinfree_version,
     vstar,
 )
+from flipproc.rooted import _iso_maps
 
 import oracles
 
@@ -249,19 +251,46 @@ def test_isomorphic_matches_brute_force():
         n = rng.randint(1, 6)
         g = oracles.random_rooted_graph(rng, n, roots=rng.randint(0, min(2, n)),
                                         p=0.5)
-        # relabelled copy
-        perm = list(g.vertices)
-        rng.shuffle(perm)
-        relabel = dict(zip(sorted(g.vertices), perm))
-        h = RootedGraph(
-            [relabel[v] for v in g.vertices],
-            [(relabel[u], relabel[v]) for u, v in (tuple(e) for e in g.edges)],
-            [relabel[v] for v in g.roots],
-        )
+        h = oracles.random_relabelling(rng, g)
         assert isomorphic(g, h)
         assert oracles.brute_isomorphic(g, h)
         other = oracles.random_rooted_graph(rng, n, roots=len(g.roots), p=0.5)
         assert isomorphic(g, other) == oracles.brute_isomorphic(g, other)
+
+
+def _map_set(maps):
+    return {frozenset(phi.items()) for phi in maps}
+
+
+def test_isomorphism_sets_match_permutation_sweep():
+    rng = random.Random(59)
+    graphs = []
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        graphs.append(oracles.random_rooted_graph(
+            rng, n, roots=rng.randint(0, min(2, n)), p=rng.uniform(0.2, 0.8)))
+    # blow-ups of non-roots: their twins multiply the automorphisms
+    while len(graphs) < 160:
+        n = rng.randint(1, 3)
+        base = twinfree_version(oracles.random_rooted_graph(
+            rng, n, roots=rng.randint(0, min(2, n)), p=0.5))
+        graphs.append(blowup(base, {
+            v: 1 if v in base.roots else rng.randint(1, 2)
+            for v in base.vertices
+        }))
+    for g in graphs:
+        assert _map_set(automorphisms(g)) == _map_set(
+            oracles.brute_isomorphisms(g, g))
+        other = oracles.random_rooted_graph(
+            rng, len(g.vertices), roots=len(g.roots), p=0.5)
+        for h in (oracles.random_relabelling(rng, g), other):
+            want = _map_set(oracles.brute_isomorphisms(g, h))
+            assert _map_set(_iso_maps(g, h)) == want
+            phi = find_isomorphism(g, h)
+            if want:
+                assert frozenset(phi.items()) in want
+            else:
+                assert phi is None
 
 
 def test_isomorphism_respects_root_order():

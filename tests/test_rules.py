@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipproc import (
+    CapExceeded,
     Rule,
     RuleValidationError,
     ignorant_edge_count,
     is_deterministic,
+    check_k1,
+    coeff_vector,
     is_symmetric,
     make_named,
     parse_rule_json,
@@ -21,6 +24,7 @@ from flipproc import (
     rule_to_json,
     rule_to_json_obj,
     rule_problems,
+    symmetrize,
     validate,
 )
 
@@ -73,6 +77,13 @@ def test_validation_catches_out_of_range_and_bad_probabilities():
         "row index 9223372036854775808 out of range for order 2",
         "row 9223372036854775808 has row sum 1/2",
     ]
+    # the numpy paths reject them as out of range, like codes within int64
+    for code in (1 << 62, 1 << 63, (1 << 64) + 5):
+        for rule in (Rule(2, {(code, 0): F(1)}), Rule(2, {(0, code): F(1)})):
+            for check in (coeff_vector, is_symmetric, symmetrize,
+                          lambda r: check_k1(r, r)):
+                with pytest.raises(ValueError, match="out of range for order 2"):
+                    check(rule)
 
 
 @st.composite
@@ -116,6 +127,12 @@ def test_named_complementing():
     assert c2.row(0) == {1: F(1)} and c2.row(1) == {0: F(1)}
     c3 = make_named("complementing", 3)
     assert all(c3.probability(f, 7 ^ f) == 1 for f in range(8))
+    # the dense families list all 2^C(k, 2) rows, so the order is capped
+    assert make_named("complementing", 3, cap=3) == c3
+    with pytest.raises(CapExceeded):
+        make_named("complementing", 3, cap=2)
+    with pytest.raises(CapExceeded):
+        make_named("ignorant", 7, dist={0: 1})
 
 
 def test_named_extremist():
