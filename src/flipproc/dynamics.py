@@ -102,6 +102,15 @@ class StepKernel:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _trusted(cls, weights, values):
+        """A kernel from a validated weight tuple and finite, symmetric value
+        rows, without the checks."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "weights", weights)
+        object.__setattr__(kernel, "values", values)
+        return kernel
+
     @property
     def num_parts(self):
         return len(self.weights)
@@ -544,9 +553,10 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
                         f"reduce the step size or check the starting kernel"
                     )
                 np.clip(v, 0.0, 1.0, out=v)
+            # (v + v.T) / 2 is exactly symmetric, and v is finite
             v = (v + v.T) / 2.0
             times.append(t)
-            states.append(StepKernel(start.weights, tuple(tuple(row) for row in v)))
+            states.append(StepKernel._trusted(start.weights, tuple(tuple(row) for row in v)))
     except OverflowError as exc:
         # Python float powers on the one-part path overflow instead of
         # returning inf

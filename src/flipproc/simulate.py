@@ -1,28 +1,55 @@
 """Monte Carlo simulation of finite flip processes.
 
-Graphs live as one adjacency bitmask per vertex.  Each step samples an
-ordered tuple of distinct vertices, reads the induced drawn graph, samples
-a replacement from the rule row, and rewrites exactly the tuple's pairs;
+A run keeps its graph as one n x n uint8 matrix holding the upper triangle:
+entry [u, v] with u < v is 1 for an edge.  Each step samples an ordered
+tuple of distinct vertices, reads the induced drawn graph, samples a
+replacement from the rule row, and rewrites exactly the tuple's pairs;
 identity rows touch nothing.
+
+Steps run in batches.  Every step of a batch reads its drawn graph from the
+matrix as it stands, and the batch commits, with one XOR per toggled pair,
+the longest prefix in which no step reads a pair that an earlier step of the
+prefix toggles.  The committed steps toggle disjoint pairs that none of them
+reads after it is toggled, so they commute, and the result is exactly that
+of applying the same draws one step at a time.  The next round starts at the
+first step left out, with its draws.  A batch holds at most _BATCH = 512
+steps and ends at the next sample time.
 
 Randomness is fully pinned: run r of master seed s derives its own 64-bit
 seed by an additive splitmix-style mix, which then seeds CPython's Mersenne
-Twister.  Uniform integers come from a bit-rejection sampler on
-getrandbits, so the draw sequence is independent of library version
-details.  Equal seeds give bit-identical results.
+Twister.  All draws are raw 32-bit outputs of that generator, taken in
+order with getrandbits:
+- the start graph takes two words per pair, in row-major order over the
+  pairs u < v, and puts an edge where the 53-bit double they make, the
+  value random() would return, is below the pair's block value;
+- a batch of c steps then takes c integers below n, then c below n - 1, and
+  so on for the k tuple positions, and then c uniforms of two words each,
+  one per step, active or not.  An integer below m is the top
+  b = bit_length(m - 1) bits of a word, when they are below m: a round that
+  still needs r integers takes r * 2^b // m + 32 words and keeps the first r
+  accepted ones;
+- tuple position i takes the r-th smallest vertex not taken by the earlier
+  positions, r being its integer below n - i.
+Equal seeds give bit-identical results.
 """
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
-from .codes import CapExceeded, pair_list
+import numpy as np
+
+from .codes import CapExceeded, num_pairs, pair_list
 from .dynamics import StepKernel, integrate
 
 _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
+_BATCH = 512  # steps drawn at once; the draws depend on it
+_BLOCK = 1 << 12  # pair entries per block of sampling and row conversion
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -68,6 +95,52 @@ def _sample_tuple(rng, idx, k):
     return out
 
 
+# ------------------------------------------------------------------ word draws
+
+def _words(rng, c):
+    """The next c 32-bit outputs of rng's Mersenne Twister, in order."""
+    return np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), "<u4")
+
+
+def _uniforms(rng, c):
+    """c doubles, each equal to what one rng.random() call would return."""
+    w = _words(rng, 2 * c)
+    a = (w[0::2] >> np.uint32(5)).astype(np.float64)
+    b = (w[1::2] >> np.uint32(6)).astype(np.float64)
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+
+def _below(rng, m, c):
+    """c integers uniform in [0, m), by bit rejection on raw words.  A round
+    that still needs r integers draws r * 2^bits // m + 32 words and keeps
+    the first r accepted ones."""
+    bits = (m - 1).bit_length()
+    out = np.zeros(c, np.int64)
+    if bits == 0:
+        return out
+    have = 0
+    while have < c:
+        need = c - have
+        v = _words(rng, (need << bits) // m + 32) >> np.uint32(32 - bits)
+        v = v[v < m][:need]
+        out[have:have + len(v)] = v
+        have += len(v)
+    return out
+
+
+def _draw(rng, n, k, c):
+    """The draws of c steps: (c, k) ordered tuples of distinct vertices and
+    c uniforms."""
+    tup = np.empty((c, k), np.int64)
+    for i in range(k):
+        v = _below(rng, n - i, c)
+        taken = np.sort(tup[:, :i], axis=1)
+        for j in range(i):
+            v += taken[:, j] <= v
+        tup[:, i] = v
+    return tup, _uniforms(rng, c)
+
+
 # ------------------------------------------------------------- configuration
 
 @dataclass(frozen=True)
@@ -77,7 +150,8 @@ class SimConfig:
     initial: StepKernel to sample the start from, or an explicit edge list.
     horizon: rescaled time T; the run takes floor(T * n^2) steps.
     seed: 64-bit master seed.  runs: independent repetitions.
-    sample_points: evenly spaced measurement times over (0, horizon]."""
+    sample_points: evenly spaced measurement times over (0, horizon].
+    runs and sample_points are positive integers."""
 
     rule: object
     n: int
@@ -120,33 +194,62 @@ def part_sizes(weights, n):
     return tuple(sizes)
 
 
+def _sample_matrix(kernel, sizes, rng):
+    """The start graph from the kernel on parts of the given sizes, as an
+    upper-triangle matrix, drawn block of rows by block of rows."""
+    n = sum(sizes)
+    vals = np.array([[float(v) for v in row] for row in kernel.values])
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    cols = np.arange(n)
+    adj = np.zeros((n, n), np.uint8)
+    rows = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        upper = cols > np.arange(lo, hi)[:, None]
+        probs = vals[part[lo:hi, None], part][upper]
+        adj[lo:hi][upper] = _uniforms(rng, len(probs)) < probs
+    return adj
+
+
 def sample_graph(kernel, n, rng):
     """A graph on n vertices from the kernel: vertices split into contiguous
     parts, each pair an independent coin with its block's probability.
     Returns (adjacency rows, part index per vertex, part sizes)."""
     sizes = part_sizes(kernel.weights, n)
-    part_of = []
-    for i, s in enumerate(sizes):
-        part_of.extend([i] * s)
-    vals = [[float(v) for v in row] for row in kernel.values]
-    adj = [0] * n
-    for u in range(n):
-        pu = part_of[u]
-        row = vals[pu]
-        for v in range(u + 1, n):
-            if rng.random() < row[part_of[v]]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return adj, part_of, sizes
+    part_of = [i for i, s in enumerate(sizes) for _ in range(s)]
+    return _rows(_sample_matrix(kernel, sizes, rng)), part_of, sizes
+
+
+def _rows(adj):
+    """Adjacency bitmask rows of an upper-triangle matrix."""
+    n = len(adj)
+    out = []
+    rows = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, n, rows):
+        full = adj[lo:lo + rows] | adj[:, lo:lo + rows].T
+        packed = np.packbits(full, axis=1, bitorder="little")
+        out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return out
+
+
+def _matrix(rows):
+    """The upper-triangle matrix of adjacency bitmask rows; bits at or
+    beyond the row count are ignored."""
+    n = len(rows)
+    width = (n + 7) // 8
+    mask = (1 << n) - 1
+    packed = np.frombuffer(
+        b"".join((r & mask).to_bytes(width, "little") for r in rows), np.uint8
+    ).reshape(n, width)
+    return np.triu(np.unpackbits(packed, axis=1, count=n, bitorder="little"), 1)
 
 
 def _graph_from_edges(edges, n):
-    adj = [0] * n
+    adj = np.zeros((n, n), np.uint8)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v}) on {n} vertices")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        adj[min(u, v), max(u, v)] = 1
     return adj
 
 
@@ -168,10 +271,33 @@ def _compile_rows(rule):
     return compiled
 
 
+def _apply(adj, compiled, pairs, tup, u):
+    """One step on given draws, in place: reads the drawn graph of tuple
+    `tup` off the adjacency rows, replaces it by the row sample at uniform
+    u, and toggles exactly the pairs that changed."""
+    f_bits = 0
+    for p_idx, (i, j) in enumerate(pairs):
+        if adj[tup[i - 1]] >> tup[j - 1] & 1:
+            f_bits |= 1 << p_idx
+    row = compiled.get(f_bits)
+    if row is None:
+        return
+    cums, hs = row
+    toggle = f_bits ^ hs[bisect_right(cums, u)]
+    while toggle:
+        low = toggle & -toggle
+        i, j = pairs[low.bit_length() - 1]
+        a, b = tup[i - 1], tup[j - 1]
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+        toggle ^= low
+
+
 def step(adj, rule, rng, compiled=None, idx=None):
-    """One flip step, in place.  Samples the ordered tuple, reads the drawn
-    graph off the adjacency rows, replaces it by a row sample, and toggles
-    exactly the pairs that changed.  Returns the sampled tuple."""
+    """One flip step, in place.  Samples the ordered tuple and one uniform,
+    reads the drawn graph off the adjacency rows, replaces it by a row
+    sample, and toggles exactly the pairs that changed.  Returns the sampled
+    tuple."""
     n = len(adj)
     k = rule.order
     if n < k:
@@ -181,48 +307,107 @@ def step(adj, rule, rng, compiled=None, idx=None):
     if idx is None:
         idx = list(range(n))
     tup = _sample_tuple(rng, idx, k)
-    pairs = pair_list(k)
-    f_bits = 0
-    for p_idx, (i, j) in enumerate(pairs):
-        if adj[tup[i - 1]] >> tup[j - 1] & 1:
-            f_bits |= 1 << p_idx
-    row = compiled.get(f_bits)
-    if row is None:
-        return tup
-    cums, hs = row
-    h_bits = hs[bisect_right(cums, rng.random())]
-    toggle = f_bits ^ h_bits
-    while toggle:
-        low = toggle & -toggle
-        i, j = pairs[low.bit_length() - 1]
-        u, v = tup[i - 1], tup[j - 1]
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-        toggle ^= low
+    _apply(adj, compiled, pair_list(k), tup, rng.random())
     return tup
+
+
+class _Engine:
+    """A rule compiled for batched steps: the tuple positions of each pair,
+    and the explicit rows as sorted codes with their cumulatives and
+    replacements laid end to end."""
+
+    def __init__(self, rule):
+        self.k = rule.order
+        pairs = pair_list(self.k)
+        self.first = np.array([i - 1 for i, _ in pairs], np.int64)
+        self.second = np.array([j - 1 for _, j in pairs], np.int64)
+        self.bits = np.arange(len(pairs), dtype=np.int64)
+        self.weights = np.left_shift(1, self.bits)
+        compiled = _compile_rows(rule)
+        codes = sorted(compiled)
+        self.codes = np.array(codes, np.int64)
+        rows = [compiled[f] for f in codes]
+        widths = [len(cums) for cums, _ in rows]
+        self.starts = np.array([0] + list(accumulate(widths))[:-1], np.int64)
+        self.widths = np.array(widths, np.int64)
+        self.cums = np.array([c for cums, _ in rows for c in cums], np.float64)
+        self.hs = np.array([h for _, hs in rows for h in hs], np.int64)
+        # halvings that narrow the widest row to one entry
+        self.depth = (max(widths, default=1) - 1).bit_length()
+
+    def replacements(self, f, u):
+        """The replacement of drawn graph f at uniform u, step by step: f on
+        identity rows, else the entry bisect_right(cums, u) of f's row."""
+        h = f.copy()
+        if not len(self.codes):
+            return h
+        r = np.searchsorted(self.codes, f)
+        hit = self.codes[np.minimum(r, len(self.codes) - 1)] == f
+        r = r[hit]
+        # least entry of the row with cumulative > u; the last is 1.0 > u
+        lo = self.starts[r]
+        if self.depth:
+            u = u[hit]
+            hi = lo + self.widths[r] - 1
+            for _ in range(self.depth):
+                mid = (lo + hi) >> 1
+                above = self.cums[mid] > u
+                hi = np.where(above, mid, hi)
+                lo = np.where(above, lo, mid + 1)
+        h[hit] = self.hs[lo]
+        return h
+
+    def commit(self, adj, tup, unif):
+        """Applies the steps of one batch to the upper-triangle matrix adj,
+        exactly as one at a time, by rounds of conflict-free prefixes."""
+        n = len(adj)
+        flat = adj.reshape(-1)
+        a, b = tup[:, self.first], tup[:, self.second]
+        pids = np.minimum(a, b) * n + np.maximum(a, b)
+        # sort keys (pair, step, write) with the write bit left clear
+        span = 2 * len(tup)
+        keys = pids * span + 2 * np.arange(len(tup))[:, None]
+        s = 0
+        while s < len(tup):
+            pid = pids[s:]
+            f = flat[pid] @ self.weights
+            toggle = f ^ self.replacements(f, unif[s:])
+            stop = len(pid)
+            if toggle.any():
+                writes = (toggle[:, None] >> self.bits) & 1
+                # a step reads a pair toggled earlier in the round iff its
+                # entry follows a write of the same pair in key order
+                key = np.sort((keys[s:] | writes).ravel())
+                pair = key // span
+                late = (pair[1:] == pair[:-1]) & (key[:-1] & 1 == 1)
+                if late.any():
+                    stop = int((key[1:][late] % span).min()) // 2 - s
+                flat[pid[:stop][writes[:stop] == 1]] ^= 1
+            s += stop
+
+
+def _advance(adj, engine, rng, count):
+    """count steps on the upper-triangle matrix adj, in batches of at most
+    _BATCH steps drawn from rng."""
+    while count:
+        c = min(_BATCH, count)
+        engine.commit(adj, *_draw(rng, len(adj), engine.k, c))
+        count -= c
 
 
 # ----------------------------------------------------------------- densities
 
-def block_densities(adj, sizes):
-    """Within- and cross-part edge densities as a symmetric matrix."""
-    n = len(adj)
-    masks = []
-    start = 0
-    bounds = []
-    for s in sizes:
-        mask = ((1 << s) - 1) << start
-        masks.append(mask)
-        bounds.append((start, start + s))
-        start += s
+def _densities(adj, sizes):
+    """Block edge densities of an upper-triangle matrix, Python floats."""
+    bounds = [0, *accumulate(sizes)]
     m = len(sizes)
     out = [[0.0] * m for _ in range(m)]
     for i in range(m):
-        lo, hi = bounds[i]
         for j in range(i, m):
-            count = sum((adj[u] & masks[j]).bit_count() for u in range(lo, hi))
+            count = int(np.count_nonzero(
+                adj[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]]
+            ))
             if i == j:
-                count //= 2
                 denom = sizes[i] * (sizes[i] - 1) // 2
             else:
                 denom = sizes[i] * sizes[j]
@@ -230,6 +415,11 @@ def block_densities(adj, sizes):
             out[i][j] = d
             out[j][i] = d
     return tuple(tuple(row) for row in out)
+
+
+def block_densities(adj, sizes):
+    """Within- and cross-part edge densities as a symmetric matrix."""
+    return _densities(_matrix(adj), sizes)
 
 
 # ----------------------------------------------------------------------- runs
@@ -240,12 +430,19 @@ def _sample_times(horizon, points):
     return tuple(horizon * q / points for q in range(1, points + 1))
 
 
+def _check_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def run(config, reference=None):
     """Simulate config.runs independent processes and record block densities
     at the sample times.  reference, when given, must map each sample time
     to a kernel on the same parts; per-run absolute deviations are filled in.
-    Beyond 5,000 vertices or 10,000,000 steps over all runs, CapExceeded
-    before the first step.
+    Beyond 5,000 vertices, 10,000,000 steps over all runs or rule order 11,
+    CapExceeded before the first step.
     """
     rule = config.rule
     n = config.n
@@ -259,13 +456,18 @@ def run(config, reference=None):
             f"n = {n} exceeds the maximum {_MAX_N} "
             f"(adjacency storage grows quadratically)"
         )
+    if num_pairs(rule.order) > 62:
+        raise CapExceeded(
+            f"rule order {rule.order} is above 11; the simulator reads drawn "
+            f"graphs as 62-bit codes"
+        )
     if config.horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {config.horizon}")
-    if config.runs < 1:
-        raise ValueError(f"runs must be positive, got {config.runs}")
+    _check_count("runs", config.runs)
+    _check_count("sample_points", config.sample_points)
     times = _sample_times(config.horizon, config.sample_points)
     targets = [int(t * n * n + 1e-9) for t in times]
-    total_steps = max(targets) if targets else 0
+    total_steps = max(targets)
     if config.runs * total_steps > _STEP_BUDGET:
         raise CapExceeded(
             f"{config.runs} runs of {total_steps} steps exceed the step "
@@ -278,7 +480,7 @@ def run(config, reference=None):
     else:
         sizes = (n,)
 
-    compiled = _compile_rows(rule)
+    engine = _Engine(rule)
 
     ref_mats = None
     if reference is not None:
@@ -294,17 +496,15 @@ def run(config, reference=None):
     for r in range(config.runs):
         rng = Random(run_seed(config.seed, r))
         if from_kernel:
-            adj, _, _ = sample_graph(config.initial, n, rng)
+            adj = _sample_matrix(config.initial, sizes, rng)
         else:
             adj = _graph_from_edges(config.initial, n)
-        idx = list(range(n))
         snapshots = []
         done = 0
         for target in targets:
-            for _ in range(target - done):
-                step(adj, rule, rng, compiled, idx)
+            _advance(adj, engine, rng, target - done)
             done = target
-            snapshots.append(block_densities(adj, sizes))
+            snapshots.append(_densities(adj, sizes))
         result.samples.append(snapshots)
         if ref_mats is not None:
             result.deviations.append([

@@ -6,8 +6,8 @@ orbit-counting lemma, coefficient sums from a term-by-term sweep over all
 rooted elements with a local canonicalizer, isomorphism, symmetrization,
 the symmetry check, edge histograms and orbit sums from a full
 permutation sweep, validity from a Fraction sum of every row, and the
-velocity from its defining sum over rows, pairs and rooted densities.
-Generators (random rules, kernels, graphs) may use package constructors
+velocity from its defining sum over rows, pairs and rooted densities, and
+the simulator's start graph from one random() call per pair.  Generators (random rules, kernels, graphs) may use package constructors
 since they only build inputs.
 """
 
@@ -281,6 +281,22 @@ def random_rule(rng, k, max_rows=4, max_support=4):
     return Rule(k, entries)
 
 
+def random_step_rule(rng, k, max_support=4):
+    """A random rule for the simulator: explicit rows on a few or on all
+    graphs, each with up to max_support replacements, and in about half of
+    the rows the drawn graph itself among them."""
+    space = 1 << (k * (k - 1) // 2)
+    rows = range(space) if rng.random() < 0.5 else rng.sample(range(space), min(4, space))
+    entries = {}
+    for f in rows:
+        support = rng.sample(range(space), rng.randint(1, min(max_support, space)))
+        if f not in support and rng.random() < 0.5:
+            support[0] = f
+        for h, p in zip(support, random_fractions(rng, len(support))):
+            entries[(f, h)] = p
+    return Rule(k, entries)
+
+
 def random_ignorant_rule(rng, k, max_support=4):
     space = 1 << (k * (k - 1) // 2)
     support = rng.sample(range(space), rng.randint(1, min(max_support, space)))
@@ -393,3 +409,26 @@ def brute_rrr_maps(src, dst):
             if ok:
                 out.append(phi)
     return out
+
+
+# --------------------------------------------------------------- simulation
+
+def naive_sample_graph(kernel, n, rng):
+    """The start graph one pair at a time: for u < v in row-major order, an
+    edge when rng.random() falls below the pair's block value.  Returns
+    (adjacency bitmask rows, part index per vertex, part sizes); the part
+    sizes come from the package, since only the coins are checked here."""
+    from flipproc import part_sizes
+    sizes = part_sizes(kernel.weights, n)
+    part_of = []
+    for i, s in enumerate(sizes):
+        part_of.extend([i] * s)
+    vals = [[float(v) for v in row] for row in kernel.values]
+    adj = [0] * n
+    for u in range(n):
+        row = vals[part_of[u]]
+        for v in range(u + 1, n):
+            if rng.random() < row[part_of[v]]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj, part_of, sizes

@@ -6,7 +6,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipproc import (
     CapExceeded,
@@ -26,7 +29,10 @@ from flipproc import (
     transference_check,
 )
 from flipproc import simulate
+from flipproc.codes import pair_list
 from flipproc.simulate import _randbelow, _sample_tuple
+
+import oracles
 
 F = Fraction
 
@@ -82,6 +88,28 @@ def test_sample_tuple():
     assert sorted(idx) == list(range(10))  # permutation persists intact
 
 
+def test_words_and_uniforms_follow_the_generator():
+    fast, slow = random.Random(21), random.Random(21)
+    words = simulate._words(fast, 1000)
+    assert words.tolist() == [slow.getrandbits(32) for _ in range(1000)]
+    doubles = simulate._uniforms(fast, 20000)
+    assert doubles.tolist() == [slow.random() for _ in range(20000)]
+    assert fast.getstate() == slow.getstate()
+
+
+def test_drawn_tuples_are_distinct_and_uniform():
+    # all 5 * 4 * 3 ordered triples of 5 vertices, 200 expected each
+    tup, unif = simulate._draw(random.Random(8), 5, 3, 12000)
+    counts = {}
+    for t in map(tuple, tup.tolist()):
+        assert len(set(t)) == 3 and all(0 <= v < 5 for v in t)
+        counts[t] = counts.get(t, 0) + 1
+    assert len(counts) == 60
+    chi2 = sum((c - 200) ** 2 / 200 for c in counts.values())
+    assert chi2 < 120  # 59 degrees of freedom; the 0.9999 quantile is ~105
+    assert ((0 <= unif) & (unif < 1)).all()
+
+
 def test_step_triangle_removal_absorbs():
     adj = [0b110, 0b101, 0b011]  # triangle on 3 vertices
     tup = step(adj, make_named("triangle-removal", 3), random.Random(1))
@@ -134,6 +162,67 @@ def test_sample_graph_respects_blocks():
     assert dens[0][0] == 1.0 and dens[1][1] == 1.0 and dens[0][1] == 0.0
 
 
+@pytest.mark.parametrize("n,kern", [
+    (1, constant_kernel(0.5)),
+    (2, constant_kernel(0.5)),
+    (37, constant_kernel(0)),
+    (37, constant_kernel(1)),
+    (37, StepKernel((F(1, 2), F(1, 2)), ((1, 0), (0, 1)))),
+    (37, StepKernel((F(1, 6), F(1, 3), F(1, 2)),
+                    ((0.9, 0.2, 0.5), (0.2, 0.1, 0.6), (0.5, 0.6, 0.35)))),
+    (1000, StepKernel((F(1, 5), F(3, 10), F(1, 2)),
+                      ((0.9, 0.2, 0.5), (0.2, 0.1, 0.6), (0.5, 0.6, 0.35)))),
+])
+def test_sample_graph_matches_pairwise_coins(n, kern):
+    fast, slow = random.Random(n), random.Random(n)
+    assert sample_graph(kern, n, fast) == oracles.naive_sample_graph(kern, n, slow)
+    assert fast.getstate() == slow.getstate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=5).flatmap(
+           lambda k: st.tuples(st.just(k), st.integers(min_value=k, max_value=3 * k))),
+       st.integers(min_value=1, max_value=700), st.integers(min_value=0, max_value=2 ** 32))
+@pytest.mark.parametrize("batch", [1, simulate._BATCH])
+def test_engine_matches_one_step_path(batch, order_and_n, steps, seed):
+    # at n <= 3k most batches hold steps that read pairs toggled earlier,
+    # so rounds of every length are committed
+    k, n = order_and_n
+    rng = random.Random(seed)
+    rule = oracles.random_step_rule(rng, k)
+    adj = simulate._sample_matrix(constant_kernel(rng.random()), (n,), rng)
+    rows = simulate._rows(adj)
+    draws = []
+    draw = simulate._draw
+
+    def recorded(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BATCH", batch)
+        mp.setattr(simulate, "_draw", recorded)
+        simulate._advance(adj, simulate._Engine(rule), rng, steps)
+    assert sum(len(t) for t, _ in draws) == steps
+    assert all(len(t) <= batch for t, _ in draws)
+    compiled = simulate._compile_rows(rule)
+    for tup, unif in draws:
+        for t, u in zip(tup.tolist(), unif.tolist()):
+            simulate._apply(rows, compiled, pair_list(k), t, u)
+    assert simulate._rows(adj) == rows
+
+
+def test_engine_replacement_ties_go_right():
+    # a uniform equal to a cumulative takes the next replacement, as
+    # bisect_right does; random draws almost never hit a tie
+    rule = Rule(3, {(0, 1): F(1, 4), (0, 2): F(1, 4), (0, 4): F(1, 4),
+                    (0, 7): F(1, 4), (7, 7): F(1, 2), (7, 0): F(1, 2)})
+    f = np.array([0, 0, 0, 0, 0, 7, 7, 7, 3])
+    u = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.0, 0.5, 0.25, 0.5])
+    h = simulate._Engine(rule).replacements(f, u)
+    assert h.tolist() == [1, 2, 4, 7, 7, 0, 7, 0, 3]
+
+
 def test_block_densities_counts():
     # path 0-1-2 with parts {0,1} and {2}
     adj = [0b010, 0b101, 0b010]
@@ -171,6 +260,23 @@ def test_run_argument_guards():
                     initial=constant_kernel(0.5), horizon=0.1, seed=0)
     with pytest.raises(CapExceeded):
         run(big)
+    # drawn graphs of order 12 have 66 pairs, beyond a 62-bit code
+    wide = SimConfig(rule=Rule(12), n=12, initial=constant_kernel(0.5),
+                     horizon=0.1, seed=0)
+    with pytest.raises(CapExceeded, match="order"):
+        run(wide)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sample_points", 0), ("sample_points", -3), ("sample_points", 2.0),
+    ("sample_points", True), ("runs", 0), ("runs", 1.5), ("runs", True),
+    ("runs", "2"),
+])
+def test_run_rejects_bad_counts(field, value):
+    cfg = SimConfig(rule=make_named("identity", 2), n=4,
+                    initial=constant_kernel(0.5), horizon=0.5, seed=0)
+    with pytest.raises(ValueError, match=field):
+        run(dataclasses.replace(cfg, **{field: value}))
 
 
 def test_run_steps_are_capped(monkeypatch):
