@@ -18,6 +18,7 @@ part weights.  On one part t_C is p^e (1 - p)^(P - e), so the coefficients
 only enter summed per edge count e.
 """
 
+import bisect
 import functools
 import json
 import math
@@ -387,17 +388,21 @@ class _CompiledVelocity:
             by_edges[e] = by_edges.get(e, 0) + c
         self.point_terms = [(float(c), e) for e, c in sorted(by_edges.items()) if c]
 
+    def point(self, p):
+        """The velocity on one part at block value p, a Python float.  A
+        power that overflows raises OverflowError instead of returning inf."""
+        P = len(self.pairs)
+        total = 0.0
+        for c, e in self.point_terms:
+            total += c * p ** e * (1.0 - p) ** (P - e)
+        return total
+
     def values(self, weights, vals):
         """Velocity block values: weights (m,), vals (m, m) float arrays."""
         k, pairs = self.k, self.pairs
         m = vals.shape[0]
         if m == 1:
-            p = float(vals[0, 0])
-            P = len(pairs)
-            total = 0.0
-            for c, e in self.point_terms:
-                total += c * p ** e * (1.0 - p) ** (P - e)
-            return np.array([[total]])
+            return np.array([[self.point(float(vals[0, 0]))]])
         cells = m ** k
         if cells > _GRID_BUDGET:
             raise CapExceeded(
@@ -465,33 +470,72 @@ def lipschitz_constant(k):
 
 class Trajectory:
     """A fixed-step integration record: states[i] is the kernel at times[i];
-    all states share the starting partition."""
+    all states share the starting partition.  The block values of every
+    state are one read-only float array of shape (len(times), m, m); a
+    state is built from it on first use and then kept, so every access
+    to states[i] returns the same object."""
 
-    __slots__ = ("times", "states")
+    __slots__ = ("times", "_values", "_states")
 
-    def __init__(self, times, states):
+    def __init__(self, times, start, values):
         self.times = tuple(times)
-        self.states = tuple(states)
+        values.flags.writeable = False
+        self._values = values
+        self._states = [start] + [None] * (len(self.times) - 1)
+
+    def __reduce__(self):
+        return Trajectory, (self.times, self._states[0], self._values)
+
+    def _state(self, i):
+        state = self._states[i]
+        if state is None:
+            rows = tuple(map(tuple, self._values[i].tolist()))
+            state = StepKernel._trusted(self._states[0].weights, rows)
+            self._states[i] = state
+        return state
+
+    @property
+    def states(self):
+        return tuple(self._state(i) for i in range(len(self.times)))
 
     @property
     def final(self):
-        return self.states[-1]
+        return self._state(len(self.times) - 1)
 
     def nearest_state(self, t):
-        idx = min(range(len(self.times)), key=lambda i: abs(self.times[i] - t))
-        return self.states[idx]
+        """The state at the time closest to t, the earlier one on a tie."""
+        times = self.times
+        i = bisect.bisect_left(times, t)
+        if i == len(times) or (i > 0 and t - times[i - 1] <= times[i] - t):
+            i -= 1
+        return self._state(i)
 
     def to_csv(self):
-        m = self.states[0].num_parts
+        m = self._values.shape[1]
         cols = [f"w_{i}_{j}" for i in range(1, m + 1) for j in range(i, m + 1)]
+        iu, ju = np.triu_indices(m)
+        upper = self._values[:, iu, ju].tolist()
         lines = ["t," + ",".join(cols)]
-        for t, state in zip(self.times, self.states):
-            row = [repr(float(t))]
-            for i in range(m):
-                for j in range(i, m):
-                    row.append(repr(float(state.values[i][j])))
-            lines.append(",".join(row))
+        for t, row in zip(self.times, upper):
+            lines.append(",".join(map(repr, [t] + row)))
         return "\n".join(lines) + "\n"
+
+
+def _check_state(t, lo, hi, graphon_mode):
+    """Raise IntegrationError unless the block values of the state reached at
+    time t, which lie between lo and hi, are finite and, for a graphon
+    start, within CLAMP_TOLERANCE of [0, 1]."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise IntegrationError(
+            f"state is no longer finite at time {t:.6g}; reduce the step size"
+        )
+    if graphon_mode:
+        over = max(0.0, hi - 1.0, -lo)
+        if over > CLAMP_TOLERANCE:
+            raise IntegrationError(
+                f"state left [0, 1] by {over:.3e} at time {t:.6g}; "
+                f"reduce the step size or check the starting kernel"
+            )
 
 
 def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
@@ -527,40 +571,50 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
         )
     comp = _compiled(rule, enumeration_cap(cap))
     weights, v = _kernel_arrays(start)
+    out = np.empty((n_steps + 1,) + v.shape)
+    out[0] = v
 
     times = [0.0]
-    states = [start]
     t = 0.0
     try:
-        for step in range(n_steps):
-            dt = h if step < n_full else rem
-            s1 = comp.values(weights, v)
-            s2 = comp.values(weights, v + (dt / 2.0) * s1)
-            s3 = comp.values(weights, v + (dt / 2.0) * s2)
-            s4 = comp.values(weights, v + dt * s3)
-            v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            t += dt
-            if not np.isfinite(v).all():
-                raise IntegrationError(
-                    f"state is no longer finite at time {t:.6g}; "
-                    f"reduce the step size"
-                )
-            if graphon_mode:
-                over = max(0.0, float(v.max()) - 1.0, float(-v.min()))
-                if over > CLAMP_TOLERANCE:
-                    raise IntegrationError(
-                        f"state left [0, 1] by {over:.3e} at time {t:.6g}; "
-                        f"reduce the step size or check the starting kernel"
-                    )
-                np.clip(v, 0.0, 1.0, out=v)
-            # (v + v.T) / 2 is exactly symmetric, and v is finite
-            v = (v + v.T) / 2.0
-            times.append(t)
-            states.append(StepKernel._trusted(start.weights, tuple(tuple(row) for row in v)))
+        if v.shape == (1, 1):
+            # one part: the grid path's operations in the same order, on
+            # Python floats; a 1x1 state needs no symmetrizing
+            p = float(v[0, 0])
+            for step in range(n_steps):
+                dt = h if step < n_full else rem
+                s1 = comp.point(p)
+                s2 = comp.point(p + (dt / 2.0) * s1)
+                s3 = comp.point(p + (dt / 2.0) * s2)
+                s4 = comp.point(p + dt * s3)
+                p = p + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                t += dt
+                _check_state(t, p, p, graphon_mode)
+                if graphon_mode:
+                    p = min(max(p, 0.0), 1.0)  # np.clip, -0.0 included
+                times.append(t)
+                out[step + 1] = p
+        else:
+            for step in range(n_steps):
+                dt = h if step < n_full else rem
+                s1 = comp.values(weights, v)
+                s2 = comp.values(weights, v + (dt / 2.0) * s1)
+                s3 = comp.values(weights, v + (dt / 2.0) * s2)
+                s4 = comp.values(weights, v + dt * s3)
+                v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                t += dt
+                _check_state(t, float(v.min()), float(v.max()), graphon_mode)
+                if graphon_mode:
+                    np.clip(v, 0.0, 1.0, out=v)
+                # exactly symmetric; the sum can overflow where v did not
+                v = (v + v.T) / 2.0
+                _check_state(t, float(v.min()), float(v.max()), False)
+                times.append(t)
+                out[step + 1] = v
     except OverflowError as exc:
         # Python float powers on the one-part path overflow instead of
         # returning inf
         raise IntegrationError(
             f"state overflowed after time {t:.6g}; reduce the step size"
         ) from exc
-    return Trajectory(times, states)
+    return Trajectory(times, start, out)

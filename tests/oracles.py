@@ -6,8 +6,9 @@ orbit-counting lemma, coefficient sums from a term-by-term sweep over all
 rooted elements with a local canonicalizer, isomorphism, symmetrization,
 the symmetry check, edge histograms and orbit sums from a full
 permutation sweep, validity from a Fraction sum of every row, and the
-velocity from its defining sum over rows, pairs and rooted densities, and
-the simulator's start graph from one random() call per pair.  Generators (random rules, kernels, graphs) may use package constructors
+velocity from its defining sum over rows, pairs and rooted densities, the
+nearest trajectory time from a linear scan, and the simulator's start
+graph from one random() call per pair.  Generators (random rules, kernels, graphs) may use package constructors
 since they only build inputs.
 """
 
@@ -257,6 +258,12 @@ def velocity_direct(rule, kernel):
             for x in range(m)
         ),
     )
+
+
+def nearest_index(times, t):
+    """Index of the time closest to t, the first one on a tie: a linear
+    scan over the whole record."""
+    return min(range(len(times)), key=lambda i: abs(times[i] - t))
 
 
 # ----------------------------------------------------------------- generators

@@ -4,6 +4,7 @@ cross-check."""
 
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -273,6 +274,14 @@ def test_integrate_detects_domain_escape():
     # on one part the drift is a Python float power, which overflows
     with pytest.raises(IntegrationError, match="overflowed"):
         integrate(TR, constant_kernel(1e100), 1.0, h=0.1, expert_nongraphon=True)
+    # a finite state whose symmetrization (v + v.T) / 2 overflows
+    ident = make_named("identity", 2)
+    big = StepKernel((F(1, 2), F(1, 2)), ((1e308, 0.0), (0.0, 1e308)))
+    with pytest.raises(IntegrationError, match="no longer finite"):
+        integrate(ident, big, 0.001, expert_nongraphon=True)
+    # one part is never symmetrized, so the same block value stays
+    one = integrate(ident, constant_kernel(1e308), 0.001, expert_nongraphon=True)
+    assert one.final.values == ((1e308,),)
 
 
 def test_integrate_steps_are_capped():
@@ -305,6 +314,74 @@ def test_trajectory_states_stay_graphons():
         assert all(state.is_graphon for state in traj.states)
         # the integrator skips validation; every state would pass it
         assert all(StepKernel(s.weights, s.values) == s for s in traj.states)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.randoms(use_true_random=False),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_one_part_scalar_path_matches_grid(k, rng, p):
+    # the one-part loop runs on Python floats; a 2-part kernel with all
+    # values p is the same graphon and goes through the grid path
+    r = symmetrize(oracles.random_rule(rng, k))
+    whole = integrate(r, constant_kernel(p), 0.0205, h=1e-3)
+    split = integrate(r, StepKernel((F(1, 2), F(1, 2)), ((p, p), (p, p))),
+                      0.0205, h=1e-3)
+    assert whole.times == split.times
+    for a, b in zip(whole.states, split.states):
+        assert all(abs(a.values[0][0] - v) <= 1e-12 for v in _flat(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1e-3, 7e-3, 0.05, 0.3]), st.integers(0, 30),
+       st.floats(min_value=0.01, max_value=0.99),
+       st.lists(st.floats(min_value=-2.0, max_value=12.0), max_size=10))
+def test_nearest_state_matches_scan(h, n, frac, extra):
+    traj = integrate(make_named("identity", 2), constant_kernel(0.5),
+                     (n + frac) * h, h=h)
+    times = traj.times
+    assert len(times) == n + 2  # a short final step
+    queries = [-1.0, -h / 2, times[-1] + h / 3, times[-1] + 5.0] + extra
+    queries += list(times)
+    queries += [(a + b) / 2 for a, b in zip(times, times[1:])]
+    states = traj.states
+    for t in queries:
+        assert traj.nearest_state(t) is states[oracles.nearest_index(times, t)]
+
+
+def test_trajectory_states_are_built_once():
+    kern = StepKernel((F(1, 3), F(2, 3)), ((F(1, 2), F(1, 5)), (F(1, 5), 0)))
+    traj = integrate(TR, kern, 0.01, h=1e-3)
+    first = traj.states
+    assert traj.states[0] is kern
+    assert all(a is b for a, b in zip(first, traj.states))
+    assert traj.final is first[-1]
+    assert traj.nearest_state(0.0052) is first[5]
+
+
+def test_trajectory_pickles():
+    rng = random.Random(47)
+    traj = integrate(symmetrize(oracles.random_rule(rng, 3)),
+                     oracles.random_kernel(rng, 3), 0.0105, h=1e-3)
+    blob = pickle.dumps(traj)
+    again = pickle.loads(blob)
+    assert again.times == traj.times and again.states == traj.states
+    assert again.to_csv() == traj.to_csv()
+    # the pickle does not depend on which states were built
+    assert pickle.dumps(traj) == blob == pickle.dumps(again)
+
+
+def test_trajectory_csv_formats_each_state():
+    rng = random.Random(53)
+    traj = integrate(symmetrize(oracles.random_rule(rng, 3)),
+                     oracles.random_kernel(rng, 3), 0.0105, h=1e-3)
+    lines = ["t,w_1_1,w_1_2,w_1_3,w_2_2,w_2_3,w_3_3"]
+    for t, state in zip(traj.times, traj.states):
+        row = [repr(float(t))]
+        for i in range(3):
+            for j in range(i, 3):
+                row.append(repr(float(state.values[i][j])))
+        lines.append(",".join(row))
+    assert traj.to_csv() == "\n".join(lines) + "\n"
 
 
 def test_trajectory_csv():
