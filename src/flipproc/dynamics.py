@@ -10,12 +10,14 @@ The velocity is read off the rule's certificate: at parts (x, y) it is
 sum_C coeff(C) t_C(x, y) over the orbit classes C with a nonzero
 coefficient, where t_C is the rooted density of a representative of C with
 its roots pinned to x and y.  Rules with equal certificates therefore get
-equal velocities by construction.  One grid over the assignments of the k
-vertices to parts serves every class: each class's representative is
-relabelled so that its roots are vertices 1 and 2, the class terms are
-summed on the grid, and the k - 2 free vertices are then placed by the
-part weights.  On one part t_C is p^e (1 - p)^(P - e), so the coefficients
-only enter summed per edge count e.
+equal velocities by construction.  Each class's representative is
+relabelled so that its roots are vertices 1 and 2, and t_C, a sum over the
+parts of the free vertices of a product of pair factors, is summed one
+free vertex at a time, from vertex k down to 3 (bucket elimination):
+classes that agree on vertices 1..j share the work below vertex j, and no
+array over all m^k part assignments is ever built.  On one part t_C is
+p^e (1 - p)^(P - e), so the coefficients only enter summed per edge
+count e.
 """
 
 import bisect
@@ -352,34 +354,39 @@ def density_formula_check(base, m, G, z, x, y, tolerance=1e-12):
 
 # ------------------------------------------------------------------- velocity
 
-# floats in one m^k density grid and in one chunk, and block values in one
-# stored trajectory
+# the m^k part assignments of one velocity, the floats in any array of its
+# evaluation (a chunk holds _GRID_BUDGET // m^k classes), and the block
+# values in one stored trajectory
 _GRID_BUDGET = 4_000_000
 
 
 def _roots_first(canon):
-    """Edge flags, in pair_list order, of a pair-rooted graph relabelled so
-    that its roots are vertices 1 and 2; the free vertices keep their
-    order."""
+    """The edge pattern of a pair-rooted graph relabelled so that its roots
+    are vertices 1 and 2, the free vertices keeping their order, read as a
+    binary number whose most significant bit is the first pair of
+    pair_list."""
     k = canon.order
     old = [canon.a, canon.b]
     old += [v for v in range(1, k + 1) if v not in old]
-    return [canon.graph.has_edge(old[i - 1], old[j - 1]) for i, j in pair_list(k)]
+    code = 0
+    for i, j in pair_list(k):
+        code = code << 1 | canon.graph.has_edge(old[i - 1], old[j - 1])
+    return code
 
 
 class _CompiledVelocity:
     """The nonzero coefficients of a rule with one representative per
     class, its roots relabelled to vertices 1 and 2 so that all classes
-    share one grid of part assignments."""
+    share one elimination of the free vertices."""
 
     def __init__(self, rule, cap):
         nonzero = coeff_vector(rule, cap).nonzero()
         self.k = rule.order
         self.pairs = pair_list(self.k)
-        self.coeffs = np.array([float(c) for _, c in nonzero])
-        self.edge = np.array(
-            [_roots_first(cls.canon) for cls, _ in nonzero], dtype=bool
-        ).reshape(len(nonzero), len(self.pairs))
+        terms = sorted((_roots_first(cls.canon), float(c))
+                       for cls, c in nonzero)
+        self.codes = np.array([code for code, _ in terms], dtype=np.int64)
+        self.coeffs = np.array([c for _, c in terms])
         # on one part t_C = p^e (1 - p)^(P - e): only the exact coefficient
         # sum per edge count e matters
         by_edges = {}
@@ -399,7 +406,7 @@ class _CompiledVelocity:
 
     def values(self, weights, vals):
         """Velocity block values: weights (m,), vals (m, m) float arrays."""
-        k, pairs = self.k, self.pairs
+        k = self.k
         m = vals.shape[0]
         if m == 1:
             return np.array([[self.point(float(vals[0, 0]))]])
@@ -411,27 +418,102 @@ class _CompiledVelocity:
             )
         if not len(self.coeffs):
             return np.zeros((m, m))
-        # grid[c, x_1, ..., x_k]: coeff(C) times the probability that
-        # vertices placed in parts x_1, ..., x_k induce C's representative
-        density = np.zeros((m,) * k)
-        chunk = _GRID_BUDGET // cells
-        for lo in range(0, len(self.coeffs), chunk):
-            coeffs = self.coeffs[lo:lo + chunk]
-            edge = self.edge[lo:lo + chunk]
-            n = len(coeffs)
-            grid = np.empty((n,) + (m,) * k)
-            grid[...] = coeffs.reshape((n,) + (1,) * k)
-            for idx, (i, j) in enumerate(pairs):
-                shape = [1] * (k + 1)
-                shape[i] = shape[j] = m
-                wij = vals.reshape(shape)
-                pick = edge[:, idx].reshape((n,) + (1,) * k)
-                grid *= np.where(pick, wij, 1.0 - wij)
-            density += grid.sum(axis=0)
-        # the free vertices 3..k are placed by the part weights
-        for _ in range(k - 2):
-            density = density @ weights
-        return density
+        plan = _plan(self, m)
+        if k == 2:
+            # no free vertex: the coefficients of the root pair's patterns
+            c0, c1 = plan
+            return c0 + (c1 - c0) * vals
+        # table[b] is the factor of a pair (i, j) with pattern b at
+        # (x_i, x_j); table[2 + b] is its transpose weighted by the part of
+        # j, which sums x_j out of a product over i by a matrix product
+        table = np.empty((4, m, m))
+        np.subtract(1.0, vals, out=table[0])
+        table[1] = vals
+        np.multiply(table[:2].transpose(0, 2, 1), weights[:, None],
+                    out=table[2:])
+        out = None
+        for first, levels, roots in plan:
+            part = _eliminate(table, weights, first, levels, roots)
+            out = part if out is None else out + part
+        return out
+
+
+def _factor(table, nbrs, count):
+    """The factors of the pairs (1, j), ..., (j - 1, j) gathered from table
+    by each row of indices in nbrs, and the product of the first count of
+    them as one array over (row, x_1, ..., x_count, x_j)."""
+    picked = table[nbrs]
+    out = picked[:, 0]
+    for i in range(1, count):
+        out = out[..., None, :] * picked[(slice(None), i) + (None,) * i]
+    return out, picked
+
+
+def _eliminate(table, weights, first, levels, roots):
+    """The velocity block values of one chunk of classes (see _plan):
+    vertices k, ..., 3 summed out one at a time, then the factor of the
+    root pair."""
+    m = weights.shape[0]
+    nbrs, coeffs = first
+    n, last = len(nbrs), nbrs.shape[1] - 1
+    g, picked = _factor(table, nbrs, last)
+    g = g.reshape(n, -1, m) @ picked[:, last]
+    messages = coeffs @ g.reshape(n, -1)
+    for nbrs, index, starts in levels:
+        g, _ = _factor(table, nbrs, nbrs.shape[1])
+        g = g.reshape(len(nbrs), -1, m)[index]
+        sums = (messages.reshape(len(index), -1, m) * g) @ weights
+        messages = np.add.reduceat(sums, starts)
+    return (messages.reshape(-1, m, m) * table[roots]).sum(axis=0)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(comp, m):
+    """How values() sums out the free vertices of a compiled rule on m
+    parts, per chunk of _GRID_BUDGET // m^k classes: small patterns,
+    indices and coefficient matrices only, never an array over m^j part
+    assignments.  At order 2, the coefficients of the two patterns of the
+    root pair.
+
+    The pairs run in colex order, so a class's pattern on vertices 1..j is
+    its first C(j, 2) pairs, the top bits of its code, and the neighbourhood
+    of vertex j is the next j - 1 pairs; the codes are sorted, so patterns
+    that share a prefix are contiguous.  Vertex k is summed out once per
+    distinct neighbourhood, and the coefficients enter through a
+    (prefixes x neighbourhoods) matrix.  Each vertex j below it is summed
+    out once per distinct prefix on 1..j, whose message is the sum over
+    its extensions, and the results are added up per prefix on 1..j - 1
+    by np.add.reduceat.  The prefixes left on the root pair are its
+    patterns, in table order."""
+    k = comp.k
+    if k == 2:
+        c = [0.0, 0.0]
+        for code, coeff in zip(comp.codes.tolist(), comp.coeffs.tolist()):
+            c[code] += coeff
+        return tuple(c)
+    chunk = _GRID_BUDGET // m ** k
+    plans = []
+    for lo in range(0, len(comp.codes), chunk):
+        codes = comp.codes[lo:lo + chunk]
+        levels = []
+        for j in range(k, 2, -1):
+            prefix = codes >> (j - 1)
+            up, starts, up_index = np.unique(prefix, return_index=True,
+                                             return_inverse=True)
+            nbrs, index = np.unique(codes & ((1 << (j - 1)) - 1),
+                                    return_inverse=True)
+            # column i - 1: the pattern of the pair (i, j)
+            nbrs = (nbrs[:, None] >> np.arange(j - 2, -1, -1)) & 1
+            if j == k:
+                nbrs[:, -1] += 2  # closed by a weighted transpose
+                mat = np.zeros((len(up), len(nbrs)))
+                mat[up_index, index] = comp.coeffs[lo:lo + chunk]
+                first = (nbrs, mat)
+            else:
+                levels.append((nbrs, index, starts))
+            codes = up
+        plans.append((first, tuple(levels), codes))
+    return tuple(plans)
 
 
 @functools.lru_cache(maxsize=64)
@@ -454,7 +536,7 @@ def velocity(rule, kernel, cap=None):
     comp = _compiled(rule, enumeration_cap(cap))
     out = comp.values(*_kernel_arrays(kernel))
     out = (out + out.T) / 2.0  # exact symmetry against float jitter
-    return StepKernel(kernel.weights, tuple(tuple(row) for row in out))
+    return StepKernel(kernel.weights, tuple(map(tuple, out.tolist())))
 
 
 def lipschitz_constant(k):
@@ -578,8 +660,8 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
     t = 0.0
     try:
         if v.shape == (1, 1):
-            # one part: the grid path's operations in the same order, on
-            # Python floats; a 1x1 state needs no symmetrizing
+            # one part: the multi-part loop's operations in the same
+            # order, on Python floats; a 1x1 state needs no symmetrizing
             p = float(v[0, 0])
             for step in range(n_steps):
                 dt = h if step < n_full else rem

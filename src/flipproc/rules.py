@@ -30,7 +30,7 @@ class Rule:
     """order: number of sampled vertices k.
     entries: mapping (from_bits, to_bits) -> probability, exact rationals."""
 
-    __slots__ = ("order", "entries", "_rows")
+    __slots__ = ("order", "entries", "_rows", "_hash")
 
     def __init__(self, order, entries=None):
         if order < 1:
@@ -49,6 +49,7 @@ class Rule:
             del rows[f]
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(
             self, "entries",
             {(f, h): p for f in sorted(rows) for h, p in sorted(rows[f].items())},
@@ -74,7 +75,13 @@ class Rule:
         return self.order == other.order and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.order, tuple(sorted(self.entries.items()))))
+        # computed once: a rule keys the compiled-velocity cache on every
+        # velocity() call, and hashing its Fractions takes milliseconds at
+        # order 5
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.order, tuple(sorted(self.entries.items())))))
+        return self._hash
 
     def __repr__(self):
         return f"Rule(order={self.order}, entries={len(self.entries)})"

@@ -6,10 +6,11 @@ orbit-counting lemma, coefficient sums from a term-by-term sweep over all
 rooted elements with a local canonicalizer, isomorphism, symmetrization,
 the symmetry check, edge histograms and orbit sums from a full
 permutation sweep, validity from a Fraction sum of every row, and the
-velocity from its defining sum over rows, pairs and rooted densities, the
-nearest trajectory time from a linear scan, and the simulator's start
-graph from one random() call per pair.  Generators (random rules, kernels, graphs) may use package constructors
-since they only build inputs.
+velocity from its defining sum over rows, pairs and rooted densities or
+from one grid over all part assignments, the nearest trajectory time from
+a linear scan, and the simulator's start graph from one random() call per
+pair.  Generators (random rules, kernels, graphs) may use package
+constructors since they only build inputs.
 """
 
 import itertools
@@ -258,6 +259,38 @@ def velocity_direct(rule, kernel):
             for x in range(m)
         ),
     )
+
+
+def grid_velocity(rule, kernel):
+    """The velocity on one grid over all m^k assignments of the k vertices
+    to parts, an (m, m) float array symmetrized as velocity() does: each
+    nonzero class of the certificate, its representative relabelled so
+    that the roots are vertices 1 and 2, adds coeff(C) times the product of
+    its pair factors on the whole grid, and the free vertices k, ..., 3 are
+    then placed by the part weights.  Memory m^k per class; orders 2 and
+    up."""
+    import numpy as np
+    from flipproc import coeff_vector
+    k = rule.order
+    m = kernel.num_parts
+    weights = np.array([float(w) for w in kernel.weights])
+    vals = np.array([[float(v) for v in row] for row in kernel.values])
+    density = np.zeros((m,) * k)
+    for cls, c in coeff_vector(rule).nonzero():
+        canon = cls.canon
+        old = [canon.a, canon.b]
+        old += [v for v in range(1, k + 1) if v not in old]
+        term = np.full((m,) * k, float(c))
+        for i, j in pairs_of(k):
+            shape = [1] * k
+            shape[i - 1] = shape[j - 1] = m
+            wij = vals.reshape(shape)
+            edge = canon.graph.has_edge(old[i - 1], old[j - 1])
+            term = term * (wij if edge else 1.0 - wij)
+        density += term
+    for _ in range(k - 2):
+        density = density @ weights
+    return (density + density.T) / 2.0
 
 
 def nearest_index(times, t):

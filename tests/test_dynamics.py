@@ -8,6 +8,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from flipproc import (
     coeff_vector,
     constant_kernel,
     density_formula_check,
+    dynamics,
     integrate,
     is_twinfree,
     kernel_from_json,
@@ -169,8 +171,8 @@ def test_equivalent_rules_share_velocity():
 
 
 @st.composite
-def _kernels(draw):
-    m = draw(st.integers(min_value=1, max_value=3))
+def _kernels(draw, max_parts=3):
+    m = draw(st.integers(min_value=1, max_value=max_parts))
     weights = draw(st.lists(st.integers(min_value=1, max_value=12),
                             min_size=m, max_size=m))
     unit = st.floats(min_value=0.0, max_value=1.0)
@@ -195,6 +197,52 @@ def test_equal_certificates_give_bitwise_equal_velocity(k, rng, kern):
     for other in (symmetrize(rule), relabelled):
         assert coeff_vector(other) == coeff_vector(rule)
         assert velocity(other, kern).values == velocity(rule, kern).values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.randoms(use_true_random=False),
+       _kernels(max_parts=4))
+def test_velocity_matches_grid_oracle(k, rng, kern):
+    rule = oracles.random_rule(rng, k)
+    fast = np.array(velocity(rule, kern).values)
+    grid = oracles.grid_velocity(rule, kern)
+    assert np.abs(fast - grid).max() <= 1e-12 * max(1.0, np.abs(fast).max())
+
+
+def test_velocity_values_are_python_floats():
+    two_parts = StepKernel((F(1, 3), F(2, 3)), ((0.8, 0.3), (0.3, 0.5)))
+    for rule in (TR, make_named("extremist", 5), make_named("identity", 3)):
+        for kern in (constant_kernel(0.8), two_parts):
+            values = velocity(rule, kern).values
+            assert all(type(v) is float for row in values for v in row)
+
+
+@pytest.fixture
+def fresh_plans():
+    """Velocity plans built here under a patched budget must not outlive
+    the test."""
+    dynamics._plan.cache_clear()
+    dynamics._compiled.cache_clear()
+    yield
+    dynamics._plan.cache_clear()
+    dynamics._compiled.cache_clear()
+
+
+def test_velocity_chunks_agree(monkeypatch, fresh_plans):
+    ext5 = make_named("extremist", 5)
+    kern = oracles.random_kernel(random.Random(47), 2)
+    whole = np.array(velocity(ext5, kern).values)
+    classes = len(coeff_vector(ext5).nonzero())
+    # a third of the classes per chunk on 2 parts
+    monkeypatch.setattr(dynamics, "_GRID_BUDGET", 2 ** 5 * (classes // 3))
+    dynamics._plan.cache_clear()
+    dynamics._compiled.cache_clear()
+    split = np.array(velocity(ext5, kern).values)
+    assert len(dynamics._plan(dynamics._compiled(ext5, 6), 2)) >= 3
+    assert np.abs(split - whole).max() <= 1e-12 * max(1.0, np.abs(whole).max())
+    # 4^5 cells are beyond the patched budget
+    with pytest.raises(CapExceeded, match="grid"):
+        velocity(ext5, oracles.random_kernel(random.Random(47), 4))
 
 
 def test_velocity_is_capped():
