@@ -42,6 +42,8 @@ from .equivalence import (
 )
 from .rules import (
     RuleValidationError,
+    _json_text,
+    exact_number,
     load_rule,
     make_named,
     rule_to_json,
@@ -59,7 +61,7 @@ def _emit(text, out_path):
 
 
 def _emit_json(obj, out_path):
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
+    _emit(_json_text(obj), out_path)
 
 
 def _load_valid_rule(path):
@@ -177,7 +179,7 @@ def _cmd_transference(args):
 def _cmd_named(args):
     params = {}
     if args.threshold is not None:
-        params["threshold"] = Fraction(args.threshold)
+        params["threshold"] = exact_number(args.threshold)
     if args.dist is not None:
         raw = json.loads(args.dist)
         if not isinstance(raw, dict):
@@ -185,7 +187,10 @@ def _cmd_named(args):
         if not all(isinstance(p, (int, float, str)) and not isinstance(p, bool)
                    for p in raw.values()):
             raise ValueError("--dist probabilities must be numbers or strings")
-        params["dist"] = {int(code): Fraction(p) for code, p in raw.items()}
+        params["dist"] = {
+            int(code): exact_number(p) if isinstance(p, str) else Fraction(p)
+            for code, p in raw.items()
+        }
     rule = make_named(args.family, args.k, args.cap, **params)
     validate(rule)
     _emit(rule_to_json(rule), args.out)

@@ -9,11 +9,13 @@ read at a higher order.  Rule lifting relies on this.
 
 Orbit classes of (graph, ordered root pair) triples under simultaneous
 relabelling are named by their lexicographically least member.  The census
-of one order is built once, on first use, and cached: numpy byte tables of
-the relabelling action give every graph its least image, the automorphisms
-of each such canonical graph then act on the root pairs alone, and an
-int32 table of shape (2^P, k, k) maps every triple to its class.  At order
-6 the table takes 4.7 MB; canonical_class is a lookup in it.
+of one order is built once, on first use, and cached: a sweep over the
+codes takes one orbit of graphs at a time, relabelling its least member by
+all k! permutations through numpy byte tables of the action, the
+automorphisms of each such canonical graph then act on the root pairs
+alone, and an int32 table of shape (2^P, k, k) maps every triple to its
+class.  At order 6 the table takes 4.7 MB; canonical_class is a lookup in
+it.
 """
 
 import functools
@@ -199,14 +201,19 @@ def _byte_images(k):
     fact = len(all_perms(k))
     chunks = max(1, (p + 7) // 8)
     # pair_maps[s, idx]: the bit index that all_perms(k)[s] sends idx to
-    pair_maps = np.array([
-        [pair_index(sigma[i - 1], sigma[j - 1]) for i, j in pair_list(k)]
-        for sigma in all_perms(k)
-    ], dtype=np.int64).reshape(fact, p)
-    bit_images = np.zeros((fact, chunks * 8), dtype=np.int64)
+    lo, hi = np.array(pair_list(k), dtype=np.int64).reshape(p, 2).T - 1
+    bit_of = np.zeros((k, k), dtype=np.int64)
+    bit_of[lo, hi] = bit_of[hi, lo] = np.arange(p)
+    perms = np.array(all_perms(k), dtype=np.int64) - 1
+    pair_maps = bit_of[perms[:, lo], perms[:, hi]]
+    bit_images = np.zeros((fact, chunks * 8), dtype=np.int32)
     bit_images[:, :p] = np.left_shift(1, pair_maps)
-    byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1
-    table = (bit_images.reshape(fact, chunks, 8) @ byte_bits).astype(np.int32)
+    bit_images = bit_images.reshape(fact, chunks, 8)
+    # the values with bit t set are those below 1 << t with that bit added
+    table = np.zeros((fact, chunks, 256), dtype=np.int32)
+    for t in range(8):
+        np.bitwise_or(table[:, :, : 1 << t], bit_images[:, :, t, None],
+                      out=table[:, :, 1 << t : 2 << t])
     table.flags.writeable = False
     return table
 
@@ -288,70 +295,67 @@ class _Census:
     index: np.ndarray
 
 
-def _image_keys(k, shift):
-    """Byte tables of the relabelling action, tagged with the permutation.
-
-    keys[s, j, v] is the image of the code v << 8j under all_perms(k)[s],
-    shifted left by `shift`; the byte j = 0 also carries s in the low
-    bits.  OR-ing one entry per byte of a code therefore gives
-    (image << shift) | s, and the minimum of that over s names both the
-    least image and a permutation that reaches it."""
-    keys = _byte_images(k).astype(np.int64) << shift
-    keys[:, 0, :] |= np.arange(len(keys))[:, None]
-    return keys
-
-
-def _all_codes_keys(keys_s, p):
-    """Tagged images of all 2^p codes, in code order, under one
-    permutation: the outer OR of its byte tables, high byte first."""
-    top = len(keys_s) - 1
-    out = keys_s[top, : 1 << (p - 8 * top)]
-    for j in range(top - 1, -1, -1):
-        out = (out[:, None] | keys_s[j]).ravel()
-    return out
-
-
 @functools.lru_cache(maxsize=None)  # one entry per order, and orders are capped
 def _census(k):
-    p = num_pairs(k)
-    perms = np.array(all_perms(k)) - 1
+    perms = np.array(all_perms(k), dtype=np.int8) - 1
     fact = len(perms)
-    shift = (fact - 1).bit_length()
-    keys = _image_keys(k, shift)
+    kk = k * k
+    n = 1 << num_pairs(k)
+    unseen = np.ones(n, dtype=bool)
+    graph_of = np.empty(n, dtype=np.int32)
+    perm_of = np.empty(n, dtype=np.int32)
+    everyone = np.arange(fact, dtype=np.int32)
 
-    # 1. the canonical unrooted graph of every code (its least image) and a
-    #    permutation that carries the code onto it
-    best = _all_codes_keys(keys[0], p)
-    for s in range(1, fact):
-        np.minimum(best, _all_codes_keys(keys[s], p), out=best)
-    graphs, graph_of = np.unique(best >> shift, return_inverse=True)
-    sigma = perms[best & ((1 << shift) - 1)]
+    # 1. one orbit of graphs at a time: the least code not yet seen is the
+    #    least image of its orbit, its canonical graph g, so the graphs come
+    #    in sorted order; all_perms(k)[s] carries g onto images[s]
+    graphs = []
+    auts = []
+    g = 0
+    while unseen[g]:
+        images = perm_images(k, [g])[:, 0]
+        unseen[images] = False
+        graph_of[images] = len(graphs)
+        perm_of[images] = everyone
+        graphs.append(g)
+        auts.append(np.flatnonzero(images == g))
+        g = int(unseen.argmax())
 
-    # 2. the automorphisms of each canonical graph act on the root pairs;
-    #    the least image of a pair names its class, visited in sorted order
-    #    because graphs are sorted and pairs run lexicographically
-    is_aut = perm_images(k, graphs) == graphs
-    classes = []
-    class_of = np.full((len(graphs), k, k), -1, dtype=np.int32)
-    for g_idx, g in enumerate(graphs.tolist()):
-        auts = perms[is_aut[:, g_idx]]
-        least = (auts[:, :, None] * k + auts[:, None, :]).min(axis=0)
-        for a, b in itertools.permutations(range(k), 2):
-            root = int(least[a, b])
-            if root == a * k + b:
-                # orbit-stabilizer: k! / |Aut(g)| * |Aut(g)-orbit of (a, b)|
-                size = fact // len(auts) * int(np.count_nonzero(least == root))
-                class_of[g_idx, a, b] = len(classes)
-                classes.append(OrbitClass(
-                    RootedPairGraph(GraphCode(k, g), a + 1, b + 1), size
-                ))
-            else:
-                class_of[g_idx, a, b] = class_of[g_idx, root // k, root % k]
+    # 2. the automorphisms of each graph act on its root pairs, coded
+    #    a * k + b; the least image of a pair names its class, keyed
+    #    graph * k^2 + a * k + b, so the classes come sorted by graph, then
+    #    by root pair
+    aut_counts = np.array([len(a) for a in auts])
+    pair_codes = (perms[:, :, None] * np.int8(k) + perms[:, None, :]).reshape(fact, kk)
+    least = np.minimum.reduceat(
+        pair_codes[np.concatenate(auts)], np.cumsum(aut_counts) - aut_counts)
+    least = least + (np.arange(len(graphs)) * kk)[:, None]
+    offdiag = ~np.eye(k, dtype=bool).ravel()
+    counts = np.bincount(least[:, offdiag].ravel(), minlength=len(graphs) * kk)
+    roots = np.flatnonzero(counts)
+    # orbit-stabilizer: k! / |Aut(g)| * |Aut(g)-orbit of (a, b)|
+    sizes = fact // aut_counts[roots // kk] * counts[roots]
+    codes = [GraphCode(k, g) for g in graphs]
+    classes = tuple(
+        OrbitClass(RootedPairGraph(codes[root // kk], root // k % k + 1, root % k + 1), size)
+        for root, size in zip(roots.tolist(), sizes.tolist())
+    )
+    tables = np.cumsum(counts > 0, dtype=np.int32)[least] - 1
+    tables[:, ~offdiag] = -1
 
-    # 3. every (bits, a, b), relabelled onto its canonical graph
-    index = class_of[graph_of[:, None, None], sigma[:, :, None], sigma[:, None, :]]
+    # 3. every (bits, a, b), relabelled onto its canonical graph by the
+    #    inverse of the permutation that carried that graph onto bits
+    inverse = np.argsort(perms, axis=1)
+    inverse = (inverse[:, :, None] * k + inverse[:, None, :]).reshape(fact, kk)
+    tables = tables.ravel()
+    index = np.empty((n, kk), dtype=np.int32)
+    for blk in _blocks(n, kk):
+        cell = inverse[perm_of[blk]]
+        cell += (graph_of[blk] * kk)[:, None]
+        np.take(tables, cell, out=index[blk])
+    index = index.reshape(n, k, k)
     index.flags.writeable = False
-    return _Census(tuple(classes), index)
+    return _Census(classes, index)
 
 
 def canonical_class(element, cap=None):

@@ -47,6 +47,7 @@ from .rooted import (
     rooted_version,
     vstar,
 )
+from .rules import _json_text, exact_number
 
 CLAMP_TOLERANCE = 1e-9
 
@@ -163,7 +164,7 @@ def kernel_to_json_obj(kernel):
 
 
 def kernel_to_json(kernel):
-    return json.dumps(kernel_to_json_obj(kernel), indent=2) + "\n"
+    return _json_text(kernel_to_json_obj(kernel))
 
 
 def kernel_from_json_obj(obj):
@@ -182,7 +183,7 @@ def kernel_from_json_obj(obj):
     weights = []
     for w in obj["weights"]:
         if isinstance(w, str):
-            weights.append(Fraction(w))
+            weights.append(exact_number(w))
         elif isinstance(w, int) and not isinstance(w, bool):
             weights.append(Fraction(w))
         else:

@@ -8,6 +8,7 @@ normalizes: exact zeros are dropped and a row stored as the point mass on
 its own index is dropped too, making structural equality semantic equality.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -35,24 +36,26 @@ class Rule:
     def __init__(self, order, entries=None):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        norm = {}
-        for (f, h), p in (entries or {}).items():
-            p = p if isinstance(p, Fraction) else Fraction(p)
-            if p == 0:
-                continue
-            key = (int(f), int(h))
-            norm[key] = norm[key] + p if key in norm else p
         rows = {}
-        for (f, h), p in norm.items():
-            rows.setdefault(f, {})[h] = p
-        for f in [f for f, row in rows.items() if row == {f: Fraction(1)}]:
+        for (f, h), p in (entries or {}).items():
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            if not p:
+                continue
+            f, h = int(f), int(h)
+            row = rows.get(f)
+            if row is None:
+                rows[f] = {h: p}
+            else:
+                row[h] = row[h] + p if h in row else p
+        for f in [f for f, row in rows.items() if len(row) == 1 and row.get(f) == 1]:
             del rows[f]
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(
             self, "entries",
-            {(f, h): p for f in sorted(rows) for h, p in sorted(rows[f].items())},
+            {(f, h): rows[f][h] for f in sorted(rows) for h in sorted(rows[f])},
         )
 
     def rows(self):
@@ -129,16 +132,29 @@ def validate(rule):
 
 # --------------------------------------------------------------- named rules
 
+# The last order whose complete graph, C(k, 2) bits, prints in at most
+# 4,300 digits, CPython's limit for turning an int into text: order 170
+# would need 4,325.
+MAX_NAMED_ORDER = 169
+
+
 def make_named(family, k, cap=None, **params):
     """Construct a named rule family at order k.  Families:
     identity, triangle-removal, triangle-edge-removal, complementing,
     extremist (threshold=...), clique-removal, ignorant (dist=...),
     component-completion (not implemented).  complementing, extremist and
     ignorant list all 2^C(k, 2) rows, so their order is held to the
-    enumeration cap."""
+    enumeration cap; every family stops at MAX_NAMED_ORDER."""
     family = family.replace("_", "-")
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
+    if family in ("complementing", "extremist", "ignorant"):
+        _check_cap(k, cap, f"the {family} rule")
+    if k > MAX_NAMED_ORDER:
+        raise ValueError(
+            f"named rules stop at order {MAX_NAMED_ORDER}, the last order whose "
+            f"graph codes print in 4,300 digits; got order {k}"
+        )
     P = num_pairs(k)
 
     if family == "identity":
@@ -154,9 +170,6 @@ def make_named(family, k, cap=None, **params):
             raise ValueError("triangle-edge-removal is an order-3 rule")
         third = Fraction(1, 3)
         return Rule(3, {(7, 7 ^ (1 << e)): third for e in range(3)})
-
-    if family in ("complementing", "extremist", "ignorant"):
-        _check_cap(k, cap, f"the {family} rule")
 
     if family == "complementing":
         comp = full_bits(k)
@@ -287,11 +300,102 @@ def rule_to_json_obj(rule):
 
 
 def rule_to_json(rule):
-    return json.dumps(rule_to_json_obj(rule), indent=2) + "\n"
+    return _json_text(rule_to_json_obj(rule))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _json_text(obj):
+    """json.dumps(obj, indent=2) + "\n", byte for byte, for a tree of
+    dicts with string keys, lists, tuples and JSON scalars.
+
+    With an indent, CPython's json runs its pure-Python encoder.  Here
+    the containers are laid out in Python and each leaf is encoded by
+    json itself: strings by its C encode_basestring_ascii, ints by
+    int.__repr__, and floats, booleans and None by a JSONEncoder."""
+    chunks = []
+    append = chunks.append
+    # layouts[d]: the separators inside a container at depth d, shared by
+    # every container at that depth
+    layouts = []
+
+    def put(value, depth):
+        if isinstance(value, str):
+            append(_encode_str(value))
+        elif value is None or value is True or value is False or isinstance(value, float):
+            append(_encode_scalar(value))
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                append("{}" if is_dict else "[]")
+                return
+            while len(layouts) <= depth:
+                inner = "\n" + "  " * (len(layouts) + 1)
+                layouts.append((inner, "," + inner, inner[:-2]))
+            first, sep, close = layouts[depth]
+            append("{" if is_dict else "[")
+            start = len(chunks)
+            for item in value:
+                append(sep)
+                if is_dict:
+                    if not isinstance(item, str):
+                        raise TypeError(f"keys must be str, not {item.__class__.__name__}")
+                    append(_encode_str(item))
+                    append(": ")
+                    item = value[item]
+                # the common leaves inline, the rest through put
+                kind = type(item)
+                if kind is str:
+                    append(_encode_str(item))
+                elif kind is int:
+                    append(int.__repr__(item))
+                else:
+                    put(item, depth + 1)
+            chunks[start] = first
+            append(close)
+            append("}" if is_dict else "]")
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            f"is not JSON serializable")
+
+    put(obj, 0)
+    append("\n")
+    return "".join(chunks)
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+_ENTRY_FIELDS = frozenset(("from", "to", "p"))
+
+# Input numbers are held to this many digits, counting a decimal exponent
+# as its magnitude, so that every accepted number is cheap to build and
+# prints within the 4,300 digits of CPython's integer-to-text limit.
+MAX_NUMBER_DIGITS = 1000
+
+
+@functools.lru_cache(maxsize=1024)
+def exact_number(text):
+    """The exact rational that a string such as "1/3", "0.25" or "1e-3"
+    names, parsed once per distinct string.  A string with more than
+    MAX_NUMBER_DIGITS characters before its exponent, or whose decimal
+    exponent would take its digits past that, raises ValueError before
+    any arithmetic: Fraction("1e-3000000") would build 10^3000000."""
+    body, _, exponent = text.strip().lower().partition("e")
+    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if len(body) > MAX_NUMBER_DIGITS or (magnitude.isdecimal() and (
+            len(magnitude) > 4 or len(body) + int(magnitude) > MAX_NUMBER_DIGITS)):
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise ValueError(
+            f"number {shown!r} exceeds the input budget of {MAX_NUMBER_DIGITS} "
+            f"digits, counting a decimal exponent as its magnitude"
+        )
+    return Fraction(text)  # "p/q" and decimal strings, both exact
 
 
 def rule_from_json_obj(obj):
@@ -313,25 +417,25 @@ def rule_from_json_obj(obj):
         raise ValueError("rule entries must be a list of objects")
     entries = {}
     for item in items:
-        extra = set(item) - {"from", "to", "p"}
-        if extra:
-            raise ValueError(f"unknown fields in rule entry: {sorted(extra)}")
+        if not _ENTRY_FIELDS.issuperset(item):
+            extra = sorted(set(item) - _ENTRY_FIELDS)
+            raise ValueError(f"unknown fields in rule entry: {extra}")
         try:
-            f, h = item["from"], item["to"]
+            key = f, h = item["from"], item["to"]
         except KeyError as missing:
             raise ValueError(f"rule entry is missing {missing}")
         if not _is_int(f) or not _is_int(h):
             raise ValueError("entry graph codes must be integers")
         p = item.get("p")
         if isinstance(p, str):
-            p = Fraction(p)  # accepts "p/q" and decimal strings, both exact
+            p = exact_number(p)
         elif _is_int(p):
             p = Fraction(p)
         else:
             raise ValueError(
                 f"probability must be an exact string such as \"1/3\", got {p!r}"
             )
-        entries[(f, h)] = entries.get((f, h), Fraction(0)) + p
+        entries[key] = entries[key] + p if key in entries else p
     return Rule(order, entries)
 
 

@@ -8,17 +8,24 @@ import pytest
 
 from flipproc import (
     Rule,
+    StepKernel,
+    coeff_vector,
     compare,
     constant_kernel,
+    enumerate_classes,
     kernel_to_json,
+    lift,
     make_named,
     parse_rule_json,
     rule_problems,
     rule_to_json,
     save_rule,
     symmetrize,
+    velocity,
 )
 from flipproc.cli import main
+from flipproc.dynamics import kernel_to_json_obj
+from flipproc.rules import rule_to_json_obj
 
 F = Fraction
 
@@ -370,6 +377,69 @@ def test_malformed_json_shapes(command, text, tr_file, tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def _indented(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_json_outputs_are_json_dumps_bytes(tmp_path, capsys):
+    # every JSON output is byte for byte what json.dumps(..., indent=2)
+    # writes for the library's own object
+    rules = {
+        "tr": make_named("triangle-removal", 3),
+        "ter": make_named("triangle-edge-removal", 3),
+        "ext4": make_named("extremist", 4),
+        "odd": Rule(3, {(7, 0): F(1, 3), (7, 6): F(2, 3), (1, 2): F(1, 7),
+                        (1, 1): F(6, 7)}),
+    }
+    paths = {}
+    for name, rule in rules.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_rule(rule, paths[name])
+    kernel = StepKernel([F(1, 3), F(2, 3)], [[0.8, 1e-300], [1e-300, 0.5]])
+    kernel_path = tmp_path / "w.json"
+    kernel_path.write_text(kernel_to_json(kernel))
+
+    def output(*argv):
+        assert main(list(argv)) in (0, 1)
+        return capsys.readouterr().out
+
+    for a, b in (("tr", "ter"), ("ext4", "tr"), ("odd", "tr")):
+        verdict = compare(rules[a], rules[b])
+        assert output("compare", paths[a], paths[b]) == _indented(verdict.to_json_obj())
+    for name, rule in rules.items():
+        assert output("coeffs", paths[name]) == _indented(coeff_vector(rule).to_json_obj())
+        assert output("lift", paths[name], "--to", "4") == _indented(
+            rule_to_json_obj(lift(rule, 4)))
+        assert output("velocity", paths[name], str(kernel_path)) == _indented(
+            kernel_to_json_obj(velocity(rule, kernel)))
+    for k in (2, 3, 4):
+        classes = enumerate_classes(k)
+        assert output("classes", "--k", str(k)) == _indented({
+            "order": k, "count": len(classes),
+            "classes": [cls.to_json_obj() for cls in classes],
+        })
+    for family, k in (("clique-removal", 5), ("complementing", 3), ("identity", 2)):
+        assert output("named", family, "--k", str(k)) == _indented(
+            rule_to_json_obj(make_named(family, k)))
+
+
+def test_number_budget_and_named_order_bound(tr_file, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"order": 3, "entries": [{"from": 7, "to": 0, "p": "1e-3000000"}]}')
+    assert main(["coeffs", str(path)]) == 2
+    assert "input budget" in capsys.readouterr().err
+    weights = tmp_path / "w.json"
+    weights.write_text('{"weights": ["1e-10000000"], "values": [[0.5]]}')
+    assert main(["velocity", tr_file, str(weights)]) == 2
+    assert "input budget" in capsys.readouterr().err
+    assert main(["named", "extremist", "--k", "3", "--threshold", "1e9999"]) == 2
+    assert main(["named", "ignorant", "--k", "2", "--dist", '{"0": "1e-5000"}']) == 2
+    assert "input budget" in capsys.readouterr().err
+    assert main(["named", "clique-removal", "--k", "170"]) == 2
+    assert "stop at order 169" in capsys.readouterr().err
+    assert main(["named", "clique-removal", "--k", "169"]) == 0
 
 
 def test_missing_file(capsys):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from flipproc import (
     pair_index,
     pair_list,
 )
+from flipproc.codes import _census, perm_images
 
 import oracles
 
@@ -189,6 +191,23 @@ def test_census_partitions_every_element():
         for cls in classes:
             assert counts[cls.canon.key()] == cls.size
         assert len(index) == len(classes)
+
+
+def test_census_graphs_are_least_images():
+    # the census finds each canonical graph as the least code of its orbit
+    # not seen yet; hold it to the definition, the least image of every
+    # code over all k! relabellings, a block of codes at a time
+    for k in (2, 3, 4, 5, 6):
+        census = _census(k)
+        graph = np.array([cls.canon.graph.bits for cls in census.classes])
+        diagonal = np.eye(k, dtype=bool)
+        assert (census.index[:, diagonal] == -1).all()
+        for lo in range(0, 1 << num_pairs(k), 1024):
+            codes = np.arange(lo, min(lo + 1024, 1 << num_pairs(k)))
+            least = perm_images(k, codes).min(axis=0)
+            classes = census.index[codes][:, ~diagonal]
+            assert (classes >= 0).all()
+            assert (graph[classes] == least[:, None]).all()
 
 
 def test_census_sorted_by_canonical_representative():

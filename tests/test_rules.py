@@ -27,6 +27,7 @@ from flipproc import (
     symmetrize,
     validate,
 )
+from flipproc.rules import MAX_NAMED_ORDER, _json_text, exact_number
 
 import oracles
 
@@ -264,3 +265,82 @@ def test_random_rules_round_trip():
         assert parse_rule_json(rule_to_json(r)) == r
         data = json.loads(rule_to_json(r))
         assert set(data) <= {"order", "entries", "default"}
+
+
+# ------------------------------------------------------- indented JSON text
+
+# every character, lone surrogates included, so that ASCII escaping is
+# exercised in keys and values
+_text = st.text(st.characters(exclude_categories=()), max_size=8)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(1 << 4000), max_value=1 << 4000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e16, 5e-324]),
+    _text,
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_trees)
+def test_json_text_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_json_text_edge_cases():
+    for tree in ([], {}, [[]], {"": {}}, [[], {}, [[{}]]], "", "\u00e9\n\"\\",
+                 -0.0, 10 ** 300, -(10 ** 300), [float("nan"), float("-inf")],
+                 ({"a": (1, (2,))},)):
+        assert _json_text(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [{"a": object()}, [set()], b"x", {1: 2}, {"a": {None: 1}}])
+def test_json_text_rejects_non_json_trees(tree):
+    # json would quote an int or None key; the writer serves string keys only
+    with pytest.raises(TypeError):
+        _json_text(tree)
+
+
+# ------------------------------------------------------ input number budget
+
+def test_exact_number_reads_exact_strings():
+    assert exact_number("1/3") == F(1, 3)
+    assert exact_number(" 0.25 ") == F(1, 4)
+    assert exact_number("2.5e-1") == F(1, 4)
+    assert exact_number("1E+3") == 1000
+    assert exact_number("1e-999") == F(1, 10 ** 999)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        exact_number("abc")
+
+
+@pytest.mark.parametrize("text", [
+    "1e-3000000", "1e-10000000", "1e+1000", "1e-1000", "1" * 1001,
+    "1/" + "3" * 1000, "1e" + "9" * 100000, "0.5e-99999999999999999999",
+])
+def test_exact_number_budget(text):
+    # refused before any arithmetic: a power of ten with millions of digits
+    # would take seconds to build
+    with pytest.raises(ValueError, match="input budget"):
+        exact_number(text)
+
+
+def test_named_order_bound():
+    # the complete graph of order 169 prints in 4,274 digits, order 170 in
+    # 4,325, past CPython's 4,300-digit limit
+    assert MAX_NAMED_ORDER == 169
+    for family in ("identity", "clique-removal", "triangle-removal"):
+        with pytest.raises(ValueError, match="stop at order 169"):
+            make_named(family, MAX_NAMED_ORDER + 1)
+    rule = make_named("clique-removal", MAX_NAMED_ORDER)
+    assert parse_rule_json(rule_to_json(rule)) == rule
