@@ -22,7 +22,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .codes import CapExceeded, enumerate_classes
+from .codes import CapExceeded, enumerate_classes, num_pairs
 from .dynamics import (
     IntegrationError,
     integrate,
@@ -188,13 +188,24 @@ def _cmd_named(args):
                    for p in raw.values()):
             raise ValueError("--dist probabilities must be numbers or strings")
         params["dist"] = {
-            int(code): exact_number(p) if isinstance(p, str) else Fraction(p)
+            _graph_code(code, args.k): exact_number(p) if isinstance(p, str) else Fraction(p)
             for code, p in raw.items()
         }
     rule = make_named(args.family, args.k, args.cap, **params)
     validate(rule)
     _emit(rule_to_json(rule), args.out)
     return 0
+
+
+def _graph_code(text, k):
+    """A graph code of order k read from text, its length checked against
+    the order's largest code before int() reads it."""
+    digits = math.floor(num_pairs(max(k, 1)) * math.log10(2)) + 1
+    if len(text.strip()) > digits + 1:  # one more for a sign
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise ValueError(f"graph code {shown!r} has more digits than any "
+                         f"graph code of order {k}")
+    return int(text)
 
 
 # -------------------------------------------------------------------- parser

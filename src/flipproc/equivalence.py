@@ -24,8 +24,8 @@ and the result is symmetrized), or, when every non-deterministic row is
 row.
 """
 
-import collections
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,49 +51,82 @@ from .rules import (
     is_symmetric,
     row_codes,
     validate,
+    _SMALL,
+    _codes_in_range,
+    _largest,
+    _lowest_terms,
 )
 
 
 class CoeffVector:
-    """The coefficients of every orbit class at one order: `values[i]`
-    belongs to `classes[i]`, in census order."""
+    """The coefficients of every orbit class at one order, `classes` in
+    census order: coefficient i is nums[i] / denom, integers in lowest
+    terms (denom is the least common denominator).  `values`, the same
+    coefficients as Fractions, is built on first use."""
 
-    __slots__ = ("order", "classes", "values")
+    __slots__ = ("order", "classes", "denom", "nums", "_values")
 
     def __init__(self, order, classes, values):
+        values = [v if type(v) is Fraction else Fraction(v) for v in values]
+        denom = math.lcm(*[v.denominator for v in values])
+        self._store(order, classes,
+                    [v.numerator * (denom // v.denominator) for v in values], denom)
+
+    @classmethod
+    def _from_numerators(cls, order, classes, nums, denom):
+        """The vector nums[i] / denom, for a list or array of integers."""
+        vector = cls.__new__(cls)
+        vector._store(order, classes, nums, denom)
+        return vector
+
+    def _store(self, order, classes, nums, denom):
+        nums, denom = _lowest_terms(nums, denom)
         self.order = order
         self.classes = tuple(classes)
-        self.values = tuple(values)
+        self.denom = denom
+        self.nums = tuple(nums.tolist())
+        self._values = None
+
+    @property
+    def values(self):
+        if self._values is None:
+            shares = {n: Fraction(n, self.denom) for n in set(self.nums)}
+            self._values = tuple(map(shares.__getitem__, self.nums))
+        return self._values
 
     def __getitem__(self, cls):
         if cls.order != self.order:
             raise KeyError(cls)
         root = cls.canon
         pos = _census(self.order).index[root.graph.bits, root.a - 1, root.b - 1]
-        return self.values[pos]
+        return Fraction(self.nums[pos], self.denom)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffVector):
             return NotImplemented
-        return self.order == other.order and self.values == other.values
+        # lowest terms make the integer form unique
+        return (self.order == other.order and self.denom == other.denom
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.order, self.values))
+        return hash((self.order, self.denom, self.nums))
 
     def items(self):
         return list(zip(self.classes, self.values))
 
     def nonzero(self):
-        return [(cls, c) for cls, c in self.items() if c != 0]
+        return [(cls, Fraction(n, self.denom))
+                for cls, n in zip(self.classes, self.nums) if n]
 
     def is_zero(self):
-        return not any(self.values)
+        return not any(self.nums)
 
     def to_json_obj(self):
+        text = {n: str(Fraction(n, self.denom)) for n in set(self.nums)}
         out = []
-        for cls, c in self.items():
+        for cls, n in zip(self.classes, self.nums):
             entry = cls.to_json_obj()
-            entry["coeff"] = str(c)
+            entry["coeff"] = text[n]
             out.append(entry)
         return out
 
@@ -149,27 +182,25 @@ def coeff_vector(rule, cap=None):
     k = rule.order
     classes = enumerate_classes(k, cap)
     if not classes:
-        return CoeffVector(k, classes, ())
+        return CoeffVector._from_numerators(k, classes, (), 1)
     p = num_pairs(k)
     # integer numerators over the common denominator; each row also enters
     # as a diagonal term of numerator -denom, which subtracts f's own pairs
+    f, h = entry_codes(rule)
     rows = row_codes(rule)
     denom, nums = entry_numerators(rule)
-    f, h = entry_codes(rule)
-    f = np.concatenate([f, rows])
-    h = np.concatenate([h, rows])
-    # f | h is negative, or holds a bit past p, exactly when f or h does
-    either = f | h
-    if either.size and (either.min() < 0 or either.max() >> p):
+    if not _codes_in_range(f, h, p):
         raise ValueError(f"graph codes out of range for order {k}")
-    nums += [-denom] * len(rows)
     # each term enters at most 2p class sums, so no sum can exceed 2p times
     # the total |numerator|; beyond int64, exact Python integers
-    dtype = np.int64 if 2 * p * sum(map(abs, nums)) < 1 << 62 else object
-    nums = np.array(nums, dtype=dtype)
-
-    order = np.argsort(f, kind="stable")
-    f, h, nums = f[order], h[order], nums[order]
+    bound = 2 * p * (len(nums) + len(rows)) * _largest(nums, denom)
+    dtype = np.int64 if bound < _SMALL else object
+    # the entries, then the diagonal terms: each half is sorted by row, so
+    # a run of equal f holds terms of one row, and both runs of a row add
+    # into its classes
+    f = np.concatenate([f, rows])
+    h = np.concatenate([h, rows])
+    nums = np.concatenate([nums.astype(dtype), np.full(len(rows), -denom, dtype=dtype)])
     index = _census(k).index
     first, second = np.array(pair_list(k)).T - 1
     acc = np.zeros(len(classes), dtype=dtype)
@@ -181,9 +212,7 @@ def coeff_vector(rule, cap=None):
         graphs = fb[starts, None]
         np.add.at(acc, index[graphs, first, second], z)
         np.add.at(acc, index[graphs, second, first], z)
-    zero = Fraction(0)
-    values = [Fraction(c, denom) if c else zero for c in acc.tolist()]
-    return CoeffVector(k, classes, values)
+    return CoeffVector._from_numerators(k, classes, acc, denom)
 
 
 def lift(rule, to, cap=None):
@@ -196,16 +225,18 @@ def lift(rule, to, cap=None):
         raise ValueError(f"cannot lift an order-{k1} rule down to order {to}")
     _check_cap(to, cap, "lifting")
     if to == k1:
-        return Rule(k1, dict(rule.entries))
+        return rule
     low = num_pairs(k1)
-    hi_count = num_pairs(to) - low
-    entries = {}
-    for f, row in rule.rows().items():
-        for hi in range(1 << hi_count):
-            top = hi << low
-            for h, p in row.items():
-                entries[(top | f, top | h)] = p
-    return Rule(to, entries)
+    f, h = entry_codes(rule)
+    if not _codes_in_range(f, h, low):
+        raise ValueError(f"graph codes out of range for order {k1}")
+    # the top bits lie above every code of the rule, so the lifted codes
+    # are sorted top by top
+    tops = np.arange(1 << (num_pairs(to) - low), dtype=np.int64)[:, None] << low
+    denom, nums = entry_numerators(rule)
+    return Rule._from_numerators(
+        to, (tops | f).ravel(), (tops | h).ravel(),
+        np.broadcast_to(nums, (len(tops), len(nums))).ravel(), denom)
 
 
 def compare(rule1, rule2, cap=None):
@@ -216,30 +247,36 @@ def compare(rule1, rule2, cap=None):
                     for rule in (rule1, rule2))
     v1 = coeff_vector(rule1, cap)
     v2 = coeff_vector(rule2, cap)
-    differing = next(
-        (cls for cls, a1, a2 in zip(v1.classes, v1.values, v2.values)
-         if a1 != a2),
-        None,
-    )
+    differing = _first_difference(v1, v2)
     return EquivalenceVerdict(differing is None, to, (v1, v2), differing)
+
+
+def _first_difference(v1, v2):
+    """The first class where two certificates of one order differ, or
+    None; the numerators are cross-multiplied, as the denominators of two
+    unequal certificates may differ."""
+    if v1 == v2:
+        return None
+    d1, d2 = v1.denom, v2.denom
+    return next(cls for cls, a1, a2 in zip(v1.classes, v1.nums, v2.nums)
+                if a1 * d2 != a2 * d1)
 
 
 def _dilation(v1, v2):
     """The positive rational C with v1 = C * v2 for two certificates of one
     order; 1 for two zero vectors, None without positive proportionality."""
-    factor = None
-    for a1, a2 in zip(v1.values, v2.values):
-        if a2 == 0:
-            if a1 != 0:
+    ref = None  # the numerators at the first class where v2 is nonzero
+    for a1, a2 in zip(v1.nums, v2.nums):
+        if not a2:
+            if a1:
                 return None
-            continue
-        c = a1 / a2
-        if factor is None:
-            factor = c
-        elif factor != c:
+        elif ref is None:
+            ref = a1, a2
+        elif a1 * ref[1] != ref[0] * a2:
             return None
-    if factor is None:
+    if ref is None:
         return Fraction(1)
+    factor = Fraction(ref[0] * v2.denom, ref[1] * v1.denom)
     return factor if factor > 0 else None
 
 
@@ -253,33 +290,37 @@ def dilation_factor(rule1, rule2, cap=None):
 # -------------------------------------------------------------- symmetrization
 
 def _orbit_sums(rule, cap=None):
-    """(denom, {key: [mass, size]}) for every relabelling orbit of index
-    pairs that an explicit row touches: key from pair_orbits, mass the
-    orbit's total as a numerator over denom, size its member count.
-    Relabelled identity rows add mass 1 on their diagonal, and a touched
-    row's diagonal orbit is listed even at mass 0.  An orbit left out holds
-    identity rows only: mass = size on the diagonal, 0 elsewhere."""
+    """(denom, keys, masses, sizes) for every relabelling orbit of index
+    pairs that an explicit row touches, in increasing key order: keys from
+    pair_orbits, masses the orbits' totals as numerators over denom, sizes
+    their member counts.  Relabelled identity rows add mass 1 on their
+    diagonal, and a touched row's diagonal orbit is listed even at mass 0.
+    An orbit left out holds identity rows only: mass = size on the
+    diagonal, 0 elsewhere."""
     k = rule.order
     _check_cap(k, cap, "relabelling sweep")
-    explicit = row_codes(rule)
-    row_keys, _ = pair_orbits(k, explicit, explicit)
-    diag_keys = sorted(set(row_keys.tolist()))
-    diagonals, owners = orbit_members(k, diag_keys)
-    diag_sizes = np.bincount(owners, minlength=len(diag_keys)).tolist()
-    # identity rows per diagonal orbit, counted in the order of members
-    implicit = ~np.isin(diagonals & full_bits(k), explicit)
-    identity = collections.Counter(owners[implicit].tolist())
     f, h = entry_codes(rule)
-    keys, sizes = pair_orbits(k, f, h)
+    explicit = row_codes(rule)
     denom, nums = entry_numerators(rule)
-    sums = {}
-    for key, num, size in zip(keys.tolist(), nums, sizes.tolist()):
-        sums.setdefault(key, [0, size])[0] += num
-    for o, count in identity.items():
-        sums.setdefault(diag_keys[o], [0, diag_sizes[o]])[0] += count * denom
-    for key, size in zip(diag_keys, diag_sizes):
-        sums.setdefault(key, [0, size])
-    return denom, sums
+    row_keys, _ = pair_orbits(k, explicit, explicit)
+    # sorted in Python: np.unique without index outputs imports numpy.ma
+    diag_keys = np.array(sorted(set(row_keys.tolist())), dtype=np.int64)
+    diagonals, owners = orbit_members(k, diag_keys)
+    diag_sizes = np.bincount(owners, minlength=len(diag_keys))
+    # identity rows per diagonal orbit, each of numerator denom
+    implicit = ~np.isin(diagonals & full_bits(k), explicit)
+    identity = np.bincount(owners[implicit], minlength=len(diag_keys))
+    entry_keys, entry_sizes = pair_orbits(k, f, h)
+    keys, first, inverse = np.unique(np.concatenate([entry_keys, diag_keys]),
+                                     return_index=True, return_inverse=True)
+    sizes = np.concatenate([entry_sizes, diag_sizes])[first]
+    # no mass can pass the total |numerator| of the entries and identities
+    bound = (len(nums) + int(identity.sum())) * _largest(nums, denom)
+    dtype = np.int64 if bound < _SMALL else object
+    masses = np.zeros(len(keys), dtype=dtype)
+    np.add.at(masses, inverse, np.concatenate(
+        [nums.astype(dtype), identity.astype(dtype) * denom]))
+    return denom, keys, masses, sizes
 
 
 def symmetrize(rule, cap=None):
@@ -287,16 +328,22 @@ def symmetrize(rule, cap=None):
     The result is symmetric, row-stochastic whenever the input is, and has
     the same coefficient vector, hence the same trajectories."""
     k = rule.order
-    denom, sums = _orbit_sums(rule, cap)
-    # every member of an orbit gets the orbit's mass over its size
-    shares = [(key, Fraction(num, denom * size))
-              for key, (num, size) in sums.items() if num]
-    members, owners = orbit_members(k, [key for key, _ in shares])
-    p, mask = num_pairs(k), full_bits(k)
-    return Rule(k, {
-        (m >> p, m & mask): shares[o][1]
-        for m, o in zip(members.tolist(), owners.tolist())
-    })
+    denom, keys, masses, sizes = _orbit_sums(rule, cap)
+    held = masses != 0
+    keys, masses, sizes = keys[held], masses[held], sizes[held]
+    # every member of an orbit gets the orbit's mass over its size, which
+    # is masses * (lcm / sizes) over denom * lcm for the lcm of the sizes
+    lcm = math.lcm(*sizes.tolist())
+    if masses.dtype != object and _largest(masses, 1) * lcm >= _SMALL:
+        masses = masses.astype(object)
+    shares = masses * (lcm // sizes)
+    members, owners = orbit_members(k, keys)
+    # member codes f << P | h sort as the pairs (f, h) do
+    order = np.argsort(members)
+    members = members[order]
+    return Rule._from_numerators(
+        k, members >> num_pairs(k), members & full_bits(k),
+        shares[owners[order]], denom * lcm)
 
 
 # ----------------------------------------------------------------- uniqueness
@@ -410,9 +457,9 @@ def check_k1(rule1, rule2, cap=None):
 
     def listed(rule):
         # the sums that differ from an orbit of identity rows alone
-        denom, sums = _orbit_sums(rule, cap)
+        denom, keys, masses, sizes = _orbit_sums(rule, cap)
         out = {}
-        for key, (num, size) in sums.items():
+        for key, num, size in zip(keys.tolist(), masses.tolist(), sizes.tolist()):
             default = size if key >> p == key & mask else 0
             if num != default * denom:
                 out[key] = Fraction(num, denom)

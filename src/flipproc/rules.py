@@ -6,10 +6,13 @@ Rows without explicit entries are identity rows (keep F with probability 1),
 so sparse rules stay sparse under every operation here.  Construction
 normalizes: exact zeros are dropped and a row stored as the point mass on
 its own index is dropped too, making structural equality semantic equality.
+
+A rule holds its entries as integer numerators over one denominator, the
+least common one, beside the sorted from and to codes.  The Fraction views
+(`entries`, `rows()`) are built on first use.
 """
 
 import functools
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -27,47 +30,157 @@ class RuleValidationError(ValueError):
         super().__init__("invalid rule: " + "; ".join(self.problems))
 
 
+# Exact integers below this bound in magnitude are held in int64 arrays, so
+# that sums of a few of them, and their comparisons with the denominator,
+# stay within int64; larger ones are held as Python integers.
+_SMALL = 1 << 62
+
+
+def _int_array(values):
+    """Integers as an int64 array when every one fits, else as an object
+    array of Python integers."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        out = np.empty(len(values), dtype=object)
+        out[:] = list(values)
+        return out
+
+
+def _numerator_array(nums, denom):
+    """Numerators as an int64 array when they and the denominator are
+    below _SMALL in magnitude, else as an object array."""
+    nums = _int_array(nums)
+    if nums.dtype == object:
+        small = denom < _SMALL and all(-_SMALL < n < _SMALL for n in nums.tolist())
+        return nums.astype(np.int64) if small else nums
+    if denom >= _SMALL or (nums.size and (nums.min() <= -_SMALL or nums.max() >= _SMALL)):
+        return nums.astype(object)
+    return nums
+
+
+def _lowest_terms(nums, denom):
+    """(nums, denom) with their common factor divided out, so that denom
+    is the least common denominator of the fractions nums[i] / denom;
+    nums as _numerator_array gives them."""
+    nums = _numerator_array(nums, denom)
+    if nums.dtype == object:
+        g = math.gcd(denom, *nums.tolist())
+    else:
+        g = math.gcd(denom, int(np.gcd.reduce(nums)) if nums.size else 0)
+    if g == 1:
+        return nums, denom
+    return _numerator_array(nums // g, denom // g), denom // g
+
+
+def _largest(nums, denom):
+    """The largest of denom and every |nums[i]|, a bound for sums."""
+    return max(denom, int(abs(nums).max()) if nums.size else 0)
+
+
+def _codes_in_range(f, h, p):
+    """Whether every code in the int64 arrays f and h is in [0, 2^p)."""
+    # f | h is negative, or holds a bit past p, exactly when f or h does
+    either = f | h
+    return not either.size or (either.min() >= 0 and (p >= 63 or not either.max() >> p))
+
+
+def _row_starts(f):
+    """Positions where a run of equal codes starts in the sorted array f."""
+    if not len(f):
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(np.concatenate(([True], f[1:] != f[:-1])))
+
+
 class Rule:
     """order: number of sampled vertices k.
     entries: mapping (from_bits, to_bits) -> probability, exact rationals."""
 
-    __slots__ = ("order", "entries", "_rows", "_hash")
+    __slots__ = ("order", "_f", "_h", "_nums", "_denom", "_starts",
+                 "_entries", "_rows", "_hash")
 
     def __init__(self, order, entries=None):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        rows = {}
+        merged = {}
         for (f, h), p in (entries or {}).items():
             if type(p) is not Fraction:
                 p = Fraction(p)
-            if not p:
-                continue
-            f, h = int(f), int(h)
-            row = rows.get(f)
-            if row is None:
-                rows[f] = {h: p}
-            else:
-                row[h] = row[h] + p if h in row else p
-        for f in [f for f, row in rows.items() if len(row) == 1 and row.get(f) == 1]:
-            del rows[f]
+            if p:
+                key = int(f), int(h)
+                merged[key] = merged[key] + p if key in merged else p
+        keys = sorted(merged)
+        probs = [merged[key] for key in keys]
+        denom = math.lcm(*[p.denominator for p in probs])
+        nums = [p.numerator * (denom // p.denominator) for p in probs]
+        f = _int_array([f for f, _ in keys])
+        h = _int_array([h for _, h in keys])
+        self._store(order, f, h, nums, denom)
+
+    @classmethod
+    def _from_numerators(cls, order, f, h, nums, denom):
+        """The rule with entries (f[i], h[i]) -> nums[i] / denom, for code
+        arrays sorted by (from, to) without repeated pairs, as the library
+        builds them.  Normalizes like the constructor."""
+        rule = cls.__new__(cls)
+        rule._store(order, f, h, nums, denom)
+        return rule
+
+    def _store(self, order, f, h, nums, denom):
+        nums, denom = _lowest_terms(nums, denom)
+        keep = nums != 0
+        if not keep.all():
+            f, h, nums = f[keep], h[keep], nums[keep]
+        starts = _row_starts(f)
+        # identity point rows: one entry, on the diagonal, of probability 1
+        single = starts[np.diff(starts, append=len(f)) == 1]
+        point = single[(f[single] == h[single]) & (nums[single] == denom)]
+        if point.size:
+            keep = np.ones(len(f), dtype=bool)
+            keep[point] = False
+            f, h, nums = f[keep], h[keep], nums[keep]
+            starts = _row_starts(f)
+        for array in (f, h, nums, starts):
+            array.flags.writeable = False  # shared with callers, never copied
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_f", f)
+        object.__setattr__(self, "_h", h)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_denom", denom)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(
-            self, "entries",
-            {(f, h): rows[f][h] for f in sorted(rows) for h in sorted(rows[f])},
-        )
+
+    @property
+    def entries(self):
+        """{(from_bits, to_bits): probability} in (from, to) order."""
+        if self._entries is None:
+            nums = self._nums.tolist()
+            shares = {n: Fraction(n, self._denom) for n in set(nums)}
+            object.__setattr__(self, "_entries", dict(zip(
+                zip(self._f.tolist(), self._h.tolist()), map(shares.__getitem__, nums))))
+        return self._entries
 
     def rows(self):
         """Explicit rows only, as {from_bits: {to_bits: probability}}."""
+        if self._rows is None:
+            rows = {}
+            for (f, h), p in self.entries.items():
+                row = rows.get(f)
+                if row is None:
+                    rows[f] = {h: p}
+                else:
+                    row[h] = p
+            object.__setattr__(self, "_rows", rows)
         return self._rows
 
     def row(self, f):
         """The explicit row for f, or None when f is an identity row."""
-        return self._rows.get(f)
+        return self.rows().get(f)
 
     def probability(self, f, h):
-        row = self._rows.get(f)
+        row = self.rows().get(f)
         if row is None:
             return Fraction(1) if f == h else Fraction(0)
         return row.get(h, Fraction(0))
@@ -75,52 +188,78 @@ class Rule:
     def __eq__(self, other):
         if not isinstance(other, Rule):
             return NotImplemented
-        return self.order == other.order and self.entries == other.entries
+        return (self.order == other.order and self._denom == other._denom
+                and np.array_equal(self._f, other._f)
+                and np.array_equal(self._h, other._h)
+                and np.array_equal(self._nums, other._nums))
 
     def __hash__(self):
         # computed once: a rule keys the compiled-velocity cache on every
-        # velocity() call, and hashing its Fractions takes milliseconds at
-        # order 5
+        # velocity() call
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                (self.order, tuple(sorted(self.entries.items())))))
+            # the dtype follows the values, so int64 bytes are canonical
+            parts = [a.tobytes() if a.dtype != object else tuple(a.tolist())
+                     for a in (self._f, self._h, self._nums)]
+            object.__setattr__(self, "_hash", hash((self.order, self._denom, *parts)))
         return self._hash
 
+    def __reduce__(self):
+        # the canonical arrays only: the views and the hash are rebuilt, as
+        # bytes hash differently in every process
+        return Rule._from_numerators, (
+            self.order, self._f, self._h, self._nums, self._denom)
+
     def __repr__(self):
-        return f"Rule(order={self.order}, entries={len(self.entries)})"
+        return f"Rule(order={self.order}, entries={len(self._nums)})"
 
 
 def entry_numerators(rule):
-    """(denom, nums): the explicit entries over their common denominator,
-    nums[i] / denom == the i-th entry, as Python integers."""
-    denom = math.lcm(*(p.denominator for p in rule.entries.values()))
-    return denom, [p.numerator * (denom // p.denominator)
-                   for p in rule.entries.values()]
+    """(denom, nums): the explicit entries over their least common
+    denominator, nums[i] / denom == the i-th entry, as a read-only array:
+    int64 when the numbers are small, else Python integers."""
+    return rule._denom, rule._nums
 
 
-def rule_problems(rule):
-    """Every validation violation, as human-readable strings, found on the
-    integer numerators; codes stay Python ints, as JSON can pass int64."""
+def _exact_problems(rule):
+    """rule_problems on Python integers, for any size of code or number."""
     problems = []
     limit = 1 << num_pairs(rule.order)
-    denom, nums = entry_numerators(rule)
-    # entries are sorted by (from, to), so each row's entries are adjacent
-    terms = zip(rule.entries.items(), nums)
-    for f, row in itertools.groupby(terms, key=lambda term: term[0][0][0]):
+    denom = rule._denom
+    fs, hs, nums = rule._f.tolist(), rule._h.tolist(), rule._nums.tolist()
+    bounds = rule._starts.tolist() + [len(nums)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        f = fs[lo]
         if not 0 <= f < limit:
             problems.append(f"row index {f} out of range for order {rule.order}")
         total = 0
-        for ((_, h), p), num in row:
+        for h, num in zip(hs[lo:hi], nums[lo:hi]):
             if not 0 <= h < limit:
                 problems.append(
                     f"replacement index {h} out of range for order {rule.order}"
                 )
             if num < 0 or num > denom:
-                problems.append(f"entry ({f} -> {h}) has probability {p} outside [0, 1]")
+                problems.append(f"entry ({f} -> {h}) has probability "
+                                f"{Fraction(num, denom)} outside [0, 1]")
             total += num
         if total != denom:
             problems.append(f"row {f} has row sum {Fraction(total, denom)}")
     return problems
+
+
+def rule_problems(rule):
+    """Every validation violation, as human-readable strings.  A rule whose
+    codes fit int64 and whose row sums cannot pass 2^62 is checked in
+    numpy; one found invalid there, or too large for it, is checked again
+    on Python integers, which word the problems."""
+    f, h, nums, denom = rule._f, rule._h, rule._nums, rule._denom
+    if not len(nums):
+        return []
+    if f.dtype != object and nums.dtype != object and len(nums) * denom < _SMALL:
+        if (_codes_in_range(f, h, num_pairs(rule.order))
+                and nums.min() >= 0 and nums.max() <= denom
+                and (np.add.reduceat(nums, rule._starts) == denom).all()):
+            return []
+    return _exact_problems(rule)
 
 
 def validate(rule):
@@ -215,24 +354,18 @@ def _reject_params(family, params):
         raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
 
 
-def _int64_codes(codes, k):
-    """Graph codes as an int64 array; a code past int64 is out of range at
-    every order that the numpy tables reach."""
-    try:
-        return np.array(codes, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"graph codes out of range for order {k}") from None
-
-
 def entry_codes(rule):
-    """The explicit entries' (from_bits, to_bits) as two int64 arrays, in
-    entry order."""
-    return _int64_codes(list(rule.entries), rule.order).reshape(-1, 2).T
+    """The explicit entries' (from_bits, to_bits) as two read-only int64
+    arrays, in entry order; a code past int64 is out of range at every
+    order that the numpy tables reach."""
+    if rule._f.dtype == object or rule._h.dtype == object:
+        raise ValueError(f"graph codes out of range for order {rule.order}")
+    return rule._f, rule._h
 
 
 def row_codes(rule):
     """The explicit rows' from_bits as an int64 array, in row order."""
-    return _int64_codes(list(rule.rows()), rule.order)
+    return entry_codes(rule)[0][rule._starts]
 
 
 # ----------------------------------------------------------------- predicates
@@ -252,22 +385,19 @@ def is_symmetric(rule, cap=None):
     k = rule.order
     _check_cap(k, cap, "symmetry check")
     keys, sizes = pair_orbits(k, *entry_codes(rule))
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
     if not np.array_equal(counts[inverse], sizes):
         return False
-    first = {}
-    for key, p in zip(keys.tolist(), rule.entries.values()):
-        if first.setdefault(key, p) != p:
-            return False
-    return True
+    # one denominator: equal probabilities have equal numerators
+    nums = rule._nums
+    return np.array_equal(nums, nums[first][inverse])
 
 
 def is_deterministic(rule):
     """Every row is a point mass."""
-    return all(
-        len(row) == 1 and next(iter(row.values())) == 1
-        for row in rule.rows().values()
-    )
+    nums = rule._nums
+    return len(rule._starts) == len(nums) and bool((nums == rule._denom).all())
 
 
 def ignorant_edge_count(rule):
@@ -289,11 +419,13 @@ def ignorant_edge_count(rule):
 # -------------------------------------------------------------- serialization
 
 def rule_to_json_obj(rule):
+    nums = rule._nums.tolist()
+    text = {n: str(Fraction(n, rule._denom)) for n in set(nums)}
     return {
         "order": rule.order,
         "entries": [
-            {"from": f, "to": h, "p": str(p)}
-            for (f, h), p in rule.entries.items()
+            {"from": f, "to": h, "p": text[n]}
+            for f, h, n in zip(rule._f.tolist(), rule._h.tolist(), nums)
         ],
         "default": "identity",
     }

@@ -1,10 +1,17 @@
 """End-to-end command line checks: golden outputs, exit codes, and the
 stdout/stderr split."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipproc import (
     Rule,
@@ -86,6 +93,21 @@ def test_named_with_parameters(capsys):
 def test_named_dist_rejects_non_numbers(capsys, dist):
     assert main(["named", "ignorant", "--k", "3", "--dist", dist]) == 2
     assert "--dist" in capsys.readouterr().err
+
+
+def test_named_dist_rejects_long_codes(capsys):
+    # the length is checked before int() reads the code, so CPython's
+    # 4,300-digit limit is never reached
+    assert main(["named", "ignorant", "--k", "3",
+                 "--dist", json.dumps({"9" * 5000: 1})]) == 2
+    err = capsys.readouterr().err
+    assert "more digits than any graph code of order 3" in err
+    assert "4300" not in err
+    assert main(["named", "ignorant", "--k", "3", "--dist", '{" +7 ": 1}']) == 0
+    capsys.readouterr()
+    # short enough to read, and then out of range
+    assert main(["named", "ignorant", "--k", "3", "--dist", '{"70": 1}']) == 2
+    assert "out of range for order 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["complementing", "extremist", "ignorant"])
@@ -452,3 +474,152 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------------- exit codes
+
+_RULE_OBJS = [rule_to_json_obj(rule) for rule in (
+    make_named("triangle-removal", 3),
+    make_named("identity", 1),
+    Rule(2, {(1, 0): F(1, 3), (1, 1): F(2, 3)}),
+    Rule(4, {(3, 0): F(1, 3), (3, 12): F(2, 3)}),
+)]
+_KERNEL_OBJS = [kernel_to_json_obj(kernel) for kernel in (
+    constant_kernel(0.8),
+    StepKernel([F(1, 3), F(2, 3)], [[0.8, 0.3], [0.3, 0.5]]),
+)]
+_ODD_VALUES = st.sampled_from([
+    None, True, -1, 0, 1, 2, 5, 7, 64, 1 << 63, 10 ** 30, 1.5, float("nan"),
+    "", "1/3", "0", "-1", "2", "1/0", "nan", "inf", "1e-400", "1e999999",
+    "abc", [], {}, [[0.5]], ["1"],
+])
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _file_text(draw, objs, fields):
+    """A valid file, one with a field, an entry field or a nested value
+    replaced by an odd value, or arbitrary JSON or text."""
+    how = draw(st.sampled_from(["valid", "valid", "near", "near", "arbitrary", "text"]))
+    if how == "arbitrary":
+        return json.dumps(draw(_json_values))
+    if how == "text":
+        return draw(st.sampled_from(["", "{", "[1, 2", "NaN", '{"order": 3']))
+    obj = json.loads(json.dumps(draw(st.sampled_from(objs))))
+    if how == "near":
+        target = obj
+        key = draw(st.sampled_from(fields))
+        if isinstance(obj.get(key), list) and obj[key] and draw(st.booleans()):
+            target = obj[key]
+            key = draw(st.integers(min_value=0, max_value=len(target) - 1))
+            if isinstance(target[key], (dict, list)) and draw(st.booleans()):
+                target = target[key]
+                key = draw(st.sampled_from(sorted(target) if isinstance(target, dict)
+                                           else range(len(target))))
+        if isinstance(target, dict) and draw(st.booleans()) and key in target:
+            del target[key]
+        else:
+            target[key] = draw(_ODD_VALUES)
+    return json.dumps(obj)
+
+
+# argument values: ones that run, and odd ones
+_VALUES = {
+    "k": (["1", "2", "3", "4"], ["-1", "0", "7", "170", "1e3", "x", str(10 ** 30)]),
+    "time": (["0.01", "0.1", "0.5"], ["0", "-1", "nan", "inf", "1e-300", "1e300", "abc"]),
+    "dt": (["0.01", "0.1"], ["1e-300", "5", "nan"]),
+    "n": (["2", "5", "12"], ["-1", "0", "x"]),
+    "seed": (["0", "7"], ["-5", "x"]),
+    "runs": (["1", "2"], ["0", "-1"]),
+    "cap": (["5", "6"], ["-1", "0", "2", "x"]),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """argv for one subcommand: R, R2 and K name rule and kernel files, W
+    a witness path.  Most arguments run; in about half of the examples
+    each may be odd instead."""
+    odd = draw(st.booleans())
+
+    def value(name):
+        runs, rest = _VALUES[name]
+        return draw(st.sampled_from(runs + rest if odd else runs))
+
+    command = draw(st.sampled_from([
+        "classes", "coeffs", "compare", "lift", "symmetrize", "unique", "k1",
+        "velocity", "integrate", "simulate", "transference", "named"]))
+    argv = [command]
+    if command == "classes":
+        argv += ["--k", value("k")]
+    elif command in ("coeffs", "symmetrize"):
+        argv += ["R"]
+    elif command in ("compare", "k1"):
+        argv += ["R", draw(st.sampled_from(["R", "R2"]))]
+        if command == "compare" and draw(st.booleans()):
+            argv += ["--dilation"]
+    elif command == "lift":
+        argv += ["R", "--to", value("k")]
+    elif command == "unique":
+        argv += ["R"] + (["--witness", "W"] if draw(st.booleans()) else [])
+    elif command == "velocity":
+        argv += ["R", "K"]
+    elif command == "integrate":
+        argv += ["R", "K", "--t-max", value("time"), "--dt", value("dt")]
+        if draw(st.booleans()):
+            argv += ["--expert-nongraphon"]
+    elif command in ("simulate", "transference"):
+        argv += ["R", "--n", value("n"), "--w0", "K", "--time", value("time"),
+                 "--seed", value("seed"), "--runs", value("runs")]
+        if command == "transference":
+            argv += ["--eps", value("time")]
+    else:
+        argv += [draw(st.sampled_from(["identity", "triangle-removal", "complementing",
+                                       "extremist", "ignorant", "clique-removal",
+                                       "component-completion", "nope"])),
+                 "--k", value("k")]
+        if draw(st.booleans()):
+            argv += ["--dist", json.dumps(draw(st.one_of(
+                _json_values, st.dictionaries(
+                    st.sampled_from(["0", "7", "-1", " 3", "x", "9" * 40]),
+                    _ODD_VALUES, max_size=2))))]
+        if draw(st.booleans()):
+            argv += ["--threshold", value("time")]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        argv = ["--cap", value("cap")] + argv
+    return argv
+
+
+# one example takes well under a second; the bound leaves room for a slow host
+_EXAMPLE_SECONDS = 5.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invocations(),
+       _file_text(_RULE_OBJS, ["order", "entries", "default", "extra"]),
+       _file_text(_RULE_OBJS, ["order", "entries"]),
+       _file_text(_KERNEL_OBJS, ["weights", "values", "extra"]))
+def test_every_invocation_exits_with_a_documented_code(argv, rule, rule2, kernel):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"R": rule, "R2": rule2, "K": kernel}
+        for name, text in paths.items():
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        paths["W"] = os.path.join(tmp, "witness.json")
+        argv = [paths.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert elapsed < _EXAMPLE_SECONDS, argv

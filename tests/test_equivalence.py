@@ -1,6 +1,8 @@
 """Coefficient vectors, cross-order comparison, dilation, symmetrization,
 uniqueness classification, and the orbit-sum conjecture check."""
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from flipproc import (
     CapExceeded,
+    CoeffVector,
     GraphCode,
     K1_BANNER,
     RootedPairGraph,
@@ -20,6 +23,7 @@ from flipproc import (
     coeff_vector,
     compare,
     dilation_factor,
+    enumerate_classes,
     is_deterministic,
     is_symmetric,
     lift,
@@ -28,6 +32,7 @@ from flipproc import (
     symmetrize,
 )
 from flipproc.codes import num_pairs
+from flipproc.equivalence import _first_difference
 
 import oracles
 
@@ -355,6 +360,18 @@ def test_uniqueness_witness_for_single_edge_jumps():
     assert is_symmetric(_verified_witness(gap))
 
 
+def test_marginal_witness_toggles_a_pair_of_the_smaller_graph():
+    # the first row, 1 = {12}, holds A = {12} and B = {13, 23}: they differ
+    # in every pair and by one edge in size.  Toggling 12, the pair A holds,
+    # sends A to the empty graph and B to the triangle, so the row's mass
+    # spreads to 0 and 3 edges; toggling a pair of B would only trade the
+    # edge counts of A and B
+    rule = Rule(3, {(f, h): F(1, 2) for f in (1, 2, 4) for h in (f, 7 ^ f)})
+    assert is_symmetric(rule) and not is_deterministic(rule)
+    witness = _verified_witness(rule)
+    assert witness.row(1) == {0: F(1, 6), 1: F(1, 3), 6: F(1, 3), 7: F(1, 6)}
+
+
 @st.composite
 def _symmetric_rules(draw):
     """symmetrize of a sparse random rule of order 3 to 5."""
@@ -539,3 +556,66 @@ def test_lift_preserves_certificates(rule1, rule2, extra):
     assert (coeff_vector(lifted1) == coeff_vector(lifted2)) == (
         coeff_vector(rule1) == coeff_vector(rule2)
     )
+
+
+# ------------------------------------------------------ integer certificates
+
+_CLASSES4 = enumerate_classes(4)
+# small rationals, with equal ones written two ways, and a few past int64
+_coefficients = st.one_of(
+    st.sampled_from([0, F(0), 1, F(2, 2), F(-1, 3), F(1, 2), F(-5, 6), 2]),
+    st.sampled_from([F(1, 2 ** 70), F(-7, 3 ** 41), F(2 ** 65, 3)]),
+)
+
+
+@st.composite
+def _coefficient_pairs(draw):
+    """Two coefficient lists over the 40 classes of order 4, the second the
+    first with a few positions redrawn (possibly to an equal value)."""
+    first = draw(st.lists(_coefficients, min_size=40, max_size=40))
+    second = list(first)
+    for i in draw(st.lists(st.integers(min_value=0, max_value=39), max_size=3)):
+        second[i] = draw(_coefficients)
+    return first, second
+
+
+# equal first coefficients with unequal numerators over unequal denominators
+@example(([F(1, 2)] + [0] * 39, [F(1, 2), F(1, 3)] + [0] * 38))
+@settings(max_examples=100, deadline=None)
+@given(_coefficient_pairs())
+def test_coeff_vector_integers_agree_with_fractions(pair):
+    v1, v2 = (CoeffVector(4, _CLASSES4, values) for values in pair)
+    for v, values in zip((v1, v2), pair):
+        assert v.values == tuple(F(x) for x in values)
+        assert math.gcd(v.denom, *v.nums) == 1
+        assert v.is_zero() == (not any(values))
+        assert pickle.loads(pickle.dumps(v)) == v
+    assert (v1 == v2) == (v1.values == v2.values)
+    if v1 == v2:
+        assert hash(v1) == hash(v2)
+    first = next((i for i, (a, b) in enumerate(zip(*pair)) if a != b), None)
+    assert _first_difference(v1, v2) == (None if first is None else _CLASSES4[first])
+
+
+@st.composite
+def _wide_denominator_rules(draw):
+    """A valid rule of order 2 to 4, mixed with a second one at a weight
+    whose denominator is past int64, or left as it is."""
+    rule = draw(_valid_rules(2, 4))
+    weight = draw(st.sampled_from([None, F(1, 2 ** 64 + 1), F(3 ** 40, 3 ** 41 + 2)]))
+    if weight is None:
+        return rule
+    return _mixture(rule, draw(_valid_rules(rule.order, rule.order)), weight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_denominator_rules(), _wide_denominator_rules())
+def test_integer_core_matches_fraction_oracles(rule1, rule2):
+    assert symmetrize(rule1) == oracles.naive_symmetrize(rule1)
+    assert is_symmetric(rule1) == oracles.naive_is_symmetric(rule1)
+    verdict = compare(rule1, rule2)
+    v1, v2 = verdict.vectors
+    first = next((cls for cls, a, b in zip(v1.classes, v1.values, v2.values) if a != b),
+                 None)
+    assert verdict.differing_class == first
+    assert verdict.equivalent == (first is None) == (v1.values == v2.values)

@@ -2,9 +2,12 @@
 predicates, and the JSON wire format."""
 
 import json
+import math
+import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from flipproc import (
     check_k1,
     coeff_vector,
     is_symmetric,
+    lift,
     make_named,
     parse_rule_json,
     rule_from_json_obj,
@@ -82,7 +86,7 @@ def test_validation_catches_out_of_range_and_bad_probabilities():
     for code in (1 << 62, 1 << 63, (1 << 64) + 5):
         for rule in (Rule(2, {(code, 0): F(1)}), Rule(2, {(0, code): F(1)})):
             for check in (coeff_vector, is_symmetric, symmetrize,
-                          lambda r: check_k1(r, r)):
+                          lambda r: check_k1(r, r), lambda r: lift(r, 3)):
                 with pytest.raises(ValueError, match="out of range for order 2"):
                     check(rule)
 
@@ -108,6 +112,65 @@ def test_normalization_is_idempotent(case):
     again = Rule(k, rule.entries)
     assert again == rule and hash(again) == hash(rule)
     assert again.entries == rule.entries and again.rows() == rule.rows()
+
+
+# codes at the edges of int64, as JSON can carry them
+_EDGE_CODES = [-1, 1 << 62, (1 << 63) - 1, 1 << 63, (1 << 64) + 5, -(1 << 63) - 1]
+# denominators past int64, and past 2^62 / entries, where row sums leave int64
+_WIDE_DENOMINATORS = [(1 << 61) + 1, 3 ** 40, (1 << 64) + 1]
+
+
+@st.composite
+def _wide_rules(draw):
+    """Rules of order 2 to 4 that may be invalid: codes in range, just out
+    of it or past int64; row sums exact or off; denominators small or past
+    int64."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    limit = 1 << (k * (k - 1) // 2)
+    codes = st.one_of(st.integers(min_value=0, max_value=limit - 1),
+                      st.sampled_from([limit] + _EDGE_CODES))
+    denominator = draw(st.one_of(st.integers(min_value=1, max_value=12),
+                                 st.sampled_from(_WIDE_DENOMINATORS)))
+    entries = {}
+    for f in draw(st.lists(codes, min_size=1, max_size=3, unique=True)):
+        support = draw(st.lists(codes, min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(min_value=1, max_value=denominator),
+                                min_size=len(support), max_size=len(support)))
+        total = sum(weights)
+        how = draw(st.sampled_from(["exact", "exact", "off", "negative"]))
+        for h, w in zip(support, weights):
+            p = F(w, total) if how == "exact" else F(w, denominator)
+            entries[(f, h)] = -p if how == "negative" else p
+    return Rule(k, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_rules())
+def test_rule_problems_match_the_fraction_oracle(rule):
+    # the numpy check and its fallback on Python integers word every
+    # problem as the exact sums do, in the same order
+    assert rule_problems(rule) == oracles.naive_rule_problems(rule)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_entries(), st.integers(min_value=1, max_value=6),
+       st.sampled_from([1, 1, (1 << 62) + 3, 3 ** 41]))
+def test_numerator_constructor_matches_fraction_constructor(case, scale, wide):
+    # the same entries as numerators over a common multiple of their
+    # denominators, zeros and identity point rows left in
+    k, entries = case
+    rule = Rule(k, entries)
+    keys = sorted((int(f), int(h)) for f, h in entries)
+    values = {(int(f), int(h)): F(p) for (f, h), p in entries.items()}
+    denom = math.lcm(*[values[key].denominator for key in keys]) * scale * wide
+    nums = [values[key].numerator * (denom // values[key].denominator) for key in keys]
+    built = Rule._from_numerators(
+        k, np.array([f for f, _ in keys], dtype=np.int64),
+        np.array([h for _, h in keys], dtype=np.int64), nums, denom)
+    assert built == rule and hash(built) == hash(rule)
+    assert built.entries == rule.entries and built.rows() == rule.rows()
+    assert rule_to_json(built) == rule_to_json(rule)
+    assert pickle.loads(pickle.dumps(built)) == rule
 
 
 def test_named_triangle_removal():
