@@ -87,7 +87,6 @@ from .simulate import (
     run,
     run_seed,
     sample_graph,
-    step,
     transference_check,
 )
 

@@ -173,13 +173,17 @@ def apply_perm(sigma, element):
 
 
 def apply_perm_graph(sigma, code):
-    """Relabel an unrooted graph code by the permutation sigma of [k]."""
+    """Relabel an unrooted graph code by the permutation sigma of [k]: the
+    pair {i, j} goes to {sigma(i), sigma(j)}."""
     k = code.order
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(1, k + 1)):
         raise ValueError(f"{sigma} is not a permutation of [{k}]")
-    images = perm_images(k, [code.bits])
-    return GraphCode(k, int(images[all_perms(k).index(sigma), 0]))
+    bits = 0
+    for idx, (i, j) in enumerate(pair_list(k)):
+        if code.bits >> idx & 1:
+            bits |= 1 << pair_index(sigma[i - 1], sigma[j - 1])
+    return GraphCode(k, bits)
 
 
 # ----------------------------------------------------------- action in numpy

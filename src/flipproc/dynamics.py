@@ -686,12 +686,14 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
                 s4 = comp.values(weights, v + dt * s3)
                 v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
                 t += dt
-                _check_state(t, float(v.min()), float(v.max()), graphon_mode)
+                # one check: a graphon state before the clip hides excursions,
+                # any other after the sum, which can overflow where v did not
                 if graphon_mode:
+                    _check_state(t, float(v.min()), float(v.max()), True)
                     np.clip(v, 0.0, 1.0, out=v)
-                # exactly symmetric; the sum can overflow where v did not
-                v = (v + v.T) / 2.0
-                _check_state(t, float(v.min()), float(v.max()), False)
+                v = (v + v.T) / 2.0  # exactly symmetric
+                if not graphon_mode:
+                    _check_state(t, float(v.min()), float(v.max()), False)
                 times.append(t)
                 out[step + 1] = v
     except OverflowError as exc:

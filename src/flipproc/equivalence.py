@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (
+    CapExceeded,
     enumerate_classes,
     full_bits,
     num_pairs,
@@ -53,8 +54,10 @@ from .rules import (
     validate,
     _SMALL,
     _codes_in_range,
+    _common_denominator,
     _largest,
     _lowest_terms,
+    _per_numerator,
 )
 
 
@@ -68,9 +71,7 @@ class CoeffVector:
 
     def __init__(self, order, classes, values):
         values = [v if type(v) is Fraction else Fraction(v) for v in values]
-        denom = math.lcm(*[v.denominator for v in values])
-        self._store(order, classes,
-                    [v.numerator * (denom // v.denominator) for v in values], denom)
+        self._store(order, classes, *_common_denominator(values))
 
     @classmethod
     def _from_numerators(cls, order, classes, nums, denom):
@@ -90,8 +91,7 @@ class CoeffVector:
     @property
     def values(self):
         if self._values is None:
-            shares = {n: Fraction(n, self.denom) for n in set(self.nums)}
-            self._values = tuple(map(shares.__getitem__, self.nums))
+            self._values = tuple(_per_numerator(self.nums, self.denom))
         return self._values
 
     def __getitem__(self, cls):
@@ -122,11 +122,10 @@ class CoeffVector:
         return not any(self.nums)
 
     def to_json_obj(self):
-        text = {n: str(Fraction(n, self.denom)) for n in set(self.nums)}
         out = []
-        for cls, n in zip(self.classes, self.nums):
+        for cls, text in zip(self.classes, _per_numerator(self.nums, self.denom, str)):
             entry = cls.to_json_obj()
-            entry["coeff"] = text[n]
+            entry["coeff"] = text
             out.append(entry)
         return out
 
@@ -215,11 +214,18 @@ def coeff_vector(rule, cap=None):
     return CoeffVector._from_numerators(k, classes, acc, denom)
 
 
+# Lifted entries are held to this many, the size of the velocity's grid
+# budget: each entry is copied once per graph on the new pairs.
+_LIFT_BUDGET = 4_000_000
+
+
 def lift(rule, to, cap=None):
     """Rewrite a rule so that it samples `to` vertices, applies the original
     rule to the subgraph induced on the first `rule.order` of them, and
     keeps every other pair unchanged.  Lifted rules drive the same
-    trajectories as the original."""
+    trajectories as the original.  The lifted rule has
+    2^(C(to, 2) - C(k, 2)) entries per entry of the order-k rule; beyond
+    4,000,000 of them, CapExceeded before any is built."""
     k1 = rule.order
     if to < k1:
         raise ValueError(f"cannot lift an order-{k1} rule down to order {to}")
@@ -227,13 +233,21 @@ def lift(rule, to, cap=None):
     if to == k1:
         return rule
     low = num_pairs(k1)
+    denom, nums = entry_numerators(rule)
+    if not len(nums):
+        return Rule(to)
+    lifted = len(nums) << (num_pairs(to) - low)
+    if lifted > _LIFT_BUDGET:
+        raise CapExceeded(
+            f"lifting {len(nums)} entries to order {to} makes {lifted} entries, "
+            f"beyond the budget of {_LIFT_BUDGET}"
+        )
     f, h = entry_codes(rule)
     if not _codes_in_range(f, h, low):
         raise ValueError(f"graph codes out of range for order {k1}")
     # the top bits lie above every code of the rule, so the lifted codes
     # are sorted top by top
     tops = np.arange(1 << (num_pairs(to) - low), dtype=np.int64)[:, None] << low
-    denom, nums = entry_numerators(rule)
     return Rule._from_numerators(
         to, (tops | f).ravel(), (tops | h).ravel(),
         np.broadcast_to(nums, (len(tops), len(nums))).ravel(), denom)

@@ -73,6 +73,22 @@ def _lowest_terms(nums, denom):
     return _numerator_array(nums // g, denom // g), denom // g
 
 
+def _common_denominator(fractions):
+    """(nums, denom): the Fractions as integers over their least common
+    denominator."""
+    denom = math.lcm(*[p.denominator for p in fractions])
+    return [p.numerator * (denom // p.denominator) for p in fractions], denom
+
+
+def _per_numerator(nums, denom, form=None):
+    """A list of Fraction(n, denom), or of form() of it, for each integer
+    n of nums, made once per distinct numerator."""
+    made = {}
+    for n in set(nums):
+        made[n] = Fraction(n, denom) if form is None else form(Fraction(n, denom))
+    return list(map(made.__getitem__, nums))
+
+
 def _largest(nums, denom):
     """The largest of denom and every |nums[i]|, a bound for sums."""
     return max(denom, int(abs(nums).max()) if nums.size else 0)
@@ -110,9 +126,7 @@ class Rule:
                 key = int(f), int(h)
                 merged[key] = merged[key] + p if key in merged else p
         keys = sorted(merged)
-        probs = [merged[key] for key in keys]
-        denom = math.lcm(*[p.denominator for p in probs])
-        nums = [p.numerator * (denom // p.denominator) for p in probs]
+        nums, denom = _common_denominator([merged[key] for key in keys])
         f = _int_array([f for f, _ in keys])
         h = _int_array([h for _, h in keys])
         self._store(order, f, h, nums, denom)
@@ -156,10 +170,9 @@ class Rule:
     def entries(self):
         """{(from_bits, to_bits): probability} in (from, to) order."""
         if self._entries is None:
-            nums = self._nums.tolist()
-            shares = {n: Fraction(n, self._denom) for n in set(nums)}
             object.__setattr__(self, "_entries", dict(zip(
-                zip(self._f.tolist(), self._h.tolist()), map(shares.__getitem__, nums))))
+                zip(self._f.tolist(), self._h.tolist()),
+                _per_numerator(self._nums.tolist(), self._denom))))
         return self._entries
 
     def rows(self):
@@ -419,13 +432,12 @@ def ignorant_edge_count(rule):
 # -------------------------------------------------------------- serialization
 
 def rule_to_json_obj(rule):
-    nums = rule._nums.tolist()
-    text = {n: str(Fraction(n, rule._denom)) for n in set(nums)}
+    texts = _per_numerator(rule._nums.tolist(), rule._denom, str)
     return {
         "order": rule.order,
         "entries": [
-            {"from": f, "to": h, "p": text[n]}
-            for f, h, n in zip(rule._f.tolist(), rule._h.tolist(), nums)
+            {"from": f, "to": h, "p": p}
+            for f, h, p in zip(rule._f.tolist(), rule._h.tolist(), texts)
         ],
         "default": "identity",
     }

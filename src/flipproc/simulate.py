@@ -35,7 +35,6 @@ Equal seeds give bit-identical results.
 
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -45,6 +44,7 @@ import numpy as np
 
 from .codes import CapExceeded, num_pairs, pair_list
 from .dynamics import StepKernel, integrate
+from .rules import entry_codes, entry_numerators, row_codes
 
 _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
@@ -68,31 +68,6 @@ def run_seed(master, index):
     """The 64-bit seed of run `index` under `master`: output `index` of the
     splitmix stream started at the master seed."""
     return _mix64((master + (index + 1) * _GAMMA) & _MASK64)
-
-
-def _randbelow(rng, n):
-    """Uniform integer in [0, n) by rejection on getrandbits."""
-    if n <= 0:
-        raise ValueError(f"need a positive bound, got {n}")
-    bits = (n - 1).bit_length()
-    if bits == 0:
-        return 0
-    while True:
-        r = rng.getrandbits(bits)
-        if r < n:
-            return r
-
-
-def _sample_tuple(rng, idx, k):
-    """Ordered sample of k distinct entries via partial Fisher-Yates on a
-    persistent index array (which stays a permutation between calls)."""
-    n = len(idx)
-    out = []
-    for i in range(k):
-        j = i + _randbelow(rng, n - i)
-        idx[i], idx[j] = idx[j], idx[i]
-        out.append(idx[i])
-    return out
 
 
 # ------------------------------------------------------------------ word draws
@@ -255,66 +230,13 @@ def _graph_from_edges(edges, n):
 
 # ------------------------------------------------------------------- stepping
 
-def _compile_rows(rule):
-    """Row f -> (cumulative probabilities, replacement codes), floats with
-    the final cumulative pinned to 1."""
-    compiled = {}
-    for f, row in rule.rows().items():
-        hs = sorted(row)
-        cums = []
-        acc = Fraction(0)
-        for h in hs:
-            acc += row[h]
-            cums.append(float(acc))
-        cums[-1] = max(cums[-1], 1.0)
-        compiled[f] = (cums, hs)
-    return compiled
-
-
-def _apply(adj, compiled, pairs, tup, u):
-    """One step on given draws, in place: reads the drawn graph of tuple
-    `tup` off the adjacency rows, replaces it by the row sample at uniform
-    u, and toggles exactly the pairs that changed."""
-    f_bits = 0
-    for p_idx, (i, j) in enumerate(pairs):
-        if adj[tup[i - 1]] >> tup[j - 1] & 1:
-            f_bits |= 1 << p_idx
-    row = compiled.get(f_bits)
-    if row is None:
-        return
-    cums, hs = row
-    toggle = f_bits ^ hs[bisect_right(cums, u)]
-    while toggle:
-        low = toggle & -toggle
-        i, j = pairs[low.bit_length() - 1]
-        a, b = tup[i - 1], tup[j - 1]
-        adj[a] ^= 1 << b
-        adj[b] ^= 1 << a
-        toggle ^= low
-
-
-def step(adj, rule, rng, compiled=None, idx=None):
-    """One flip step, in place.  Samples the ordered tuple and one uniform,
-    reads the drawn graph off the adjacency rows, replaces it by a row
-    sample, and toggles exactly the pairs that changed.  Returns the sampled
-    tuple."""
-    n = len(adj)
-    k = rule.order
-    if n < k:
-        raise ValueError(f"need at least {k} vertices, got {n}")
-    if compiled is None:
-        compiled = _compile_rows(rule)
-    if idx is None:
-        idx = list(range(n))
-    tup = _sample_tuple(rng, idx, k)
-    _apply(adj, compiled, pair_list(k), tup, rng.random())
-    return tup
-
-
 class _Engine:
     """A rule compiled for batched steps: the tuple positions of each pair,
     and the explicit rows as sorted codes with their cumulatives and
-    replacements laid end to end."""
+    replacements laid end to end, read off the rule's own arrays.  A
+    cumulative is the exact prefix sum of a row's numerators over the
+    denominator, rounded once to a float; the last of each row is pinned
+    to at least 1."""
 
     def __init__(self, rule):
         self.k = rule.order
@@ -323,17 +245,21 @@ class _Engine:
         self.second = np.array([j - 1 for _, j in pairs], np.int64)
         self.bits = np.arange(len(pairs), dtype=np.int64)
         self.weights = np.left_shift(1, self.bits)
-        compiled = _compile_rows(rule)
-        codes = sorted(compiled)
-        self.codes = np.array(codes, np.int64)
-        rows = [compiled[f] for f in codes]
-        widths = [len(cums) for cums, _ in rows]
-        self.starts = np.array([0] + list(accumulate(widths))[:-1], np.int64)
-        self.widths = np.array(widths, np.int64)
-        self.cums = np.array([c for cums, _ in rows for c in cums], np.float64)
-        self.hs = np.array([h for _, hs in rows for h in hs], np.int64)
+        self.hs = entry_codes(rule)[1]  # ValueError for codes past int64
+        self.codes = row_codes(rule)
+        self.starts = rule._starts.astype(np.int64)
+        self.widths = np.diff(self.starts, append=len(self.hs))
+        denom, nums = entry_numerators(rule)
+        nums = nums.tolist()
+        bounds = self.starts.tolist() + [len(nums)]
+        cums = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            # int / int rounds the exact quotient once, as float(Fraction)
+            cums.extend(acc / denom for acc in accumulate(nums[lo:hi]))
+            cums[-1] = max(cums[-1], 1.0)
+        self.cums = np.array(cums, np.float64)
         # halvings that narrow the widest row to one entry
-        self.depth = (max(widths, default=1) - 1).bit_length()
+        self.depth = (int(self.widths.max(initial=1)) - 1).bit_length()
 
     def replacements(self, f, u):
         """The replacement of drawn graph f at uniform u, step by step: f on

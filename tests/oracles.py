@@ -8,11 +8,14 @@ the symmetry check, edge histograms and orbit sums from a full
 permutation sweep, validity from a Fraction sum of every row, and the
 velocity from its defining sum over rows, pairs and rooted densities or
 from one grid over all part assignments, the nearest trajectory time from
-a linear scan, and the simulator's start graph from one random() call per
-pair.  Generators (random rules, kernels, graphs) may use package
-constructors since they only build inputs.
+a linear scan, the simulator's start graph from one random() call per
+pair, and its steps one at a time on bitmask rows, each replacement found
+by bisection in Fraction-summed cumulatives.  Generators (random rules,
+kernels, graphs) may use package constructors since they only build
+inputs.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -472,3 +475,83 @@ def naive_sample_graph(kernel, n, rng):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return adj, part_of, sizes
+
+
+def randbelow(rng, n):
+    """Uniform integer in [0, n) by rejection on getrandbits."""
+    if n <= 0:
+        raise ValueError(f"need a positive bound, got {n}")
+    bits = (n - 1).bit_length()
+    if bits == 0:
+        return 0
+    while True:
+        r = rng.getrandbits(bits)
+        if r < n:
+            return r
+
+
+def sample_tuple(rng, idx, k):
+    """Ordered sample of k distinct entries via partial Fisher-Yates on a
+    persistent index array (which stays a permutation between calls)."""
+    n = len(idx)
+    out = []
+    for i in range(k):
+        j = i + randbelow(rng, n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+        out.append(idx[i])
+    return out
+
+
+def compile_rows(rule):
+    """Row f -> (cumulative probabilities, replacement codes): each
+    cumulative a Fraction sum turned into a float, the last of each row
+    pinned to at least 1."""
+    compiled = {}
+    for f, row in rule.rows().items():
+        hs = sorted(row)
+        cums = []
+        acc = Fraction(0)
+        for h in hs:
+            acc += row[h]
+            cums.append(float(acc))
+        cums[-1] = max(cums[-1], 1.0)
+        compiled[f] = (cums, hs)
+    return compiled
+
+
+def apply_step(adj, compiled, k, tup, u):
+    """One step on given draws, in place: reads the drawn graph of tuple
+    `tup` off the adjacency bitmask rows, replaces it by the row sample at
+    uniform u, and toggles exactly the pairs that changed."""
+    pairs = pairs_of(k)
+    f_bits = 0
+    for p_idx, (i, j) in enumerate(pairs):
+        if adj[tup[i - 1]] >> tup[j - 1] & 1:
+            f_bits |= 1 << p_idx
+    row = compiled.get(f_bits)
+    if row is None:
+        return
+    cums, hs = row
+    toggle = f_bits ^ hs[bisect.bisect_right(cums, u)]
+    while toggle:
+        low = toggle & -toggle
+        i, j = pairs[low.bit_length() - 1]
+        a, b = tup[i - 1], tup[j - 1]
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+        toggle ^= low
+
+
+def step(adj, rule, rng):
+    """One flip step one at a time, in place: the definition the batched
+    engine is checked against.  Samples the ordered tuple and one uniform,
+    reads the drawn graph off the adjacency rows, replaces it by a row
+    sample, and toggles exactly the pairs that changed.  Returns the sampled
+    tuple."""
+    n = len(adj)
+    k = rule.order
+    if n < k:
+        raise ValueError(f"need at least {k} vertices, got {n}")
+    tup = sample_tuple(rng, list(range(n)), k)
+    apply_step(adj, compile_rows(rule), k, tup, rng.random())
+    return tup

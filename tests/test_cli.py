@@ -151,6 +151,13 @@ def test_classes_cap(capsys):
     capsys.readouterr()
 
 
+def test_lift_budget_exits_3(tr_file, capsys):
+    # 2^33 copies of triangle removal's entry, refused before any is built
+    assert main(["--cap", "9", "lift", tr_file, "--to", "9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "census.json"
     assert main(["classes", "--k", "2", "--out", str(target)]) == 0

@@ -90,6 +90,20 @@ def test_apply_perm_rejects_non_permutations():
         apply_perm((1, 2), element)
 
 
+@pytest.mark.parametrize("k", [9, 10])
+def test_apply_perm_beyond_the_relabelling_tables(k):
+    # one relabelling needs no table of all k! images
+    rng = random.Random(k)
+    for _ in range(20):
+        sigma = list(range(1, k + 1))
+        rng.shuffle(sigma)
+        bits = rng.getrandbits(num_pairs(k))
+        a, b = rng.sample(range(1, k + 1), 2)
+        image = apply_perm(sigma, RootedPairGraph(GraphCode(k, bits), a, b))
+        assert image.graph.bits == oracles.apply_sigma_bits(sigma, k, bits)
+        assert (image.a, image.b) == (sigma[a - 1], sigma[b - 1])
+
+
 def _all_elements(k):
     return [
         RootedPairGraph(GraphCode(k, bits), a, b)

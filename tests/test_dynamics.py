@@ -313,8 +313,12 @@ def test_integrate_refuses_non_graphon_without_flag():
 def test_integrate_detects_domain_escape():
     # unnormalized row doubling the edge indicator: drift 2w blows past 1
     runaway = Rule(2, {(1, 1): F(2)})
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match=r"left \[0, 1\]"):
         integrate(runaway, constant_kernel(0.5), 1.0)
+    # on two parts the excursion is caught before the clip removes it
+    two = StepKernel((F(1, 3), F(2, 3)), ((0.5, 0.4), (0.4, 0.6)))
+    with pytest.raises(IntegrationError, match=r"left \[0, 1\]"):
+        integrate(runaway, two, 1.0)
     # outside the graphon domain the cubic drift overflows to inf and nan
     huge = StepKernel((F(1, 2), F(1, 2)), ((1e100, 1e100), (1e100, 1e100)))
     with pytest.raises(IntegrationError, match="no longer finite"):

@@ -31,6 +31,7 @@ from flipproc import (
     rule_problems,
     symmetrize,
 )
+from flipproc import equivalence
 from flipproc.codes import num_pairs
 from flipproc.equivalence import _first_difference
 
@@ -160,6 +161,20 @@ def test_lift_errors():
         lift(TR, 2)
     with pytest.raises(CapExceeded):
         lift(TR, 9)
+
+
+def test_lift_holds_its_entries_to_the_budget(monkeypatch):
+    # 2^(36 - 3) copies of the one entry, refused before any is built
+    with pytest.raises(CapExceeded, match="budget of 4000000"):
+        lift(TR, 9, cap=9)
+    with pytest.raises(CapExceeded, match="budget"):
+        compare(TR, make_named("identity", 9), cap=9)
+    assert lift(make_named("identity", 3), 9, cap=9) == make_named("identity", 9)
+    # reaching the budget exactly still lifts
+    monkeypatch.setattr(equivalence, "_LIFT_BUDGET", 1 << 12)
+    assert len(lift(TR, 6).rows()) == 1 << 12
+    with pytest.raises(CapExceeded):
+        lift(TER, 6)
 
 
 def test_lifted_rules_stay_equivalent():

@@ -1,4 +1,5 @@
-"""Seeding discipline, single steps, block densities, full runs, and the
+"""Seeding discipline, the one-step definition in the oracles and the
+batched engine checked against it, block densities, full runs, and the
 finite-process-to-trajectory transference check."""
 
 import dataclasses
@@ -25,12 +26,9 @@ from flipproc import (
     run,
     run_seed,
     sample_graph,
-    step,
     transference_check,
 )
 from flipproc import simulate
-from flipproc.codes import pair_list
-from flipproc.simulate import _randbelow, _sample_tuple
 
 import oracles
 
@@ -69,20 +67,20 @@ def test_run_seed_matches_reference_stream():
 
 def test_randbelow_range_and_determinism():
     rng = random.Random(5)
-    vals = [_randbelow(rng, 7) for _ in range(2000)]
+    vals = [oracles.randbelow(rng, 7) for _ in range(2000)]
     assert set(vals) == set(range(7))
     replay = random.Random(5)
-    assert [_randbelow(replay, 7) for _ in range(5)] == vals[:5]
-    assert _randbelow(rng, 1) == 0
+    assert [oracles.randbelow(replay, 7) for _ in range(5)] == vals[:5]
+    assert oracles.randbelow(rng, 1) == 0
     with pytest.raises(ValueError):
-        _randbelow(rng, 0)
+        oracles.randbelow(rng, 0)
 
 
 def test_sample_tuple():
     rng = random.Random(11)
     idx = list(range(10))
     for _ in range(200):
-        tup = _sample_tuple(rng, idx, 3)
+        tup = oracles.sample_tuple(rng, idx, 3)
         assert len(set(tup)) == 3
         assert all(0 <= v < 10 for v in tup)
     assert sorted(idx) == list(range(10))  # permutation persists intact
@@ -112,7 +110,7 @@ def test_drawn_tuples_are_distinct_and_uniform():
 
 def test_step_triangle_removal_absorbs():
     adj = [0b110, 0b101, 0b011]  # triangle on 3 vertices
-    tup = step(adj, make_named("triangle-removal", 3), random.Random(1))
+    tup = oracles.step(adj, make_named("triangle-removal", 3), random.Random(1))
     assert sorted(tup) == [0, 1, 2]
     assert adj == [0, 0, 0]
 
@@ -122,7 +120,7 @@ def test_step_identity_never_changes():
     adj, _, _ = sample_graph(constant_kernel(0.5), 12, rng)
     before = list(adj)
     for _ in range(50):
-        step(adj, make_named("identity", 3), rng)
+        oracles.step(adj, make_named("identity", 3), rng)
     assert adj == before
 
 
@@ -132,7 +130,7 @@ def test_step_touches_only_tuple_pairs():
     adj, _, _ = sample_graph(constant_kernel(0.5), 20, rng)
     for _ in range(100):
         before = list(adj)
-        u, v = step(adj, comp, rng)
+        u, v = oracles.step(adj, comp, rng)
         bit_u, bit_v = 1 << u, 1 << v
         assert adj[u] == before[u] ^ bit_v
         assert adj[v] == before[v] ^ bit_u
@@ -143,7 +141,7 @@ def test_step_touches_only_tuple_pairs():
 
 def test_step_requires_enough_vertices():
     with pytest.raises(ValueError):
-        step([0, 0], make_named("triangle-removal", 3), random.Random(0))
+        oracles.step([0, 0], make_named("triangle-removal", 3), random.Random(0))
 
 
 def test_part_sizes_largest_remainder():
@@ -205,10 +203,10 @@ def test_engine_matches_one_step_path(batch, order_and_n, steps, seed):
         simulate._advance(adj, simulate._Engine(rule), rng, steps)
     assert sum(len(t) for t, _ in draws) == steps
     assert all(len(t) <= batch for t, _ in draws)
-    compiled = simulate._compile_rows(rule)
+    compiled = oracles.compile_rows(rule)
     for tup, unif in draws:
         for t, u in zip(tup.tolist(), unif.tolist()):
-            simulate._apply(rows, compiled, pair_list(k), t, u)
+            oracles.apply_step(rows, compiled, k, t, u)
     assert simulate._rows(adj) == rows
 
 
@@ -221,6 +219,50 @@ def test_engine_replacement_ties_go_right():
     u = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.0, 0.5, 0.25, 0.5])
     h = simulate._Engine(rule).replacements(f, u)
     assert h.tolist() == [1, 2, 4, 7, 7, 0, 7, 0, 3]
+
+
+def _assert_engine_rows_match_oracle(rule):
+    engine = simulate._Engine(rule)
+    compiled = oracles.compile_rows(rule)
+    rows = [compiled[f] for f in sorted(compiled)]
+    assert engine.codes.tolist() == sorted(compiled)
+    assert engine.hs.tolist() == [h for _, hs in rows for h in hs]
+    assert [c.hex() for c in engine.cums.tolist()] == [
+        c.hex() for cums, _ in rows for c in cums]
+    return engine
+
+
+def test_engine_cumulatives_match_fraction_sums():
+    d53, d62 = 3 ** 34, 3 ** 45  # past 2^53, and past 2^62 (object numerators)
+    third = d53 // 3
+    _assert_engine_rows_match_oracle(Rule(3, {
+        (7, 0): F(third, d53), (7, 1): F(third + 1, d53),
+        (7, 7): F(d53 - 2 * third - 1, d53)}))
+    _assert_engine_rows_match_oracle(Rule(3, {
+        (7, 0): F(d62 // 7, d62), (7, 3): F(d62 - d62 // 7, d62),
+        (1, 0): F(1, 3), (1, 2): F(2, 3)}))
+    # rows that do not sum to 1: the last cumulative is at least 1.0
+    short = _assert_engine_rows_match_oracle(
+        Rule(3, {(7, 0): F(1, 3), (7, 1): F(1, 3), (0, 1): F(1, 2), (0, 7): F(3, 4)}))
+    assert short.cums.tolist() == [0.5, 1.25, 1 / 3, 1.0]
+    assert _assert_engine_rows_match_oracle(Rule(2)).cums.size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.sampled_from([4, 50, 60, 90]),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_engine_cumulatives_match_fraction_sums_on_random_rows(k, bits, seed):
+    # numerators of up to `bits` bits over per-row totals, some rows short
+    rng = random.Random(seed)
+    space = 1 << (k * (k - 1) // 2)
+    entries = {}
+    for f in rng.sample(range(space), min(4, space)):
+        support = rng.sample(range(space), rng.randint(1, min(4, space)))
+        weights = [rng.randint(1, 1 << bits) for _ in support]
+        total = sum(weights) + rng.choice([0, rng.randint(1, 1 << bits)])
+        for h, w in zip(support, weights):
+            entries[(f, h)] = F(w, total)
+    _assert_engine_rows_match_oracle(Rule(k, entries))
 
 
 def test_block_densities_counts():
@@ -322,7 +364,7 @@ def test_single_step_edge_drift_matches_expectation():
     total = 0
     for i in range(trials):
         adj = list(adj0)
-        step(adj, rule, random.Random(run_seed(777, i)))
+        oracles.step(adj, rule, random.Random(run_seed(777, i)))
         total += sum(r.bit_count() for r in adj) / 2 - e0
     mean = total / trials
     sigma = 3 / math.sqrt(trials)  # generous per-step deviation bound
