@@ -16,11 +16,19 @@ automorphisms of each such canonical graph then act on the root pairs
 alone, and an int32 table of shape (2^P, k, k) maps every triple to its
 class.  At order 6 the table takes 4.7 MB; canonical_class is a lookup in
 it.
+
+The orbits of a rule's index pairs (f, h), keyed by their least images
+(f' << P) | h', come from _orbit_sweep: one sweep over all k!
+relabellings, a block of entries at a time, relabels the row and
+replacement codes once each and yields every touched orbit's size and
+members, including the orbits of the rows' diagonals (f, f).
+Symmetrization, the symmetry check and the orbit-sum check read it.
 """
 
 import functools
 import itertools
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +204,7 @@ BLOCK_ELEMENTS = 1 << 14
 
 @functools.lru_cache(maxsize=8)
 def _byte_images(k):
-    """table[s, j, v]: the image of the code v << 8j under all_perms(k)[s].
+    """table[j, v, s]: the image of the code v << 8j under all_perms(k)[s].
     Images fit int32 up to order 8, and pairs of them (f << P) | h int64;
     beyond that the k! sweep is out of reach anyway."""
     p = num_pairs(k)
@@ -204,34 +212,34 @@ def _byte_images(k):
         raise CapExceeded(f"relabelling tables stop at order 8, got order {k}")
     fact = len(all_perms(k))
     chunks = max(1, (p + 7) // 8)
-    # pair_maps[s, idx]: the bit index that all_perms(k)[s] sends idx to
+    # pair_maps[idx, s]: the bit index that all_perms(k)[s] sends idx to
     lo, hi = np.array(pair_list(k), dtype=np.int64).reshape(p, 2).T - 1
     bit_of = np.zeros((k, k), dtype=np.int64)
     bit_of[lo, hi] = bit_of[hi, lo] = np.arange(p)
-    perms = np.array(all_perms(k), dtype=np.int64) - 1
-    pair_maps = bit_of[perms[:, lo], perms[:, hi]]
-    bit_images = np.zeros((fact, chunks * 8), dtype=np.int32)
-    bit_images[:, :p] = np.left_shift(1, pair_maps)
-    bit_images = bit_images.reshape(fact, chunks, 8)
+    perms = np.array(all_perms(k), dtype=np.int64).T - 1
+    pair_maps = bit_of[perms[lo], perms[hi]]
+    bit_images = np.zeros((chunks * 8, fact), dtype=np.int32)
+    bit_images[:p] = np.left_shift(1, pair_maps)
+    bit_images = bit_images.reshape(chunks, 8, fact)
     # the values with bit t set are those below 1 << t with that bit added
-    table = np.zeros((fact, chunks, 256), dtype=np.int32)
+    table = np.zeros((chunks, 256, fact), dtype=np.int32)
     for t in range(8):
-        np.bitwise_or(table[:, :, : 1 << t], bit_images[:, :, t, None],
-                      out=table[:, :, 1 << t : 2 << t])
+        np.bitwise_or(table[:, : 1 << t], bit_images[:, t, None],
+                      out=table[:, 1 << t : 2 << t])
     table.flags.writeable = False
     return table
 
 
 def perm_images(k, codes):
-    """images[s, i], the image of codes[i] under all_perms(k)[s], as an
-    int32 array of shape (k!, len(codes))."""
+    """images[i, s], the image of codes[i] under all_perms(k)[s], as an
+    int32 array of shape (len(codes), k!)."""
     codes = np.asarray(codes, dtype=np.int64)
     if codes.size and (codes.min() < 0 or codes.max() >> num_pairs(k)):
         raise ValueError(f"graph codes out of range for order {k}")
     table = _byte_images(k)
-    out = table[:, 0, codes & 0xFF]
-    for j in range(1, table.shape[1]):
-        out |= table[:, j, (codes >> 8 * j) & 0xFF]
+    out = table[0][codes & 0xFF]
+    for j in range(1, len(table)):
+        out |= table[j][(codes >> 8 * j) & 0xFF]
     return out
 
 
@@ -242,49 +250,68 @@ def _blocks(n, width):
     return [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
-def _pair_images(k, f, h):
-    """images[s, i] = (f'[i] << P) | h'[i], the index pair (f[i], h[i])
-    relabelled by all_perms(k)[s]."""
-    images = perm_images(k, f).astype(np.int64)
-    images <<= num_pairs(k)
-    images |= perm_images(k, h)
-    return images
+# The relabelling orbits that a rule's explicit rows touch, from _orbit_sweep
+_Orbits = namedtuple("_Orbits", "sizes members owners entry_orbit row_orbit")
 
 
-def pair_orbits(k, f, h):
-    """The relabelling orbit of each index pair (f[i], h[i]) of graph
-    codes: its key, the least image (f' << P) | h' over all permutations,
-    and its size.  Two pairs share an orbit iff their keys are equal."""
-    f = np.asarray(f, dtype=np.int64)
-    h = np.asarray(h, dtype=np.int64)
-    fact = len(_byte_images(k))
-    keys = np.empty(len(f), dtype=np.int64)
-    sizes = np.empty(len(f), dtype=np.int64)
-    for blk in _blocks(len(f), fact):
-        images = _pair_images(k, f[blk], h[blk])
-        keys[blk] = images.min(axis=0)
-        # orbit-stabilizer: k! / the number of permutations fixing the pair
-        fixed = images == f[blk] << num_pairs(k) | h[blk]
-        sizes[blk] = fact // np.count_nonzero(fixed, axis=0)
-    return keys, sizes
+def _orbit_sweep(k, f, h, starts):
+    """The relabelling orbits of the entries (f[i], h[i]), sorted by f
+    with the explicit rows starting at `starts`, and of each row's
+    diagonal (f, f), from one sweep over all k! relabellings.  Orbits are
+    numbered by their keys, their least members (f' << P) | h'.  Returns
+    _Orbits: sizes[j] the member count of orbit j, all members in
+    increasing order with owners[i] the orbit of members[i],
+    entry_orbit[i] the orbit of entry i and row_orbit[r] that of row r's
+    diagonal.
 
-
-def orbit_members(k, keys):
-    """All members (f << P) | h of the distinct pair orbits named by
-    `keys` (from pair_orbits), sorted within each block of orbits, and for
-    each member the position in `keys` of its orbit."""
-    keys = np.asarray(keys, dtype=np.int64)
+    A block of entries relabels the codes of the rows it spans and its
+    replacement codes once: its entry images are a row gather of the
+    former, and a row's diagonal (σf << P) | σf is least where σf is.  The
+    members of an orbit first seen in a block are the distinct values of
+    one row of its images."""
     p = num_pairs(k)
-    members = [np.empty(0, dtype=np.int64)]
-    owners = [np.empty(0, dtype=np.int64)]
-    for blk in _blocks(len(keys), len(_byte_images(k))):
-        images = _pair_images(k, keys[blk] >> p, keys[blk] & full_bits(k))
-        # distinct orbits share no member, so the column of any occurrence
-        # of a value is its orbit
-        uniq, first = np.unique(images, return_index=True)
-        members.append(uniq)
-        owners.append(first % images.shape[1] + blk.start)
-    return np.concatenate(members), np.concatenate(owners)
+    n = len(f)
+    rows = f[starts]
+    row_of = np.searchsorted(rows, f)
+    keys = np.empty(n + len(rows), dtype=np.int64)  # entries, then rows
+    known = np.empty(0, dtype=np.int64)
+    members, owned, counts = [known], [known], [known]
+    for blk in _blocks(n, _byte_images(k).shape[2]):
+        # rows r0 to r1 - 1 have entries here (a row that spans blocks is
+        # met again in the next one, and its orbits are known there)
+        r0, r1 = row_of[blk.start], row_of[blk.stop - 1] + 1
+        relabelled = perm_images(k, rows[r0:r1])
+        images = relabelled[row_of[blk] - r0].astype(np.int64)
+        images <<= p
+        images |= perm_images(k, h[blk])
+        least = relabelled[: r1 - r0].min(axis=1).astype(np.int64)
+        keys[blk] = images.min(axis=1)
+        keys[n + r0 : n + r1] = least << p | least
+        new, first = np.unique(np.concatenate([keys[blk], keys[n + r0 : n + r1]]),
+                               return_index=True)
+        if len(known):
+            unseen = known[np.searchsorted(known, new).clip(max=len(known) - 1)] != new
+            new, first = new[unseen], first[unseen]
+        diagonal = first >= len(images)
+        graphs = relabelled[first[diagonal] - len(images)].astype(np.int64)
+        # stable argsorts only, the kernel that np.unique uses: numpy's sort
+        # kernels would page in a few hundred KB more of its library
+        orbits = np.concatenate([images[first[~diagonal]], graphs << p | graphs])
+        orbits = np.take_along_axis(orbits, orbits.argsort(axis=1, kind="stable"), axis=1)
+        distinct = np.ones(orbits.shape, dtype=bool)
+        distinct[:, 1:] = orbits[:, 1:] != orbits[:, :-1]
+        members.append(orbits[distinct])
+        owned.append(np.concatenate([new[~diagonal], new[diagonal]]))
+        counts.append(distinct.sum(axis=1))
+        known = np.concatenate([known, new])
+        known = known[known.argsort(kind="stable")]
+    # distinct orbits share no member, so the members sort without ties
+    members = np.concatenate(members)
+    order = np.argsort(members, kind="stable")
+    owners = np.searchsorted(known, np.concatenate(owned)).repeat(np.concatenate(counts))
+    orbit = np.searchsorted(known, keys)
+    return _Orbits(np.bincount(owners, minlength=len(known)), members[order],
+                   owners[order], orbit[:n], orbit[n:])
 
 
 # --------------------------------------------------------------- orbit classes
@@ -292,11 +319,15 @@ def orbit_members(k, keys):
 @dataclass(frozen=True)
 class _Census:
     """The orbit census of one order: the classes sorted by canonical
-    representative, and index[bits, a - 1, b - 1], the position in
-    `classes` of the class of (bits, a, b) (-1 on the diagonal a == b)."""
+    representative, index[bits, a - 1, b - 1], the position in `classes`
+    of the class of (bits, a, b) (-1 on the diagonal a == b), and the
+    0-based roots of each pair of pair_list in both orientations:
+    index[bits, *roots] holds the classes of (bits, i, j) in row 0 and of
+    (bits, j, i) in row 1, one column per pair."""
 
     classes: tuple
     index: np.ndarray
+    roots: tuple
 
 
 @functools.lru_cache(maxsize=None)  # one entry per order, and orders are capped
@@ -317,7 +348,7 @@ def _census(k):
     auts = []
     g = 0
     while unseen[g]:
-        images = perm_images(k, [g])[:, 0]
+        images = perm_images(k, [g])[0]
         unseen[images] = False
         graph_of[images] = len(graphs)
         perm_of[images] = everyone
@@ -359,7 +390,8 @@ def _census(k):
         np.take(tables, cell, out=index[blk])
     index = index.reshape(n, k, k)
     index.flags.writeable = False
-    return _Census(classes, index)
+    i, j = np.array(pair_list(k)).reshape(-1, 2).T - 1
+    return _Census(classes, index, (np.stack([i, j]), np.stack([j, i])))
 
 
 def canonical_class(element, cap=None):

@@ -678,24 +678,27 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
                 times.append(t)
                 out[step + 1] = p
         else:
-            for step in range(n_steps):
-                dt = h if step < n_full else rem
-                s1 = comp.values(weights, v)
-                s2 = comp.values(weights, v + (dt / 2.0) * s1)
-                s3 = comp.values(weights, v + (dt / 2.0) * s2)
-                s4 = comp.values(weights, v + dt * s3)
-                v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-                t += dt
-                # one check: a graphon state before the clip hides excursions,
-                # any other after the sum, which can overflow where v did not
-                if graphon_mode:
-                    _check_state(t, float(v.min()), float(v.max()), True)
-                    np.clip(v, 0.0, 1.0, out=v)
-                v = (v + v.T) / 2.0  # exactly symmetric
-                if not graphon_mode:
-                    _check_state(t, float(v.min()), float(v.max()), False)
-                times.append(t)
-                out[step + 1] = v
+            # a state that overflows or turns nan raises IntegrationError
+            # from _check_state; numpy's warnings on the way are noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in range(n_steps):
+                    dt = h if step < n_full else rem
+                    s1 = comp.values(weights, v)
+                    s2 = comp.values(weights, v + (dt / 2.0) * s1)
+                    s3 = comp.values(weights, v + (dt / 2.0) * s2)
+                    s4 = comp.values(weights, v + dt * s3)
+                    v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                    t += dt
+                    # one check: a graphon state before the clip hides excursions,
+                    # any other after the sum, which can overflow where v did not
+                    if graphon_mode:
+                        _check_state(t, float(v.min()), float(v.max()), True)
+                        np.clip(v, 0.0, 1.0, out=v)
+                    v = (v + v.T) / 2.0  # exactly symmetric
+                    if not graphon_mode:
+                        _check_state(t, float(v.min()), float(v.max()), False)
+                    times.append(t)
+                    out[step + 1] = v
     except OverflowError as exc:
         # Python float powers on the one-part path overflow instead of
         # returning inf

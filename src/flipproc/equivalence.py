@@ -25,7 +25,6 @@ row.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,11 +33,7 @@ import numpy as np
 from .codes import (
     CapExceeded,
     enumerate_classes,
-    full_bits,
     num_pairs,
-    orbit_members,
-    pair_list,
-    pair_orbits,
     perm_images,
     _blocks,
     _census,
@@ -49,8 +44,7 @@ from .rules import (
     entry_codes,
     entry_numerators,
     is_deterministic,
-    is_symmetric,
-    row_codes,
+    symmetrize,
     validate,
     _SMALL,
     _codes_in_range,
@@ -182,35 +176,40 @@ def coeff_vector(rule, cap=None):
     classes = enumerate_classes(k, cap)
     if not classes:
         return CoeffVector._from_numerators(k, classes, (), 1)
+    census = _census(k)
     p = num_pairs(k)
-    # integer numerators over the common denominator; each row also enters
-    # as a diagonal term of numerator -denom, which subtracts f's own pairs
+    # integer numerators over the common denominator; denom stands for 1
     f, h = entry_codes(rule)
-    rows = row_codes(rule)
     denom, nums = entry_numerators(rule)
     if not _codes_in_range(f, h, p):
         raise ValueError(f"graph codes out of range for order {k}")
-    # each term enters at most 2p class sums, so no sum can exceed 2p times
-    # the total |numerator|; beyond int64, exact Python integers
-    bound = 2 * p * (len(nums) + len(rows)) * _largest(nums, denom)
+    starts = rule._starts
+    # each entry and each row's own pairs enter at most 2p class sums, so
+    # no sum can exceed 2p times their total |numerator|; beyond int64,
+    # exact Python integers
+    bound = 2 * p * (len(nums) + len(starts)) * _largest(nums, denom)
     dtype = np.int64 if bound < _SMALL else object
-    # the entries, then the diagonal terms: each half is sorted by row, so
-    # a run of equal f holds terms of one row, and both runs of a row add
-    # into its classes
-    f = np.concatenate([f, rows])
-    h = np.concatenate([h, rows])
-    nums = np.concatenate([nums.astype(dtype), np.full(len(rows), -denom, dtype=dtype)])
-    index = _census(k).index
-    first, second = np.array(pair_list(k)).T - 1
+    nums = nums.astype(dtype, copy=False)
+    bits = np.arange(p)
     acc = np.zeros(len(classes), dtype=dtype)
     for blk in _blocks(len(f), p):
-        fb = f[blk]
-        starts = np.flatnonzero(np.diff(fb, prepend=-1))
-        held = h[blk, None] >> np.arange(p) & 1
-        z = np.add.reduceat(nums[blk, None] * held, starts, axis=0)
-        graphs = fb[starts, None]
-        np.add.at(acc, index[graphs, first, second], z)
-        np.add.at(acc, index[graphs, second, first], z)
+        # runs of one row each: the rows that start in this block, led by
+        # the tail of a row from an earlier block, which subtracted that
+        # row's own pairs there
+        lo, hi = np.searchsorted(starts, (blk.start, blk.stop))
+        runs = starts[lo:hi] - blk.start
+        tail = not len(runs) or runs[0] > 0
+        if tail:
+            runs = np.concatenate(([0], runs))
+        z = np.add.reduceat(nums[blk, None] * (h[blk, None] >> bits & 1), runs, axis=0)
+        graphs = f[blk][runs]
+        own = (graphs[:, None] >> bits & 1).astype(dtype, copy=False)
+        own *= denom
+        if tail:
+            own[0] = 0
+        z -= own
+        np.add.at(acc, census.index[(graphs[:, None, None], *census.roots)],
+                  z[:, None, :])
     return CoeffVector._from_numerators(k, classes, acc, denom)
 
 
@@ -301,65 +300,6 @@ def dilation_factor(rule1, rule2, cap=None):
     return _dilation(*compare(rule1, rule2, cap).vectors)
 
 
-# -------------------------------------------------------------- symmetrization
-
-def _orbit_sums(rule, cap=None):
-    """(denom, keys, masses, sizes) for every relabelling orbit of index
-    pairs that an explicit row touches, in increasing key order: keys from
-    pair_orbits, masses the orbits' totals as numerators over denom, sizes
-    their member counts.  Relabelled identity rows add mass 1 on their
-    diagonal, and a touched row's diagonal orbit is listed even at mass 0.
-    An orbit left out holds identity rows only: mass = size on the
-    diagonal, 0 elsewhere."""
-    k = rule.order
-    _check_cap(k, cap, "relabelling sweep")
-    f, h = entry_codes(rule)
-    explicit = row_codes(rule)
-    denom, nums = entry_numerators(rule)
-    row_keys, _ = pair_orbits(k, explicit, explicit)
-    # sorted in Python: np.unique without index outputs imports numpy.ma
-    diag_keys = np.array(sorted(set(row_keys.tolist())), dtype=np.int64)
-    diagonals, owners = orbit_members(k, diag_keys)
-    diag_sizes = np.bincount(owners, minlength=len(diag_keys))
-    # identity rows per diagonal orbit, each of numerator denom
-    implicit = ~np.isin(diagonals & full_bits(k), explicit)
-    identity = np.bincount(owners[implicit], minlength=len(diag_keys))
-    entry_keys, entry_sizes = pair_orbits(k, f, h)
-    keys, first, inverse = np.unique(np.concatenate([entry_keys, diag_keys]),
-                                     return_index=True, return_inverse=True)
-    sizes = np.concatenate([entry_sizes, diag_sizes])[first]
-    # no mass can pass the total |numerator| of the entries and identities
-    bound = (len(nums) + int(identity.sum())) * _largest(nums, denom)
-    dtype = np.int64 if bound < _SMALL else object
-    masses = np.zeros(len(keys), dtype=dtype)
-    np.add.at(masses, inverse, np.concatenate(
-        [nums.astype(dtype), identity.astype(dtype) * denom]))
-    return denom, keys, masses, sizes
-
-
-def symmetrize(rule, cap=None):
-    """Average the rule over simultaneous relabellings of both indices.
-    The result is symmetric, row-stochastic whenever the input is, and has
-    the same coefficient vector, hence the same trajectories."""
-    k = rule.order
-    denom, keys, masses, sizes = _orbit_sums(rule, cap)
-    held = masses != 0
-    keys, masses, sizes = keys[held], masses[held], sizes[held]
-    # every member of an orbit gets the orbit's mass over its size, which
-    # is masses * (lcm / sizes) over denom * lcm for the lcm of the sizes
-    lcm = math.lcm(*sizes.tolist())
-    if masses.dtype != object and _largest(masses, 1) * lcm >= _SMALL:
-        masses = masses.astype(object)
-    shares = masses * (lcm // sizes)
-    members, owners = orbit_members(k, keys)
-    # member codes f << P | h sort as the pairs (f, h) do
-    order = np.argsort(members)
-    members = members[order]
-    return Rule._from_numerators(
-        k, members >> num_pairs(k), members & full_bits(k),
-        shares[owners[order]], denom * lcm)
-
-
 # ----------------------------------------------------------------- uniqueness
 
 def classify_unique(rule, cap=None):
@@ -380,14 +320,14 @@ def classify_unique(rule, cap=None):
     validate(rule)
     if rule.order <= 2:
         return UniquenessVerdict(True, "order-2", None)
-    sym = is_symmetric(rule, cap)
-    if sym and is_deterministic(rule):
-        return UniquenessVerdict(True, "symmetric-deterministic", None)
-    if not sym:
-        witness = symmetrize(rule, cap)
-        _check_witness(rule, witness, cap)
-        return UniquenessVerdict(False, "witness", witness)
-    witness = _marginal_witness(rule, cap)
+    # a rule is symmetric when it equals its symmetrization, which is the
+    # witness when it does not
+    _check_cap(rule.order, cap, "symmetry check")
+    witness = symmetrize(rule, cap)
+    if witness == rule:
+        if is_deterministic(rule):
+            return UniquenessVerdict(True, "symmetric-deterministic", None)
+        witness = _marginal_witness(rule, cap)
     _check_witness(rule, witness, cap)
     return UniquenessVerdict(False, "witness", witness)
 
@@ -441,7 +381,7 @@ def _marginal_witness(rule, cap=None):
     f = next(f for f in sorted(rows) if len(rows[f]) > 1)
     lo, hi = sorted(rows[f])
     images = perm_images(k, [f, lo, hi])
-    g, g_lo, g_hi = images[np.flatnonzero(images[:, 0] != f)[0]].tolist()
+    g, g_lo, g_hi = images[:, np.flatnonzero(images[0] != f)[0]].tolist()
     eps = min(rows[f][lo], rows[f][hi])
     _shift(entries, f, hi, lo, eps)
     _shift(entries, g, g_lo, g_hi, eps)
@@ -460,23 +400,13 @@ K1_BANNER = (
 def check_k1(rule1, rule2, cap=None):
     """Conjectured test: the two rules induce identically distributed finite
     processes iff, for every relabelling orbit of index pairs (F, H), the
-    total entry mass over the orbit agrees.  Compares those orbit sums.
+    total entry mass over the orbit agrees.  Compares those orbit sums: a
+    symmetrization spreads each orbit's sum evenly over its members, so
+    the sums agree exactly when the symmetrizations are equal.
 
     Implicit identity rows carry mass 1 on their diagonal pair and are
     included.  See K1_BANNER: the equivalence is a conjecture.
     """
     if rule1.order != rule2.order:
         raise ValueError("the orbit-sum check compares rules of equal order")
-    p, mask = num_pairs(rule1.order), full_bits(rule1.order)
-
-    def listed(rule):
-        # the sums that differ from an orbit of identity rows alone
-        denom, keys, masses, sizes = _orbit_sums(rule, cap)
-        out = {}
-        for key, num, size in zip(keys.tolist(), masses.tolist(), sizes.tolist()):
-            default = size if key >> p == key & mask else 0
-            if num != default * denom:
-                out[key] = Fraction(num, denom)
-        return out
-
-    return listed(rule1) == listed(rule2)
+    return symmetrize(rule1, cap) == symmetrize(rule2, cap)

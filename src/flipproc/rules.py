@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import _check_cap, full_bits, num_pairs, pair_orbits
+from .codes import _check_cap, _orbit_sweep, full_bits, num_pairs
 
 
 class RuleValidationError(ValueError):
@@ -384,27 +384,50 @@ def row_codes(rule):
 # ----------------------------------------------------------------- predicates
 
 def is_symmetric(rule, cap=None):
-    """Invariance under simultaneous relabelling of both indices.
-
-    The rule is symmetric iff every relabelling orbit of index pairs that
-    holds an explicit entry has all of its members explicit, with equal
-    probabilities.  Construction strips zero entries and identity point
-    rows, so an implicit member breaks the symmetry: it has probability 0,
-    or it is the diagonal of an identity row that is the image of an
-    explicit row, and some other entry of that row maps to probability 0.
-    The order is held to the enumeration cap, since the orbits come from a
+    """Invariance under simultaneous relabelling of both indices: the rule
+    equals its symmetrization, the average over all relabellings.  The
+    order is held to the enumeration cap, since the orbits come from a
     sweep over all k! relabellings.
     """
+    _check_cap(rule.order, cap, "symmetry check")
+    return symmetrize(rule, cap) == rule
+
+
+def symmetrize(rule, cap=None):
+    """Average the rule over simultaneous relabellings of both indices.
+    The result is symmetric, row-stochastic whenever the input is, and has
+    the same coefficient vector, hence the same trajectories.
+
+    Each relabelling orbit of index pairs that an explicit row touches
+    spreads its mass evenly over its members; relabelled identity rows
+    add mass 1 on their diagonal.  An orbit left out holds identity rows
+    only, which stay."""
     k = rule.order
-    _check_cap(k, cap, "symmetry check")
-    keys, sizes = pair_orbits(k, *entry_codes(rule))
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True)
-    if not np.array_equal(counts[inverse], sizes):
-        return False
-    # one denominator: equal probabilities have equal numerators
-    nums = rule._nums
-    return np.array_equal(nums, nums[first][inverse])
+    _check_cap(k, cap, "relabelling sweep")
+    denom, nums = rule._denom, rule._nums
+    orbits = _orbit_sweep(k, *entry_codes(rule), rule._starts)
+    sizes, owners = orbits.sizes, orbits.owners
+    # identity rows per diagonal orbit, each of numerator denom: its
+    # members less the explicit rows among them
+    explicit = np.bincount(orbits.row_orbit, minlength=len(sizes))
+    identity = np.where(explicit > 0, sizes - explicit, 0)
+    # no mass can pass the total |numerator| of the entries and identities
+    bound = (len(nums) + int(identity.sum())) * _largest(nums, denom)
+    dtype = np.int64 if bound < _SMALL else object
+    masses = identity.astype(dtype) * denom
+    np.add.at(masses, orbits.entry_orbit, nums.astype(dtype))
+    # every member of an orbit gets the orbit's mass over its size, which
+    # is masses * (lcm / sizes) over denom * lcm for the lcm of the sizes
+    held = masses != 0
+    lcm = math.lcm(*sizes[held].tolist())
+    if dtype != object and _largest(masses, 1) * lcm >= _SMALL:
+        masses = masses.astype(object)
+    shares = masses * (lcm // sizes)
+    # members come sorted, and member codes f << P | h sort as (f, h) do
+    keep = held[owners]
+    members = orbits.members[keep]
+    return Rule._from_numerators(k, members >> num_pairs(k), members & full_bits(k),
+                                 shares[owners[keep]], denom * lcm)
 
 
 def is_deterministic(rule):

@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flipproc
 from flipproc import (
     Rule,
     StepKernel,
@@ -312,6 +315,28 @@ def test_integrate_step_count_capped(tr_file, kernel_file, capsys):
     assert main(["integrate", tr_file, kernel_file, "--t-max", "1e9"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "steps" in captured.err
+
+
+def test_integrate_blowup_prints_one_line(tmp_path):
+    # extremist order 4 from a non-graphon 2-part kernel overflows within
+    # two steps; numpy's overflow warnings stay out of stderr, in a fresh
+    # interpreter as a user runs it
+    rule = tmp_path / "ext4.json"
+    save_rule(make_named("extremist", 4), rule)
+    kernel = tmp_path / "kng.json"
+    kernel.write_text('{"weights": ["1/2", "1/2"], '
+                      '"values": [[1.8, -0.3], [-0.3, 2.5]]}')
+    src = os.path.dirname(os.path.dirname(flipproc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flipproc.cli", "integrate", str(rule), str(kernel),
+         "--t-max", "0.5", "--dt", "0.01", "--expert-nongraphon"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: state is no longer finite at time 0.02; reduce the step size\n")
 
 
 def test_velocity_rejects_non_finite_kernel(tr_file, tmp_path, capsys):

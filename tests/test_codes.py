@@ -218,7 +218,7 @@ def test_census_graphs_are_least_images():
         assert (census.index[:, diagonal] == -1).all()
         for lo in range(0, 1 << num_pairs(k), 1024):
             codes = np.arange(lo, min(lo + 1024, 1 << num_pairs(k)))
-            least = perm_images(k, codes).min(axis=0)
+            least = perm_images(k, codes).min(axis=1)
             classes = census.index[codes][:, ~diagonal]
             assert (classes >= 0).all()
             assert (graph[classes] == least[:, None]).all()

@@ -309,7 +309,7 @@ def test_integrate_refuses_non_graphon_without_flag():
     assert traj.final.values[0][0] == 1.5
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_integrate_detects_domain_escape():
     # unnormalized row doubling the edge indicator: drift 2w blows past 1
     runaway = Rule(2, {(1, 1): F(2)})

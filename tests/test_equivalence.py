@@ -2,10 +2,14 @@
 uniqueness classification, and the orbit-sum conjecture check."""
 
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,8 +36,9 @@ from flipproc import (
     symmetrize,
 )
 from flipproc import equivalence
-from flipproc.codes import num_pairs
+from flipproc.codes import _orbit_sweep, num_pairs
 from flipproc.equivalence import _first_difference
+from flipproc.rules import entry_codes
 
 import oracles
 
@@ -634,3 +639,67 @@ def test_integer_core_matches_fraction_oracles(rule1, rule2):
                  None)
     assert verdict.differing_class == first
     assert verdict.equivalent == (first is None) == (v1.values == v2.values)
+
+
+# ------------------------------------------------------------ blocked sweeps
+
+def _blocked_cases():
+    rng = random.Random(53)
+    wide = F(3 ** 40, 3 ** 41 + 2)
+    return [
+        make_named("complementing", 4),
+        make_named("extremist", 4),
+        lift(TR, 5),
+        *(oracles.random_rule(rng, k, max_rows=6) for k in (3, 4, 4, 5)),
+        # numerators past int64, held as Python integers
+        _mixture(oracles.random_rule(rng, 4), oracles.random_rule(rng, 4), wide),
+        # one row of 64 entries, split over many blocks
+        Rule(4, {(5, h): F(1, 64) for h in range(64)}),
+    ]
+
+
+def _orbits(rule):
+    return _orbit_sweep(rule.order, *entry_codes(rule), rule._starts)
+
+
+def test_sweeps_agree_across_many_blocks(monkeypatch):
+    rules = _blocked_cases()
+    # the orbit-sum check pairs each rule with the first of its order
+    partners = [next(p for p in rules if p.order == r.order) for r in rules]
+    unblocked = [(_orbits(r), coeff_vector(r), check_k1(r, p))
+                 for r, p in zip(rules, partners)]
+    # blocks of 64 images: one or two entries per relabelling block, and a
+    # handful per certificate block, so rows straddle blocks
+    monkeypatch.setattr("flipproc.codes.BLOCK_ELEMENTS", 64)
+    for rule, partner, (orbits, cv, k1) in zip(rules, partners, unblocked):
+        blocked = _orbits(rule)
+        for field in orbits._fields:
+            assert np.array_equal(getattr(blocked, field), getattr(orbits, field)), field
+        assert symmetrize(rule) == oracles.naive_symmetrize(rule)
+        assert is_symmetric(rule) == oracles.naive_is_symmetric(rule)
+        assert coeff_vector(rule) == cv
+        assert check_k1(rule, partner) == k1
+        if rule.order <= 4:
+            assert _as_triples(cv) == oracles.naive_coeff_sums_fast(rule)
+            assert k1 == (oracles.naive_orbit_sums(rule) == oracles.naive_orbit_sums(partner))
+
+
+def test_certificate_and_witness_leave_numpy_ma_unimported():
+    # np.unique without index outputs imports numpy.ma, about 0.5 MB of
+    # peak RSS that no certificate needs
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from flipproc import Rule, check_k1, classify_unique, coeff_vector, symmetrize\n"
+        "rule = Rule(4, {(3, 0): F(1, 3), (3, 12): F(2, 3), (40, 1): F(1)})\n"
+        "coeff_vector(rule); classify_unique(rule); symmetrize(rule)\n"
+        "check_k1(rule, symmetrize(rule))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(equivalence.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
