@@ -11,9 +11,9 @@ go to stderr.  Exit codes:
    positive), and an integration that fails (IntegrationError: the state
    left [0, 1] or stopped being finite, so the step size was too large)
    or asks for more steps than a float can count (OverflowError)
-3  resource cap exceeded (CapExceeded): the graph order, the velocity
-   grid, the block values an integration would store, or the steps a
-   simulation would take
+3  resource cap exceeded (CapExceeded): the graph order, census index,
+   relabelling tables, rule entries, velocity grid or stored trajectory,
+   or a simulation's vertices, drawn-graph code or steps (README "Caps")
 """
 
 import argparse

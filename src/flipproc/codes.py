@@ -64,6 +64,13 @@ def _check_cap(k, cap, what):
         )
 
 
+def _check_budget(need, budget, what):
+    """CapExceeded when `need` units of a resource, named by `what`, pass
+    its `budget`.  Every bound but the enumeration cap is checked here."""
+    if need > budget:
+        raise CapExceeded(f"{what}: {need}, beyond the budget of {budget}")
+
+
 def num_pairs(k):
     return k * (k - 1) // 2
 
@@ -207,9 +214,8 @@ def _byte_images(k):
     """table[j, v, s]: the image of the code v << 8j under all_perms(k)[s].
     Images fit int32 up to order 8, and pairs of them (f << P) | h int64;
     beyond that the k! sweep is out of reach anyway."""
+    _check_budget(k, 8, "order of the relabelling tables")
     p = num_pairs(k)
-    if p > 31:
-        raise CapExceeded(f"relabelling tables stop at order 8, got order {k}")
     fact = len(all_perms(k))
     chunks = max(1, (p + 7) // 8)
     # pair_maps[idx, s]: the bit index that all_perms(k)[s] sends idx to
@@ -330,8 +336,15 @@ class _Census:
     roots: tuple
 
 
+# Cells of a census index, 2^C(k, 2) * k^2 int32s: order 7 takes 102,760,448
+# (411 MB), order 8 would take 2^34
+_CENSUS_BUDGET = 1 << 27
+
+
 @functools.lru_cache(maxsize=None)  # one entry per order, and orders are capped
 def _census(k):
+    _check_budget((1 << num_pairs(k)) * k * k, _CENSUS_BUDGET,
+                  f"cells of the census index at order {k}")
     perms = np.array(all_perms(k), dtype=np.int8) - 1
     fact = len(perms)
     kk = k * k

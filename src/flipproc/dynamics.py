@@ -29,9 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (
-    CapExceeded,
     GraphCode,
     RootedPairGraph,
+    _check_budget,
     enumeration_cap,
     num_pairs,
     pair_index,
@@ -411,15 +411,9 @@ class _CompiledVelocity:
         m = vals.shape[0]
         if m == 1:
             return np.array([[self.point(float(vals[0, 0]))]])
-        cells = m ** k
-        if cells > _GRID_BUDGET:
-            raise CapExceeded(
-                f"velocity grid of {m} parts at order {k} has {cells} cells, "
-                f"beyond the budget of {_GRID_BUDGET}"
-            )
+        plan = _plan(self, m)  # refuses a grid beyond its budget
         if not len(self.coeffs):
             return np.zeros((m, m))
-        plan = _plan(self, m)
         if k == 2:
             # no free vertex: the coefficients of the root pair's patterns
             c0, c1 = plan
@@ -485,8 +479,11 @@ def _plan(comp, m):
     out once per distinct prefix on 1..j, whose message is the sum over
     its extensions, and the results are added up per prefix on 1..j - 1
     by np.add.reduceat.  The prefixes left on the root pair are its
-    patterns, in table order."""
+    patterns, in table order.  The m^k grid is held to _GRID_BUDGET
+    cells, for a rule with no classes too."""
     k = comp.k
+    _check_budget(m ** k, _GRID_BUDGET,
+                  f"cells of the velocity grid of {m} parts at order {k}")
     if k == 2:
         c = [0.0, 0.0]
         for code, coeff in zip(comp.codes.tolist(), comp.coeffs.tolist()):
@@ -633,10 +630,10 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
     to (steps + 1) * m^2 stored block values for m parts within the same
     budget of 4,000,000; beyond it, CapExceeded before the first step.
     """
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be finite and positive, got {h}")
     graphon_mode = start.is_graphon
     if not graphon_mode and not expert_nongraphon:
         raise ValueError(
@@ -646,12 +643,8 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
     n_full = int(t_max / h + 1e-9)
     rem = t_max - n_full * h
     n_steps = n_full + (rem > h * 1e-9)
-    stored = (n_steps + 1) * len(start.weights) ** 2
-    if stored > _GRID_BUDGET:
-        raise CapExceeded(
-            f"{n_steps} steps store {stored} block values, beyond the budget "
-            f"of {_GRID_BUDGET}; raise the step size or shorten t_max"
-        )
+    _check_budget((n_steps + 1) * len(start.weights) ** 2, _GRID_BUDGET,
+                  f"block values stored by {n_steps} steps")
     comp = _compiled(rule, enumeration_cap(cap))
     weights, v = _kernel_arrays(start)
     out = np.empty((n_steps + 1,) + v.shape)

@@ -30,13 +30,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import rules
 from .codes import (
-    CapExceeded,
     enumerate_classes,
     num_pairs,
     perm_images,
     _blocks,
     _census,
+    _check_budget,
     _check_cap,
 )
 from .rules import (
@@ -213,11 +214,6 @@ def coeff_vector(rule, cap=None):
     return CoeffVector._from_numerators(k, classes, acc, denom)
 
 
-# Lifted entries are held to this many, the size of the velocity's grid
-# budget: each entry is copied once per graph on the new pairs.
-_LIFT_BUDGET = 4_000_000
-
-
 def lift(rule, to, cap=None):
     """Rewrite a rule so that it samples `to` vertices, applies the original
     rule to the subgraph induced on the first `rule.order` of them, and
@@ -235,12 +231,8 @@ def lift(rule, to, cap=None):
     denom, nums = entry_numerators(rule)
     if not len(nums):
         return Rule(to)
-    lifted = len(nums) << (num_pairs(to) - low)
-    if lifted > _LIFT_BUDGET:
-        raise CapExceeded(
-            f"lifting {len(nums)} entries to order {to} makes {lifted} entries, "
-            f"beyond the budget of {_LIFT_BUDGET}"
-        )
+    _check_budget(len(nums) << (num_pairs(to) - low), rules._ENTRY_BUDGET,
+                  f"entries of a {len(nums)}-entry rule lifted to order {to}")
     f, h = entry_codes(rule)
     if not _codes_in_range(f, h, low):
         raise ValueError(f"graph codes out of range for order {k1}")
@@ -322,7 +314,6 @@ def classify_unique(rule, cap=None):
         return UniquenessVerdict(True, "order-2", None)
     # a rule is symmetric when it equals its symmetrization, which is the
     # witness when it does not
-    _check_cap(rule.order, cap, "symmetry check")
     witness = symmetrize(rule, cap)
     if witness == rule:
         if is_deterministic(rule):

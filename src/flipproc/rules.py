@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import _check_cap, _orbit_sweep, full_bits, num_pairs
+from .codes import _check_budget, _check_cap, _orbit_sweep, full_bits, num_pairs
 
 
 class RuleValidationError(ValueError):
@@ -289,18 +289,28 @@ def validate(rule):
 # would need 4,325.
 MAX_NAMED_ORDER = 169
 
+# Entries of a rule that lift or a dense named family builds: order 7
+# complementing has 2,097,152
+_ENTRY_BUDGET = 4_000_000
+
 
 def make_named(family, k, cap=None, **params):
     """Construct a named rule family at order k.  Families:
     identity, triangle-removal, triangle-edge-removal, complementing,
     extremist (threshold=...), clique-removal, ignorant (dist=...),
-    component-completion (not implemented).  complementing, extremist and
-    ignorant list all 2^C(k, 2) rows, so their order is held to the
-    enumeration cap; every family stops at MAX_NAMED_ORDER."""
+    component-completion (not implemented); a parameter that the family
+    does not take is a ValueError.  complementing, extremist and ignorant
+    list all 2^C(k, 2) rows, so their order is held to the enumeration cap
+    and their entries to 4,000,000; every family stops at
+    MAX_NAMED_ORDER."""
     family = family.replace("_", "-")
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
-    if family in ("complementing", "extremist", "ignorant"):
+    param = params.pop({"extremist": "threshold", "ignorant": "dist"}.get(family), None)
+    if params:
+        raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
+    dense = family in ("complementing", "extremist", "ignorant")
+    if dense:
         _check_cap(k, cap, f"the {family} rule")
     if k > MAX_NAMED_ORDER:
         raise ValueError(
@@ -308,6 +318,16 @@ def make_named(family, k, cap=None, **params):
             f"graph codes print in 4,300 digits; got order {k}"
         )
     P = num_pairs(k)
+    if family == "ignorant":
+        if param is None:
+            raise ValueError("ignorant rule needs dist={to_bits: probability}")
+        dist = {int(h): Fraction(p) for h, p in param.items()}
+        if sum(dist.values()) != 1 or any(p < 0 for p in dist.values()):
+            raise ValueError("ignorant dist must be a probability distribution")
+    if dense:
+        support = len(dist) if family == "ignorant" else 1
+        _check_budget(support << P, _ENTRY_BUDGET,
+                      f"entries of the {family} rule at order {k}")
 
     if family == "identity":
         return Rule(k, {})
@@ -328,9 +348,7 @@ def make_named(family, k, cap=None, **params):
         return Rule(k, {(f, f ^ comp): Fraction(1) for f in range(1 << P)})
 
     if family == "extremist":
-        threshold = params.pop("threshold", Fraction(P, 2))
-        _reject_params(family, params)
-        threshold = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
+        threshold = Fraction(P, 2) if param is None else Fraction(param)
         entries = {}
         for f in range(1 << P):
             target = full_bits(k) if f.bit_count() >= threshold else 0
@@ -341,13 +359,6 @@ def make_named(family, k, cap=None, **params):
         return Rule(k, {(full_bits(k), 0): Fraction(1)})
 
     if family == "ignorant":
-        dist = params.pop("dist", None)
-        _reject_params(family, params)
-        if dist is None:
-            raise ValueError("ignorant rule needs dist={to_bits: probability}")
-        dist = {int(h): Fraction(p) for h, p in dist.items()}
-        if sum(dist.values()) != 1 or any(p < 0 for p in dist.values()):
-            raise ValueError("ignorant dist must be a probability distribution")
         entries = {}
         for f in range(1 << P):
             for h, p in dist.items():
@@ -360,11 +371,6 @@ def make_named(family, k, cap=None, **params):
         )
 
     raise ValueError(f"unknown rule family {family!r}")
-
-
-def _reject_params(family, params):
-    if params:
-        raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
 
 
 def entry_codes(rule):
@@ -389,7 +395,6 @@ def is_symmetric(rule, cap=None):
     order is held to the enumeration cap, since the orbits come from a
     sweep over all k! relabellings.
     """
-    _check_cap(rule.order, cap, "symmetry check")
     return symmetrize(rule, cap) == rule
 
 

@@ -42,7 +42,7 @@ from random import Random
 
 import numpy as np
 
-from .codes import CapExceeded, num_pairs, pair_list
+from .codes import _check_budget, num_pairs, pair_list
 from .dynamics import StepKernel, integrate
 from .rules import entry_codes, entry_numerators, row_codes
 
@@ -366,9 +366,9 @@ def _check_count(name, value):
 def run(config, reference=None):
     """Simulate config.runs independent processes and record block densities
     at the sample times.  reference, when given, must map each sample time
-    to a kernel on the same parts; per-run absolute deviations are filled in.
-    Beyond 5,000 vertices, 10,000,000 steps over all runs or rule order 11,
-    CapExceeded before the first step.
+    to a kernel on the same parts, else ValueError; per-run absolute
+    deviations are filled in.  Beyond 5,000 vertices, 10,000,000 steps over
+    all runs or rule order 11, CapExceeded before the first step.
     """
     rule = config.rule
     n = config.n
@@ -377,28 +377,18 @@ def run(config, reference=None):
             f"n = {n} is below the rule order {rule.order}; a step cannot "
             f"sample enough distinct vertices"
         )
-    if n > _MAX_N:
-        raise CapExceeded(
-            f"n = {n} exceeds the maximum {_MAX_N} "
-            f"(adjacency storage grows quadratically)"
-        )
-    if num_pairs(rule.order) > 62:
-        raise CapExceeded(
-            f"rule order {rule.order} is above 11; the simulator reads drawn "
-            f"graphs as 62-bit codes"
-        )
-    if config.horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {config.horizon}")
+    _check_budget(n, _MAX_N, "vertices")
+    _check_budget(num_pairs(rule.order), 62,
+                  f"pairs in the 62-bit code of a drawn order-{rule.order} graph")
+    if not (math.isfinite(config.horizon) and config.horizon >= 0):
+        raise ValueError(
+            f"horizon must be finite and nonnegative, got {config.horizon}")
     _check_count("runs", config.runs)
     _check_count("sample_points", config.sample_points)
     times = _sample_times(config.horizon, config.sample_points)
     targets = [int(t * n * n + 1e-9) for t in times]
-    total_steps = max(targets)
-    if config.runs * total_steps > _STEP_BUDGET:
-        raise CapExceeded(
-            f"{config.runs} runs of {total_steps} steps exceed the step "
-            f"budget of {_STEP_BUDGET}; shorten the horizon or run fewer"
-        )
+    _check_budget(config.runs * max(targets), _STEP_BUDGET,
+                  f"steps of {config.runs} runs")
 
     from_kernel = isinstance(config.initial, StepKernel)
     if from_kernel:
@@ -414,6 +404,8 @@ def run(config, reference=None):
             tuple(tuple(float(v) for v in row) for row in reference(t).values)
             for t in times
         ]
+        if any(len(ref) != len(sizes) for ref in ref_mats):
+            raise ValueError(f"reference kernels need the start's {len(sizes)} parts")
 
     result = SimResult(
         times=times, part_sizes=sizes, samples=[], n=n, seed=config.seed,

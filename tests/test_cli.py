@@ -122,6 +122,41 @@ def test_named_dense_families_are_capped(capsys, family):
     assert main(["--cap", "3", "named", family, "--k", "3", *extra]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["named", "complementing", "--k", "2", "--threshold", "7"],
+    ["named", "identity", "--k", "3", "--dist", '{"1": 1}'],
+])
+def test_named_rejects_parameters_the_family_does_not_take(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown parameters" in captured.err
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["--cap", "8", "classes", "--k", "8"], "census"),
+    (["--cap", "8", "coeffs", "R8"], "census"),
+    (["--cap", "8", "named", "complementing", "--k", "8"], "entries"),
+    (["--cap", "7", "named", "ignorant", "--k", "7",
+      "--dist", '{"0": "1/2", "1": "1/2"}'], "entries"),
+    (["--cap", "9", "symmetrize", "R9"], "relabelling"),
+    (["simulate", "R3", "--n", "9000", "--w0", "K", "--time", "0.1",
+      "--seed", "1"], "vertices"),
+    (["simulate", "R12", "--n", "20", "--w0", "K", "--time", "0.1",
+      "--seed", "1"], "62-bit"),
+])
+def test_budgets_exit_3_before_building(argv, what, tmp_path, kernel_file,
+                                        capsys):
+    files = {"K": kernel_file}
+    for k in (3, 8, 9, 12):
+        files[f"R{k}"] = str(tmp_path / f"clique{k}.json")
+        save_rule(make_named("clique-removal", k), files[f"R{k}"])
+    start = time.perf_counter()
+    assert main([files.get(a, a) for a in argv]) == 3
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and what in captured.err
+
+
 def test_named_sparse_families_are_uncapped(capsys):
     assert main(["named", "clique-removal", "--k", "7"]) == 0
     assert parse_rule_json(capsys.readouterr().out) == make_named(

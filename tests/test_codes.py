@@ -19,6 +19,7 @@ from flipproc import (
     pair_index,
     pair_list,
 )
+from flipproc import codes
 from flipproc.codes import _census, perm_images
 
 import oracles
@@ -245,6 +246,26 @@ def test_enumeration_cap():
         canonical_class(RootedPairGraph(GraphCode(7, 0), 1, 2))
     with pytest.raises(ValueError):
         enumerate_classes(0)
+
+
+def test_census_index_is_held_to_its_budget(monkeypatch):
+    # order 8 would index 2^28 * 64 cells, 64 GiB of int32: refused before
+    # any is allocated, whatever the cap
+    with pytest.raises(CapExceeded, match="census"):
+        enumerate_classes(8, cap=8)
+    with pytest.raises(CapExceeded, match="census"):
+        canonical_class(RootedPairGraph(GraphCode(8, 0), 1, 2), cap=8)
+    # order 7, 2^21 * 49 cells, is within the budget; a budget of exactly
+    # order 4's 2^6 * 16 cells still builds order 4, and refuses order 5
+    assert (1 << 21) * 49 <= codes._CENSUS_BUDGET < (1 << 28) * 64
+    monkeypatch.setattr(codes, "_CENSUS_BUDGET", 2 ** 6 * 16)
+    _census.cache_clear()
+    try:
+        assert len(enumerate_classes(4)) == 40
+        with pytest.raises(CapExceeded, match="budget of 1024"):
+            enumerate_classes(5)
+    finally:
+        _census.cache_clear()
 
 
 def test_enumeration_cap_env(monkeypatch):

@@ -357,6 +357,16 @@ def test_integrate_argument_errors():
         integrate(TR, constant_kernel(0.5), 1.0, h=0.0)
 
 
+@pytest.mark.parametrize("t_max,h", [
+    (1.0, math.inf), (math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
+])
+def test_integrate_refuses_non_finite_times(t_max, h):
+    # h = inf would make a trajectory of no steps, t_max = inf an
+    # OverflowError and NaN CPython's float-to-int message
+    with pytest.raises(ValueError, match="finite"):
+        integrate(TR, constant_kernel(0.8), t_max, h=h)
+
+
 def test_trajectory_states_stay_graphons():
     rng = random.Random(23)
     for _ in range(5):

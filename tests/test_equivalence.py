@@ -176,7 +176,7 @@ def test_lift_holds_its_entries_to_the_budget(monkeypatch):
         compare(TR, make_named("identity", 9), cap=9)
     assert lift(make_named("identity", 3), 9, cap=9) == make_named("identity", 9)
     # reaching the budget exactly still lifts
-    monkeypatch.setattr(equivalence, "_LIFT_BUDGET", 1 << 12)
+    monkeypatch.setattr("flipproc.rules._ENTRY_BUDGET", 1 << 12)
     assert len(lift(TR, 6).rows()) == 1 << 12
     with pytest.raises(CapExceeded):
         lift(TER, 6)

@@ -240,6 +240,34 @@ def test_named_identity_and_underscores():
         make_named("component-completion", 3)
 
 
+@pytest.mark.parametrize("family", [
+    "identity", "triangle-removal", "triangle-edge-removal", "complementing",
+    "extremist", "clique-removal", "ignorant", "component-completion",
+])
+def test_named_families_reject_parameters_they_do_not_take(family):
+    taken = {"extremist": "threshold", "ignorant": "dist"}.get(family)
+    for param in {"threshold", "dist", "bogus"} - {taken}:
+        with pytest.raises(ValueError, match="unknown parameters"):
+            make_named(family, 3, **{param: 1})
+
+
+def test_dense_named_families_are_held_to_the_entry_budget(monkeypatch):
+    # 2^28 rows at order 8, refused before any is built, whatever the cap
+    for family in ("complementing", "extremist"):
+        with pytest.raises(CapExceeded, match="budget of 4000000"):
+            make_named(family, 8, cap=8)
+    # ignorant has a row entry per graph of its dist; a budget of exactly
+    # the 2^6 rows of order 4 still builds one graph per row, not two
+    monkeypatch.setattr("flipproc.rules._ENTRY_BUDGET", 2 ** 6)
+    assert len(make_named("complementing", 4).entries) == 2 ** 6
+    # row 0 of this ignorant rule is an identity row, which a rule omits
+    assert len(make_named("ignorant", 4, dist={0: 1}).entries) == 2 ** 6 - 1
+    with pytest.raises(CapExceeded, match="entries"):
+        make_named("ignorant", 4, dist={0: F(1, 2), 1: F(1, 2)})
+    with pytest.raises(CapExceeded, match="entries"):
+        make_named("extremist", 5)
+
+
 def test_is_symmetric():
     assert is_symmetric(make_named("triangle-removal", 3))
     assert is_symmetric(make_named("complementing", 3))

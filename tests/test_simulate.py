@@ -351,6 +351,26 @@ def test_run_deviations_against_reference():
     assert all(dev < 0.1 for per_run in out.deviations for dev in per_run)
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_run_refuses_non_finite_horizons(horizon):
+    cfg = SimConfig(rule=make_named("identity", 2), n=4,
+                    initial=constant_kernel(0.5), horizon=horizon, seed=0)
+    with pytest.raises(ValueError, match="horizon"):
+        run(cfg)
+
+
+def test_run_reference_must_have_the_start_parts():
+    # a 2-part reference on a 1-part start would compare block (0, 0)
+    # only, a 1-part one on a 2-part start index past its values
+    two = StepKernel((F(1, 2), F(1, 2)), ((0.5, 0.2), (0.2, 0.5)))
+    one = constant_kernel(0.5)
+    for start, ref in ((one, two), (two, one)):
+        cfg = SimConfig(rule=make_named("triangle-removal", 3), n=10,
+                        initial=start, horizon=0.1, seed=0)
+        with pytest.raises(ValueError, match="parts"):
+            run(cfg, reference=lambda t: ref)
+
+
 def test_single_step_edge_drift_matches_expectation():
     # ignorant completion: expected edge change is 3 minus the expected
     # number of edges on the sampled triple
