@@ -640,6 +640,9 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
             "starting kernel is not a graphon; pass expert_nongraphon=True "
             "to integrate it anyway (no domain guarantees)"
         )
+    # as a float first: int() refuses the infinite quotient of a tiny h,
+    # and a quotient past the budget stores more values than it allows
+    _check_budget(t_max / h, _GRID_BUDGET, f"steps of {h} to {t_max}")
     n_full = int(t_max / h + 1e-9)
     rem = t_max - n_full * h
     n_steps = n_full + (rem > h * 1e-9)

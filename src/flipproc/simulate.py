@@ -6,36 +6,39 @@ tuple of distinct vertices, reads the induced drawn graph, samples a
 replacement from the rule row, and rewrites exactly the tuple's pairs;
 identity rows touch nothing.
 
-Steps run in batches.  Every step of a batch reads its drawn graph from the
-matrix as it stands, and the batch commits, with one XOR per toggled pair,
-the longest prefix in which no step reads a pair that an earlier step of the
-prefix toggles.  The committed steps toggle disjoint pairs that none of them
-reads after it is toggled, so they commute, and the result is exactly that
-of applying the same draws one step at a time.  The next round starts at the
-first step left out, with its draws.  A batch holds at most _BATCH = 512
-steps and ends at the next sample time.
+The runs of a configuration step in lockstep as one (R, n, n) stack, in
+groups whose matrices and batch reads fit _STACK_BYTES (at n = 5000, one
+run).  A batch takes at most _BATCH = 512 steps of each run, ends at the
+next sample time, and sorts its pair reads once, so that each read knows
+the previous read of its pair.  A step is owed when that previous reader
+toggled the pair or is owed itself.  A round reads every pending step from
+the stack as it stands and commits, with one XOR per toggled pair, every
+step not owed: its reads are those of the one-step order, and no pending
+step reads a pair it toggles.  The owed steps are read again next round, so
+the result is exactly that of applying the same draws one step at a time.
 
 Randomness is fully pinned: run r of master seed s derives its own 64-bit
 seed by an additive splitmix-style mix, which then seeds CPython's Mersenne
-Twister.  All draws are raw 32-bit outputs of that generator, taken in
-order with getrandbits:
-- the start graph takes two words per pair, in row-major order over the
-  pairs u < v, and puts an edge where the 53-bit double they make, the
+Twister.  All draws are raw 32-bit outputs of that generator, in order:
+- the start graph takes exactly two words per pair, in row-major order over
+  the pairs u < v, and puts an edge where the 53-bit double they make, the
   value random() would return, is below the pair's block value;
-- a batch of c steps then takes c integers below n, then c below n - 1, and
-  so on for the k tuple positions, and then c uniforms of two words each,
-  one per step, active or not.  An integer below m is the top
+- the step words then come from a buffer that reads ahead of the generator;
+  a batch of c steps takes c integers below n, then c below n - 1, and so
+  on for the k tuple positions, and then c uniforms of two words each, one
+  per step, active or not.  An integer below m is the top
   b = bit_length(m - 1) bits of a word, when they are below m: a round that
   still needs r integers takes r * 2^b // m + 32 words and keeps the first r
   accepted ones;
 - tuple position i takes the r-th smallest vertex not taken by the earlier
   positions, r being its integer below n - i.
-Equal seeds give bit-identical results.
+Equal seeds give bit-identical results, whatever the grouping of runs.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
@@ -50,6 +53,9 @@ _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
 _BATCH = 512  # steps drawn at once; the draws depend on it
 _BLOCK = 1 << 12  # pair entries per block of sampling and row conversion
+_CHUNK = 1 << 12  # least words a run's step stream reads ahead
+_STACK_BYTES = 1 << 23  # matrices and batch reads of the runs stepped at once
+_READ_BYTES = 128  # working memory of one pair read in a batch, at most
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -77,43 +83,60 @@ def _words(rng, c):
     return np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), "<u4")
 
 
-def _uniforms(rng, c):
-    """c doubles, each equal to what one rng.random() call would return."""
-    w = _words(rng, 2 * c)
+def _stream(rng):
+    """take(c): the next c words of rng, which the stream reads ahead in
+    chunks of at least _CHUNK words."""
+    buf, pos = np.empty(0, np.uint32), 0
+
+    def take(c):
+        nonlocal buf, pos
+        if pos + c > len(buf):
+            buf, pos = np.concatenate((buf[pos:], _words(rng, max(c, _CHUNK)))), 0
+        pos += c
+        return buf[pos - c:pos]
+    return take
+
+
+def _uniforms(take, c):
+    """c doubles of the next 2c words of take, each equal to what one
+    rng.random() call would return."""
+    w = take(2 * c)
     a = (w[0::2] >> np.uint32(5)).astype(np.float64)
     b = (w[1::2] >> np.uint32(6)).astype(np.float64)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
 
-def _below(rng, m, c):
+def _below(take, m, c):
     """c integers uniform in [0, m), by bit rejection on raw words.  A round
-    that still needs r integers draws r * 2^bits // m + 32 words and keeps
+    that still needs r integers takes r * 2^bits // m + 32 words and keeps
     the first r accepted ones."""
     bits = (m - 1).bit_length()
-    out = np.zeros(c, np.int64)
     if bits == 0:
-        return out
-    have = 0
-    while have < c:
-        need = c - have
-        v = _words(rng, (need << bits) // m + 32) >> np.uint32(32 - bits)
-        v = v[v < m][:need]
-        out[have:have + len(v)] = v
-        have += len(v)
-    return out
+        return np.zeros(c, np.int64)
+    parts = []
+    while c:
+        v = take((c << bits) // m + 32) >> np.uint32(32 - bits)
+        v = v[v < m][:c]
+        parts.append(v)
+        c -= len(v)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _draw(rng, n, k, c):
+def _draw(take, n, k, c):
     """The draws of c steps: (c, k) ordered tuples of distinct vertices and
     c uniforms."""
     tup = np.empty((c, k), np.int64)
+    taken = []  # the earlier positions' vertices, sorted step by step
     for i in range(k):
-        v = _below(rng, n - i, c)
-        taken = np.sort(tup[:, :i], axis=1)
-        for j in range(i):
-            v += taken[:, j] <= v
+        v = _below(take, n - i, c)
+        for t in taken:
+            v += t <= v
         tup[:, i] = v
-    return tup, _uniforms(rng, c)
+        if i < k - 1:
+            for j, t in enumerate(taken):
+                taken[j], v = np.minimum(t, v), np.maximum(t, v)
+            taken.append(v)
+    return tup, _uniforms(take, c)
 
 
 # ------------------------------------------------------------- configuration
@@ -169,20 +192,20 @@ def part_sizes(weights, n):
     return tuple(sizes)
 
 
-def _sample_matrix(kernel, sizes, rng):
-    """The start graph from the kernel on parts of the given sizes, as an
-    upper-triangle matrix, drawn block of rows by block of rows."""
+def _sample_matrix(kernel, sizes, rng, adj):
+    """Draws the start graph from the kernel on parts of the given sizes
+    into the zeroed upper-triangle matrix adj, block of rows by block of
+    rows, taking exactly its words from rng."""
     n = sum(sizes)
     vals = np.array([[float(v) for v in row] for row in kernel.values])
     part = np.repeat(np.arange(len(sizes)), sizes)
     cols = np.arange(n)
-    adj = np.zeros((n, n), np.uint8)
     rows = max(1, _BLOCK // max(n, 1))
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
         upper = cols > np.arange(lo, hi)[:, None]
         probs = vals[part[lo:hi, None], part][upper]
-        adj[lo:hi][upper] = _uniforms(rng, len(probs)) < probs
+        adj[lo:hi][upper] = _uniforms(partial(_words, rng), len(probs)) < probs
     return adj
 
 
@@ -192,7 +215,8 @@ def sample_graph(kernel, n, rng):
     Returns (adjacency rows, part index per vertex, part sizes)."""
     sizes = part_sizes(kernel.weights, n)
     part_of = [i for i, s in enumerate(sizes) for _ in range(s)]
-    return _rows(_sample_matrix(kernel, sizes, rng)), part_of, sizes
+    adj = _sample_matrix(kernel, sizes, rng, np.zeros((n, n), np.uint8))
+    return _rows(adj), part_of, sizes
 
 
 def _rows(adj):
@@ -219,13 +243,13 @@ def _matrix(rows):
     return np.triu(np.unpackbits(packed, axis=1, count=n, bitorder="little"), 1)
 
 
-def _graph_from_edges(edges, n):
-    adj = np.zeros((n, n), np.uint8)
+def _graph_from_edges(edges, adj):
+    """Marks the edge list in the zeroed upper-triangle matrix adj."""
+    n = len(adj)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v}) on {n} vertices")
         adj[min(u, v), max(u, v)] = 1
-    return adj
 
 
 # ------------------------------------------------------------------- stepping
@@ -284,40 +308,50 @@ class _Engine:
         return h
 
     def commit(self, adj, tup, unif):
-        """Applies the steps of one batch to the upper-triangle matrix adj,
-        exactly as one at a time, by rounds of conflict-free prefixes."""
-        n = len(adj)
+        """Applies one batch to the stack adj, exactly as one step at a
+        time; run r's steps are the r-th equal slice of the rows of tup."""
+        runs, n = len(adj), adj.shape[-1]
+        steps, p = len(tup), len(self.bits)
         flat = adj.reshape(-1)
         a, b = tup[:, self.first], tup[:, self.second]
         pids = np.minimum(a, b) * n + np.maximum(a, b)
-        # sort keys (pair, step, write) with the write bit left clear
-        span = 2 * len(tup)
-        keys = pids * span + 2 * np.arange(len(tup))[:, None]
-        s = 0
-        while s < len(tup):
-            pid = pids[s:]
-            f = flat[pid] @ self.weights
-            toggle = f ^ self.replacements(f, unif[s:])
-            stop = len(pid)
-            if toggle.any():
-                writes = (toggle[:, None] >> self.bits) & 1
-                # a step reads a pair toggled earlier in the round iff its
-                # entry follows a write of the same pair in key order
-                key = np.sort((keys[s:] | writes).ravel())
-                pair = key // span
-                late = (pair[1:] == pair[:-1]) & (key[:-1] & 1 == 1)
-                if late.any():
-                    stop = int((key[1:][late] % span).min()) // 2 - s
-                flat[pid[:stop][writes[:stop] == 1]] ^= 1
-            s += stop
+        pids += np.arange(runs).repeat(steps // runs)[:, None] * (n * n)
+        # reads by (pair, step, position): a read's previous reader of its
+        # pair is the read just before it
+        shift = (steps * p).bit_length()
+        key = np.sort((pids << shift).ravel() | np.arange(steps * p))
+        link = np.flatnonzero(np.diff(key >> shift) == 0)
+        before, bit = np.divmod(key[link] & ((1 << shift) - 1), p)
+        after = (key[link + 1] & ((1 << shift) - 1)) // p
+        todo, toggles = np.arange(steps), np.zeros(steps, np.int64)
+        while len(todo):
+            rows = pids if len(todo) == steps else pids[todo]
+            f = flat[rows] @ self.weights
+            toggle = f ^ self.replacements(f, unif[todo])
+            # owed: the previous reader of one of its pairs toggled it or
+            # is owed itself; links from a committed reader are spent
+            owed = np.zeros(steps, bool)
+            if len(before):
+                toggles[todo] = toggle
+                grow = after[(toggles[before] >> bit) & 1 == 1]
+                while len(grow):
+                    owed[grow] = True
+                    grow = after[owed[before] & ~owed[after]]
+                keep = owed[before]
+                after, before, bit = after[keep], before[keep], bit[keep]
+            stay = owed[todo]
+            go = np.flatnonzero(~stay & (toggle != 0))
+            flat[rows[go][(toggle[go, None] >> self.bits) & 1 == 1]] ^= 1
+            todo = todo[stay]
 
 
-def _advance(adj, engine, rng, count):
-    """count steps on the upper-triangle matrix adj, in batches of at most
-    _BATCH steps drawn from rng."""
+def _lockstep(adj, engine, streams, count):
+    """count steps on every run of the stack adj, in batches of at most
+    _BATCH steps per run, run r drawing from streams[r]."""
     while count:
         c = min(_BATCH, count)
-        engine.commit(adj, *_draw(rng, len(adj), engine.k, c))
+        tups, unifs = zip(*(_draw(take, adj.shape[-1], engine.k, c) for take in streams))
+        engine.commit(adj, np.concatenate(tups), np.concatenate(unifs))
         count -= c
 
 
@@ -366,9 +400,10 @@ def _check_count(name, value):
 def run(config, reference=None):
     """Simulate config.runs independent processes and record block densities
     at the sample times.  reference, when given, must map each sample time
-    to a kernel on the same parts, else ValueError; per-run absolute
-    deviations are filled in.  Beyond 5,000 vertices, 10,000,000 steps over
-    all runs or rule order 11, CapExceeded before the first step.
+    to a kernel on the start's parts (the same weights), else ValueError;
+    per-run absolute deviations are filled in.  Beyond 5,000 vertices,
+    10,000,000 steps over all runs or rule order 11, CapExceeded before the
+    first step.
     """
     rule = config.rule
     n = config.n
@@ -386,53 +421,57 @@ def run(config, reference=None):
     _check_count("runs", config.runs)
     _check_count("sample_points", config.sample_points)
     times = _sample_times(config.horizon, config.sample_points)
-    targets = [int(t * n * n + 1e-9) for t in times]
-    _check_budget(config.runs * max(targets), _STEP_BUDGET,
-                  f"steps of {config.runs} runs")
+    ends = [t * n * n + 1e-9 for t in times]
+    # int() refuses the infinite count of a huge horizon, so that is
+    # checked as a float
+    last = ends[-1] if math.isinf(ends[-1]) else int(ends[-1])
+    _check_budget(config.runs * last, _STEP_BUDGET, f"steps of {config.runs} runs")
+    targets = [int(e) for e in ends]
 
     from_kernel = isinstance(config.initial, StepKernel)
-    if from_kernel:
-        sizes = part_sizes(config.initial.weights, n)
-    else:
-        sizes = (n,)
+    weights = tuple(config.initial.weights) if from_kernel else (1,)
+    sizes = part_sizes(weights, n)
 
     engine = _Engine(rule)
 
     ref_mats = None
     if reference is not None:
-        ref_mats = [
-            tuple(tuple(float(v) for v in row) for row in reference(t).values)
-            for t in times
-        ]
-        if any(len(ref) != len(sizes) for ref in ref_mats):
-            raise ValueError(f"reference kernels need the start's {len(sizes)} parts")
+        kernels = [reference(t) for t in times]
+        if any(tuple(ref.weights) != weights for ref in kernels):
+            raise ValueError(f"reference kernels need the start's parts, of weights {weights}")
+        ref_mats = [tuple(tuple(map(float, row)) for row in ref.values) for ref in kernels]
 
     result = SimResult(
         times=times, part_sizes=sizes, samples=[], n=n, seed=config.seed,
         reference=ref_mats,
     )
-    for r in range(config.runs):
-        rng = Random(run_seed(config.seed, r))
-        if from_kernel:
-            adj = _sample_matrix(config.initial, sizes, rng)
-        else:
-            adj = _graph_from_edges(config.initial, n)
-        snapshots = []
+    # runs step in lockstep, as many at a time as the stack budget holds
+    group = max(1, _STACK_BYTES // (n * n + _READ_BYTES * _BATCH * len(engine.bits)))
+    for first in range(0, config.runs, group):
+        adj = np.zeros((min(group, config.runs - first), n, n), np.uint8)
+        streams = []
+        for r in range(len(adj)):
+            rng = Random(run_seed(config.seed, first + r))
+            if from_kernel:
+                _sample_matrix(config.initial, sizes, rng, adj[r])
+            else:
+                _graph_from_edges(config.initial, adj[r])
+            streams.append(_stream(rng))
+        samples = [[] for _ in adj]
         done = 0
         for target in targets:
-            _advance(adj, engine, rng, target - done)
+            _lockstep(adj, engine, streams, target - done)
             done = target
-            snapshots.append(_densities(adj, sizes))
-        result.samples.append(snapshots)
-        if ref_mats is not None:
-            result.deviations.append([
-                max(
-                    abs(snap[i][j] - ref[i][j])
-                    for i in range(len(sizes))
-                    for j in range(i, len(sizes))
-                )
-                for snap, ref in zip(snapshots, ref_mats)
-            ])
+            for snapshots, matrix in zip(samples, adj):
+                snapshots.append(_densities(matrix, sizes))
+        result.samples.extend(samples)
+    if ref_mats is not None:
+        blocks = [(i, j) for i in range(len(sizes)) for j in range(i, len(sizes))]
+        result.deviations = [
+            [max(abs(snap[i][j] - ref[i][j]) for i, j in blocks)
+             for snap, ref in zip(snapshots, ref_mats)]
+            for snapshots in result.samples
+        ]
     return result
 
 

@@ -341,9 +341,18 @@ def test_integrate_step_too_large(tr_file, kernel_file, capsys):
 
 
 def test_integrate_step_count_overflows(tr_file, kernel_file, capsys):
+    # t_max / h is infinite as a float: a step budget, not a number error
     assert main(["integrate", tr_file, kernel_file,
-                 "--t-max", "1e300", "--dt", "1e-300"]) == 2
-    assert "error" in capsys.readouterr().err
+                 "--t-max", "1e300", "--dt", "1e-300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "steps" in captured.err
+
+
+def test_simulate_step_count_overflows(tr_file, kernel_file, capsys):
+    assert main(["simulate", tr_file, "--n", "5000", "--w0", kernel_file,
+                 "--time", "1e305", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "steps" in captured.err
 
 
 def test_integrate_step_count_capped(tr_file, kernel_file, capsys):

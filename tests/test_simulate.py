@@ -3,9 +3,11 @@ batched engine checked against it, block densities, full runs, and the
 finite-process-to-trajectory transference check."""
 
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -90,14 +92,25 @@ def test_words_and_uniforms_follow_the_generator():
     fast, slow = random.Random(21), random.Random(21)
     words = simulate._words(fast, 1000)
     assert words.tolist() == [slow.getrandbits(32) for _ in range(1000)]
-    doubles = simulate._uniforms(fast, 20000)
+    doubles = simulate._uniforms(partial(simulate._words, fast), 20000)
     assert doubles.tolist() == [slow.random() for _ in range(20000)]
     assert fast.getstate() == slow.getstate()
 
 
+def test_step_stream_reads_ahead_in_order():
+    # takes within a chunk, across a refill and larger than a chunk
+    rng, slow = random.Random(4), random.Random(4)
+    take = simulate._stream(rng)
+    sizes = [1, 7, simulate._CHUNK - 10, 20, 3 * simulate._CHUNK, 0, 5]
+    taken = [take(c).tolist() for c in sizes]
+    assert taken == [[slow.getrandbits(32) for _ in range(c)] for c in sizes]
+    assert rng.getstate() != slow.getstate()  # read ahead of what it handed out
+
+
 def test_drawn_tuples_are_distinct_and_uniform():
     # all 5 * 4 * 3 ordered triples of 5 vertices, 200 expected each
-    tup, unif = simulate._draw(random.Random(8), 5, 3, 12000)
+    take = simulate._stream(random.Random(8))
+    tup, unif = simulate._draw(take, 5, 3, 12000)
     counts = {}
     for t in map(tuple, tup.tolist()):
         assert len(set(t)) == 3 and all(0 <= v < 5 for v in t)
@@ -106,6 +119,18 @@ def test_drawn_tuples_are_distinct_and_uniform():
     chi2 = sum((c - 200) ** 2 / 200 for c in counts.values())
     assert chi2 < 120  # 59 degrees of freedom; the 0.9999 quantile is ~105
     assert ((0 <= unif) & (unif < 1)).all()
+
+
+def test_drawn_tuples_follow_the_one_step_protocol():
+    # position i is the r-th smallest vertex not yet taken, r its integer
+    # below n - i, each integer the top bits of a word when below the bound
+    take = simulate._stream(random.Random(30))
+    tup, _ = simulate._draw(take, 9, 5, 300)
+    replay = simulate._stream(random.Random(30))
+    ranks = [simulate._below(replay, 9 - i, 300).tolist() for i in range(5)]
+    for t, r in zip(tup.tolist(), zip(*ranks)):
+        free = list(range(9))
+        assert t == [free.pop(i) for i in r]
 
 
 def test_step_triangle_removal_absorbs():
@@ -184,30 +209,35 @@ def test_sample_graph_matches_pairwise_coins(n, kern):
 @pytest.mark.parametrize("batch", [1, simulate._BATCH])
 def test_engine_matches_one_step_path(batch, order_and_n, steps, seed):
     # at n <= 3k most batches hold steps that read pairs toggled earlier,
-    # so rounds of every length are committed
+    # so rounds of every length are committed; stacks of 1 and 3 runs
     k, n = order_and_n
     rng = random.Random(seed)
     rule = oracles.random_step_rule(rng, k)
-    adj = simulate._sample_matrix(constant_kernel(rng.random()), (n,), rng)
-    rows = simulate._rows(adj)
-    draws = []
-    draw = simulate._draw
-
-    def recorded(*args):
-        draws.append(draw(*args))
-        return draws[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_BATCH", batch)
-        mp.setattr(simulate, "_draw", recorded)
-        simulate._advance(adj, simulate._Engine(rule), rng, steps)
-    assert sum(len(t) for t, _ in draws) == steps
-    assert all(len(t) <= batch for t, _ in draws)
     compiled = oracles.compile_rows(rule)
-    for tup, unif in draws:
-        for t, u in zip(tup.tolist(), unif.tolist()):
-            oracles.apply_step(rows, compiled, k, t, u)
-    assert simulate._rows(adj) == rows
+    for runs in (1, 3):
+        adj = np.zeros((runs, n, n), np.uint8)
+        for matrix in adj:
+            simulate._sample_matrix(constant_kernel(rng.random()), (n,), rng, matrix)
+        rows = [simulate._rows(matrix) for matrix in adj]
+        streams = [simulate._stream(random.Random(rng.getrandbits(64))) for _ in adj]
+        draws = []
+        draw = simulate._draw
+
+        def recorded(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_BATCH", batch)
+            mp.setattr(simulate, "_draw", recorded)
+            simulate._lockstep(adj, simulate._Engine(rule), streams, steps)
+        assert sum(len(t) for t, _ in draws) == runs * steps
+        assert all(len(t) <= batch for t, _ in draws)
+        # each batch draws run 0, 1, ... in turn
+        for i, (tup, unif) in enumerate(draws):
+            for t, u in zip(tup.tolist(), unif.tolist()):
+                oracles.apply_step(rows[i % runs], compiled, k, t, u)
+        assert [simulate._rows(matrix) for matrix in adj] == rows
 
 
 def test_engine_replacement_ties_go_right():
@@ -341,6 +371,15 @@ def test_run_steps_are_capped(monkeypatch):
                            runs=3)
 
 
+def test_run_step_count_overflow_is_capped():
+    # floor(T n^2) is infinite as a float: the budget refuses it before
+    # int() would, and before the start graph is sampled
+    cfg = SimConfig(rule=make_named("triangle-removal", 3), n=5000,
+                    initial=constant_kernel(0.5), horizon=1e305, seed=0)
+    with pytest.raises(CapExceeded, match="steps"):
+        run(cfg)
+
+
 def test_run_deviations_against_reference():
     rule = make_named("complementing", 2)
     cfg = SimConfig(rule=rule, n=150, initial=constant_kernel(0.0),
@@ -369,6 +408,61 @@ def test_run_reference_must_have_the_start_parts():
                         initial=start, horizon=0.1, seed=0)
         with pytest.raises(ValueError, match="parts"):
             run(cfg, reference=lambda t: ref)
+    # the same part count on other weights: block values of a kernel on
+    # other parts, which the start's blocks cannot be measured against
+    half = StepKernel((F(1, 2), F(1, 2)), ((0.5, 0.2), (0.2, 0.5)))
+    skew = StepKernel((F(1, 10), F(9, 10)), ((0.5, 0.2), (0.2, 0.5)))
+    cfg = SimConfig(rule=make_named("triangle-removal", 3), n=20,
+                    initial=half, horizon=0.1, seed=0)
+    with pytest.raises(ValueError, match="parts"):
+        run(cfg, reference=lambda t: skew)
+    # equal weights in another number type are the same parts
+    floats = StepKernel((0.5, 0.5), ((0.5, 0.2), (0.2, 0.5)))
+    assert len(run(cfg, reference=lambda t: floats).deviations) == 1
+
+
+def _pinned_configs():
+    k2 = StepKernel((F(1, 3), F(2, 3)), ((0.8, 0.3), (0.3, 0.5)))
+    edges = [(u, (3 * u + 7) % 50) for u in range(50) if (3 * u + 7) % 50 != u]
+    return [
+        SimConfig(rule=make_named("triangle-removal", 3), n=60, initial=k2,
+                  horizon=0.5, seed=11, runs=5, sample_points=4),
+        SimConfig(rule=make_named("complementing", 3), n=50, initial=edges,
+                  horizon=0.3, seed=3, runs=1, sample_points=5),
+        SimConfig(rule=oracles.random_step_rule(random.Random(4), 4), n=30,
+                  initial=constant_kernel(0.4), horizon=0.6, seed=5, runs=3,
+                  sample_points=3),
+    ]
+
+
+def test_run_csv_digests_are_pinned():
+    # SHA-256 of result_to_csv, computed with the one-run-at-a-time engine
+    # that cut a batch at its first conflict; a change to the draws, the
+    # commit order or the CSV format shows here
+    digests = [hashlib.sha256(result_to_csv(run(cfg)).encode()).hexdigest()
+               for cfg in _pinned_configs()]
+    assert digests == [
+        "69a02e6ac3290e6d0287fdb8720f0d0f951e90d703cfc24cb054854f0625afc6",
+        "baecd854e017edc03fbe9d9609c870d3063e9fa2eba977b99154698328f52a11",
+        "e621098104cbe23d01895344c294e0d5be21d51f9724c9c44f6d9b0da2096ae5",
+    ]
+
+
+def test_run_groups_under_the_stack_budget_give_the_same_csv(monkeypatch):
+    cfg = _pinned_configs()[0]
+    whole = result_to_csv(run(cfg))
+    per_run = cfg.n ** 2 + simulate._READ_BYTES * simulate._BATCH * 3
+    stacks = []
+    commit = simulate._Engine.commit
+
+    def spy(self, adj, tup, unif):
+        stacks.append(len(adj))
+        return commit(self, adj, tup, unif)
+
+    monkeypatch.setattr(simulate._Engine, "commit", spy)
+    monkeypatch.setattr(simulate, "_STACK_BYTES", 2 * per_run + 1)
+    assert result_to_csv(run(cfg)) == whole
+    assert sorted(set(stacks)) == [1, 2] and stacks[-1] == 1
 
 
 def test_single_step_edge_drift_matches_expectation():
