@@ -13,9 +13,9 @@ next sample time, and sorts its pair reads once, so that each read knows
 the previous read of its pair.  A step is owed when that previous reader
 toggled the pair or is owed itself.  A round reads every pending step from
 the stack as it stands and commits, with one XOR per toggled pair, every
-step not owed: its reads are those of the one-step order, and no pending
-step reads a pair it toggles.  The owed steps are read again next round, so
-the result is exactly that of applying the same draws one step at a time.
+step not owed: its reads are those of the one-step order, and no earlier
+pending step reads a pair it toggles.  The owed steps are read again next
+round, so the result is that of applying the same draws one at a time.
 
 Randomness is fully pinned: run r of master seed s derives its own 64-bit
 seed by an additive splitmix-style mix, which then seeds CPython's Mersenne
@@ -38,7 +38,6 @@ Equal seeds give bit-identical results, whatever the grouping of runs.
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
@@ -97,10 +96,8 @@ def _stream(rng):
     return take
 
 
-def _uniforms(take, c):
-    """c doubles of the next 2c words of take, each equal to what one
-    rng.random() call would return."""
-    w = take(2 * c)
+def _uniforms(w):
+    """The doubles that rng.random() makes of consecutive pairs of words."""
     a = (w[0::2] >> np.uint32(5)).astype(np.float64)
     b = (w[1::2] >> np.uint32(6)).astype(np.float64)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
@@ -122,13 +119,14 @@ def _below(take, m, c):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _draw(take, n, k, c):
-    """The draws of c steps: (c, k) ordered tuples of distinct vertices and
-    c uniforms."""
-    tup = np.empty((c, k), np.int64)
+def _draw(takes, n, k, c):
+    """The draws of c steps of each run, run r's from the word source
+    takes[r]: (runs * c, k) ordered tuples of distinct vertices and
+    runs * c uniforms, run by run."""
+    tup = np.empty((len(takes) * c, k), np.int64)
     taken = []  # the earlier positions' vertices, sorted step by step
     for i in range(k):
-        v = _below(take, n - i, c)
+        v = np.concatenate([_below(take, n - i, c) for take in takes])
         for t in taken:
             v += t <= v
         tup[:, i] = v
@@ -136,7 +134,7 @@ def _draw(take, n, k, c):
             for j, t in enumerate(taken):
                 taken[j], v = np.minimum(t, v), np.maximum(t, v)
             taken.append(v)
-    return tup, _uniforms(take, c)
+    return tup, _uniforms(np.concatenate([take(2 * c) for take in takes]))
 
 
 # ------------------------------------------------------------- configuration
@@ -205,7 +203,7 @@ def _sample_matrix(kernel, sizes, rng, adj):
         hi = min(n, lo + rows)
         upper = cols > np.arange(lo, hi)[:, None]
         probs = vals[part[lo:hi, None], part][upper]
-        adj[lo:hi][upper] = _uniforms(partial(_words, rng), len(probs)) < probs
+        adj[lo:hi][upper] = _uniforms(_words(rng, 2 * len(probs))) < probs
     return adj
 
 
@@ -350,8 +348,7 @@ def _lockstep(adj, engine, streams, count):
     _BATCH steps per run, run r drawing from streams[r]."""
     while count:
         c = min(_BATCH, count)
-        tups, unifs = zip(*(_draw(take, adj.shape[-1], engine.k, c) for take in streams))
-        engine.commit(adj, np.concatenate(tups), np.concatenate(unifs))
+        engine.commit(adj, *_draw(streams, adj.shape[-1], engine.k, c))
         count -= c
 
 

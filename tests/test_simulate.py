@@ -7,7 +7,6 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -92,7 +91,7 @@ def test_words_and_uniforms_follow_the_generator():
     fast, slow = random.Random(21), random.Random(21)
     words = simulate._words(fast, 1000)
     assert words.tolist() == [slow.getrandbits(32) for _ in range(1000)]
-    doubles = simulate._uniforms(partial(simulate._words, fast), 20000)
+    doubles = simulate._uniforms(simulate._words(fast, 40000))
     assert doubles.tolist() == [slow.random() for _ in range(20000)]
     assert fast.getstate() == slow.getstate()
 
@@ -109,8 +108,7 @@ def test_step_stream_reads_ahead_in_order():
 
 def test_drawn_tuples_are_distinct_and_uniform():
     # all 5 * 4 * 3 ordered triples of 5 vertices, 200 expected each
-    take = simulate._stream(random.Random(8))
-    tup, unif = simulate._draw(take, 5, 3, 12000)
+    tup, unif = simulate._draw([simulate._stream(random.Random(8))], 5, 3, 12000)
     counts = {}
     for t in map(tuple, tup.tolist()):
         assert len(set(t)) == 3 and all(0 <= v < 5 for v in t)
@@ -123,14 +121,19 @@ def test_drawn_tuples_are_distinct_and_uniform():
 
 def test_drawn_tuples_follow_the_one_step_protocol():
     # position i is the r-th smallest vertex not yet taken, r its integer
-    # below n - i, each integer the top bits of a word when below the bound
-    take = simulate._stream(random.Random(30))
-    tup, _ = simulate._draw(take, 9, 5, 300)
-    replay = simulate._stream(random.Random(30))
-    ranks = [simulate._below(replay, 9 - i, 300).tolist() for i in range(5)]
-    for t, r in zip(tup.tolist(), zip(*ranks)):
-        free = list(range(9))
-        assert t == [free.pop(i) for i in r]
+    # below n - i, each integer the top bits of a word when below the
+    # bound; then two words per uniform; each run from its own words
+    seeds = (30, 31)
+    tup, unif = simulate._draw(
+        [simulate._stream(random.Random(s)) for s in seeds], 9, 5, 300)
+    for run, seed in enumerate(seeds):
+        replay = simulate._stream(random.Random(seed))
+        ranks = [simulate._below(replay, 9 - i, 300).tolist() for i in range(5)]
+        mine = slice(300 * run, 300 * (run + 1))
+        for t, r in zip(tup[mine].tolist(), zip(*ranks)):
+            free = list(range(9))
+            assert t == [free.pop(i) for i in r]
+        assert unif[mine].tolist() == simulate._uniforms(replay(600)).tolist()
 
 
 def test_step_triangle_removal_absorbs():
@@ -232,11 +235,12 @@ def test_engine_matches_one_step_path(batch, order_and_n, steps, seed):
             mp.setattr(simulate, "_draw", recorded)
             simulate._lockstep(adj, simulate._Engine(rule), streams, steps)
         assert sum(len(t) for t, _ in draws) == runs * steps
-        assert all(len(t) <= batch for t, _ in draws)
-        # each batch draws run 0, 1, ... in turn
-        for i, (tup, unif) in enumerate(draws):
-            for t, u in zip(tup.tolist(), unif.tolist()):
-                oracles.apply_step(rows[i % runs], compiled, k, t, u)
+        assert all(len(t) <= runs * batch for t, _ in draws)
+        # a batch holds the steps of run 0, 1, ... in turn
+        for tup, unif in draws:
+            c = len(tup) // runs
+            for i, (t, u) in enumerate(zip(tup.tolist(), unif.tolist())):
+                oracles.apply_step(rows[i // c], compiled, k, t, u)
         assert [simulate._rows(matrix) for matrix in adj] == rows
 
 
