@@ -440,9 +440,9 @@ def _pinned_configs():
 
 
 def test_run_csv_digests_are_pinned():
-    # SHA-256 of result_to_csv, computed with the one-run-at-a-time engine
-    # that cut a batch at its first conflict; a change to the draws, the
-    # commit order or the CSV format shows here
+    # SHA-256 of result_to_csv as an engine that steps one run at a time
+    # and cuts each batch at its first conflict computes it; a change to
+    # the draws, the commit order or the CSV format shows here
     digests = [hashlib.sha256(result_to_csv(run(cfg)).encode()).hexdigest()
                for cfg in _pinned_configs()]
     assert digests == [
@@ -454,8 +454,6 @@ def test_run_csv_digests_are_pinned():
 
 def test_run_groups_under_the_stack_budget_give_the_same_csv(monkeypatch):
     cfg = _pinned_configs()[0]
-    whole = result_to_csv(run(cfg))
-    per_run = cfg.n ** 2 + simulate._READ_BYTES * simulate._BATCH * 3
     stacks = []
     commit = simulate._Engine.commit
 
@@ -464,6 +462,10 @@ def test_run_groups_under_the_stack_budget_give_the_same_csv(monkeypatch):
         return commit(self, adj, tup, unif)
 
     monkeypatch.setattr(simulate._Engine, "commit", spy)
+    whole = result_to_csv(run(cfg))
+    assert set(stacks) == {5}
+    stacks.clear()
+    per_run = cfg.n ** 2 + simulate._READ_BYTES * simulate._BATCH * 3
     monkeypatch.setattr(simulate, "_STACK_BYTES", 2 * per_run + 1)
     assert result_to_csv(run(cfg)) == whole
     assert sorted(set(stacks)) == [1, 2] and stacks[-1] == 1
