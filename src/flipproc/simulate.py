@@ -18,18 +18,20 @@ pending step reads a pair it toggles.  The owed steps are read again next
 round, so the result is that of applying the same draws one at a time.
 
 Randomness is fully pinned: run r of master seed s derives its own 64-bit
-seed by an additive splitmix-style mix, which then seeds CPython's Mersenne
-Twister.  All draws are raw 32-bit outputs of that generator, in order:
-- the start graph takes exactly two words per pair, in row-major order over
-  the pairs u < v, and puts an edge where the 53-bit double they make, the
-  value random() would return, is below the pair's block value;
-- the step words then come from a buffer that reads ahead of the generator;
-  a batch of c steps takes c integers below n, then c below n - 1, and so
-  on for the k tuple positions, and then c uniforms of two words each, one
-  per step, active or not.  An integer below m is the top
-  b = bit_length(m - 1) bits of a word, when they are below m: a round that
-  still needs r integers takes r * 2^b // m + 32 words and keeps the first r
-  accepted ones;
+seed by an additive splitmix-style mix, which seeds CPython's Mersenne
+Twister.  Its state is then loaded into numpy's MT19937, which continues
+the same stream of 32-bit words (the same algorithm from the same state, so
+a seed gives the same run on every numpy version), and every draw is taken
+from that stream, in order.  A uniform is two words made into a 53-bit
+double, the value random() would return; numpy's Generator.random() makes
+the same double of the same two words.
+- the start graph takes one uniform per pair, in row-major order over the
+  pairs u < v, and puts an edge where it is below the pair's block value;
+- a batch of c steps then takes c integers below n, then c below n - 1,
+  and so on for the k tuple positions, and then c uniforms, one per step,
+  active or not.  An integer below m is the top b = bit_length(m - 1) bits
+  of a word, when they are below m: a round that still needs r integers
+  takes r * 2^b // m + 32 words and keeps the first r accepted ones;
 - tuple position i takes the r-th smallest vertex not taken by the earlier
   positions, r being its integer below n - i.
 Equal seeds give bit-identical results, whatever the grouping of runs.
@@ -52,7 +54,6 @@ _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
 _BATCH = 512  # steps drawn at once; the draws depend on it
 _BLOCK = 1 << 12  # pair entries per block of sampling and row conversion
-_CHUNK = 1 << 12  # least words a run's step stream reads ahead
 _STACK_BYTES = 1 << 23  # matrices and batch reads of the runs stepped at once
 _READ_BYTES = 128  # working memory of one pair read in a batch, at most
 _MASK64 = (1 << 64) - 1
@@ -77,33 +78,21 @@ def run_seed(master, index):
 
 # ------------------------------------------------------------------ word draws
 
-def _words(rng, c):
-    """The next c 32-bit outputs of rng's Mersenne Twister, in order."""
-    return np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), "<u4")
+def _twister(rng):
+    """A numpy Generator on an MT19937 that continues rng's Mersenne
+    Twister: the same words, and random() makes the same doubles."""
+    # numpy.random costs about 10 ms and 6 MB to import; only runs pay it
+    from numpy.random import MT19937, Generator
+
+    internal = rng.getstate()[1]
+    bits = MT19937(0)  # seeded only to be overwritten
+    # a tuple key is copied in microseconds, an array in tens of them
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": internal[:-1], "pos": internal[-1]}}
+    return Generator(bits)
 
 
-def _stream(rng):
-    """take(c): the next c words of rng, which the stream reads ahead in
-    chunks of at least _CHUNK words."""
-    buf, pos = np.empty(0, np.uint32), 0
-
-    def take(c):
-        nonlocal buf, pos
-        if pos + c > len(buf):
-            buf, pos = np.concatenate((buf[pos:], _words(rng, max(c, _CHUNK)))), 0
-        pos += c
-        return buf[pos - c:pos]
-    return take
-
-
-def _uniforms(w):
-    """The doubles that rng.random() makes of consecutive pairs of words."""
-    a = (w[0::2] >> np.uint32(5)).astype(np.float64)
-    b = (w[1::2] >> np.uint32(6)).astype(np.float64)
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
-
-
-def _below(take, m, c):
+def _below(gen, m, c):
     """c integers uniform in [0, m), by bit rejection on raw words.  A round
     that still needs r integers takes r * 2^bits // m + 32 words and keeps
     the first r accepted ones."""
@@ -112,21 +101,22 @@ def _below(take, m, c):
         return np.zeros(c, np.int64)
     parts = []
     while c:
-        v = take((c << bits) // m + 32) >> np.uint32(32 - bits)
+        v = gen.bit_generator.random_raw((c << bits) // m + 32).astype(np.uint32)
+        v >>= np.uint32(32 - bits)
         v = v[v < m][:c]
         parts.append(v)
         c -= len(v)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _draw(takes, n, k, c):
-    """The draws of c steps of each run, run r's from the word source
-    takes[r]: (runs * c, k) ordered tuples of distinct vertices and
+def _draw(gens, n, k, c):
+    """The draws of c steps of each run, run r's from the generator
+    gens[r]: (runs * c, k) ordered tuples of distinct vertices and
     runs * c uniforms, run by run."""
-    tup = np.empty((len(takes) * c, k), np.int64)
+    tup = np.empty((len(gens) * c, k), np.int64)
     taken = []  # the earlier positions' vertices, sorted step by step
     for i in range(k):
-        v = np.concatenate([_below(take, n - i, c) for take in takes])
+        v = np.concatenate([_below(gen, n - i, c) for gen in gens])
         for t in taken:
             v += t <= v
         tup[:, i] = v
@@ -134,7 +124,7 @@ def _draw(takes, n, k, c):
             for j, t in enumerate(taken):
                 taken[j], v = np.minimum(t, v), np.maximum(t, v)
             taken.append(v)
-    return tup, _uniforms(np.concatenate([take(2 * c) for take in takes]))
+    return tup, np.concatenate([gen.random(c) for gen in gens])
 
 
 # ------------------------------------------------------------- configuration
@@ -190,10 +180,10 @@ def part_sizes(weights, n):
     return tuple(sizes)
 
 
-def _sample_matrix(kernel, sizes, rng, adj):
+def _sample_matrix(kernel, sizes, gen, adj):
     """Draws the start graph from the kernel on parts of the given sizes
     into the zeroed upper-triangle matrix adj, block of rows by block of
-    rows, taking exactly its words from rng."""
+    rows, taking one uniform per pair from the generator gen."""
     n = sum(sizes)
     vals = np.array([[float(v) for v in row] for row in kernel.values])
     part = np.repeat(np.arange(len(sizes)), sizes)
@@ -203,17 +193,22 @@ def _sample_matrix(kernel, sizes, rng, adj):
         hi = min(n, lo + rows)
         upper = cols > np.arange(lo, hi)[:, None]
         probs = vals[part[lo:hi, None], part][upper]
-        adj[lo:hi][upper] = _uniforms(_words(rng, 2 * len(probs))) < probs
+        adj[lo:hi][upper] = gen.random(len(probs)) < probs
     return adj
 
 
 def sample_graph(kernel, n, rng):
     """A graph on n vertices from the kernel: vertices split into contiguous
     parts, each pair an independent coin with its block's probability.
-    Returns (adjacency rows, part index per vertex, part sizes)."""
+    Returns (adjacency rows, part index per vertex, part sizes); rng is
+    left as if it had made the draws itself."""
     sizes = part_sizes(kernel.weights, n)
     part_of = [i for i, s in enumerate(sizes) for _ in range(s)]
-    adj = _sample_matrix(kernel, sizes, rng, np.zeros((n, n), np.uint8))
+    gen = _twister(rng)
+    adj = _sample_matrix(kernel, sizes, gen, np.zeros((n, n), np.uint8))
+    state = gen.bit_generator.state["state"]
+    version, _, gauss_next = rng.getstate()
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
     return _rows(adj), part_of, sizes
 
 
@@ -343,12 +338,12 @@ class _Engine:
             todo = todo[stay]
 
 
-def _lockstep(adj, engine, streams, count):
+def _lockstep(adj, engine, gens, count):
     """count steps on every run of the stack adj, in batches of at most
-    _BATCH steps per run, run r drawing from streams[r]."""
+    _BATCH steps per run, run r drawing from the generator gens[r]."""
     while count:
         c = min(_BATCH, count)
-        engine.commit(adj, *_draw(streams, adj.shape[-1], engine.k, c))
+        engine.commit(adj, *_draw(gens, adj.shape[-1], engine.k, c))
         count -= c
 
 
@@ -427,6 +422,8 @@ def run(config, reference=None):
 
     from_kernel = isinstance(config.initial, StepKernel)
     weights = tuple(config.initial.weights) if from_kernel else (1,)
+    # an edge list is read once: an iterator would leave later runs empty
+    edges = None if from_kernel else tuple(config.initial)
     sizes = part_sizes(weights, n)
 
     engine = _Engine(rule)
@@ -446,18 +443,17 @@ def run(config, reference=None):
     group = max(1, _STACK_BYTES // (n * n + _READ_BYTES * _BATCH * len(engine.bits)))
     for first in range(0, config.runs, group):
         adj = np.zeros((min(group, config.runs - first), n, n), np.uint8)
-        streams = []
-        for r in range(len(adj)):
-            rng = Random(run_seed(config.seed, first + r))
+        gens = [_twister(Random(run_seed(config.seed, first + r)))
+                for r in range(len(adj))]
+        for matrix, gen in zip(adj, gens):
             if from_kernel:
-                _sample_matrix(config.initial, sizes, rng, adj[r])
+                _sample_matrix(config.initial, sizes, gen, matrix)
             else:
-                _graph_from_edges(config.initial, adj[r])
-            streams.append(_stream(rng))
+                _graph_from_edges(edges, matrix)
         samples = [[] for _ in adj]
         done = 0
         for target in targets:
-            _lockstep(adj, engine, streams, target - done)
+            _lockstep(adj, engine, gens, target - done)
             done = target
             for snapshots, matrix in zip(samples, adj):
                 snapshots.append(_densities(matrix, sizes))

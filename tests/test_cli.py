@@ -383,6 +383,23 @@ def test_integrate_blowup_prints_one_line(tmp_path):
         "error: state is no longer finite at time 0.02; reduce the step size\n")
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 10 ms and 6 MB to import; only a simulation
+    # loads it, so every other command starts without it
+    src = os.path.dirname(os.path.dirname(flipproc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, numpy; print('numpy.random' in sys.modules); "
+            "import flipproc.cli; print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    by_numpy, by_cli = proc.stdout.split()
+    if by_numpy == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert by_cli == "False"
+
+
 def test_velocity_rejects_non_finite_kernel(tr_file, tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"weights": ["1/2", "1/2"], '

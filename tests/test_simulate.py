@@ -87,28 +87,45 @@ def test_sample_tuple():
     assert sorted(idx) == list(range(10))  # permutation persists intact
 
 
+# takes of words ("w") and uniforms ("u"): an odd word count, then a
+# uniform whose two words straddle the 624-word twist, and more of both
+# across the next twists
+_TAKES = [("w", 1), ("w", 622), ("u", 1), ("u", 400), ("w", 1001), ("u", 3),
+          ("w", 0), ("u", 0), ("w", 5)]
+_SEEDS = (0, 21, 2 ** 63 + 11)
+
+
 def test_words_and_uniforms_follow_the_generator():
-    fast, slow = random.Random(21), random.Random(21)
-    words = simulate._words(fast, 1000)
-    assert words.tolist() == [slow.getrandbits(32) for _ in range(1000)]
-    doubles = simulate._uniforms(simulate._words(fast, 40000))
-    assert doubles.tolist() == [slow.random() for _ in range(20000)]
-    assert fast.getstate() == slow.getstate()
+    for seed in _SEEDS:
+        gen, slow = simulate._twister(random.Random(seed)), random.Random(seed)
+        for kind, c in _TAKES:
+            if kind == "w":
+                got = gen.bit_generator.random_raw(c).astype(np.uint32).tolist()
+                assert got == [slow.getrandbits(32) for _ in range(c)]
+            else:
+                assert gen.random(c).tolist() == [slow.random() for _ in range(c)]
 
 
-def test_step_stream_reads_ahead_in_order():
-    # takes within a chunk, across a refill and larger than a chunk
-    rng, slow = random.Random(4), random.Random(4)
-    take = simulate._stream(rng)
-    sizes = [1, 7, simulate._CHUNK - 10, 20, 3 * simulate._CHUNK, 0, 5]
-    taken = [take(c).tolist() for c in sizes]
-    assert taken == [[slow.getrandbits(32) for _ in range(c)] for c in sizes]
-    assert rng.getstate() != slow.getstate()  # read ahead of what it handed out
+def test_sample_graph_writes_the_state_back():
+    # 35 vertices: 595 pairs, 1,190 words from word 315 on, across a
+    # twist; gauss() leaves a cached second normal that must survive the
+    # write-back
+    for seed in _SEEDS:
+        fast, slow = random.Random(seed), random.Random(seed)
+        fast.getrandbits(32 * 311)
+        slow.getrandbits(32 * 311)
+        assert fast.gauss(0, 1) == slow.gauss(0, 1)
+        sample_graph(constant_kernel(0.5), 35, fast)
+        for _ in range(595):
+            slow.random()
+        assert fast.getstate() == slow.getstate()
+        assert fast.gauss(0, 1) == slow.gauss(0, 1)
+        assert fast.getrandbits(32) == slow.getrandbits(32)
 
 
 def test_drawn_tuples_are_distinct_and_uniform():
     # all 5 * 4 * 3 ordered triples of 5 vertices, 200 expected each
-    tup, unif = simulate._draw([simulate._stream(random.Random(8))], 5, 3, 12000)
+    tup, unif = simulate._draw([simulate._twister(random.Random(8))], 5, 3, 12000)
     counts = {}
     for t in map(tuple, tup.tolist()):
         assert len(set(t)) == 3 and all(0 <= v < 5 for v in t)
@@ -119,21 +136,34 @@ def test_drawn_tuples_are_distinct_and_uniform():
     assert ((0 <= unif) & (unif < 1)).all()
 
 
+def _replay_below(rng, m, c):
+    """c integers below m as the step protocol takes them from rng's words:
+    rounds of r * 2^bits // m + 32 words, the first r accepted kept."""
+    bits = (m - 1).bit_length()
+    out = []
+    while len(out) < c:
+        r = c - len(out)
+        words = [rng.getrandbits(32) >> (32 - bits) for _ in range((r << bits) // m + 32)]
+        out += [w for w in words if w < m][:r]
+    return out
+
+
 def test_drawn_tuples_follow_the_one_step_protocol():
     # position i is the r-th smallest vertex not yet taken, r its integer
     # below n - i, each integer the top bits of a word when below the
-    # bound; then two words per uniform; each run from its own words
+    # bound; then one uniform per step; each run from its own words,
+    # replayed here from CPython's generator itself
     seeds = (30, 31)
     tup, unif = simulate._draw(
-        [simulate._stream(random.Random(s)) for s in seeds], 9, 5, 300)
+        [simulate._twister(random.Random(s)) for s in seeds], 9, 5, 300)
     for run, seed in enumerate(seeds):
-        replay = simulate._stream(random.Random(seed))
-        ranks = [simulate._below(replay, 9 - i, 300).tolist() for i in range(5)]
+        replay = random.Random(seed)
+        ranks = [_replay_below(replay, 9 - i, 300) for i in range(5)]
         mine = slice(300 * run, 300 * (run + 1))
         for t, r in zip(tup[mine].tolist(), zip(*ranks)):
             free = list(range(9))
             assert t == [free.pop(i) for i in r]
-        assert unif[mine].tolist() == simulate._uniforms(replay(600)).tolist()
+        assert unif[mine].tolist() == [replay.random() for _ in range(300)]
 
 
 def test_step_triangle_removal_absorbs():
@@ -219,10 +249,11 @@ def test_engine_matches_one_step_path(batch, order_and_n, steps, seed):
     compiled = oracles.compile_rows(rule)
     for runs in (1, 3):
         adj = np.zeros((runs, n, n), np.uint8)
+        starts = simulate._twister(rng)
         for matrix in adj:
-            simulate._sample_matrix(constant_kernel(rng.random()), (n,), rng, matrix)
+            simulate._sample_matrix(constant_kernel(rng.random()), (n,), starts, matrix)
         rows = [simulate._rows(matrix) for matrix in adj]
-        streams = [simulate._stream(random.Random(rng.getrandbits(64))) for _ in adj]
+        gens = [simulate._twister(random.Random(rng.getrandbits(64))) for _ in adj]
         draws = []
         draw = simulate._draw
 
@@ -233,7 +264,7 @@ def test_engine_matches_one_step_path(batch, order_and_n, steps, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_BATCH", batch)
             mp.setattr(simulate, "_draw", recorded)
-            simulate._lockstep(adj, simulate._Engine(rule), streams, steps)
+            simulate._lockstep(adj, simulate._Engine(rule), gens, steps)
         assert sum(len(t) for t, _ in draws) == runs * steps
         assert all(len(t) <= runs * batch for t, _ in draws)
         # a batch holds the steps of run 0, 1, ... in turn
@@ -316,6 +347,15 @@ def test_run_same_seed_is_bit_identical():
     b = run(cfg)
     assert a.samples == b.samples
     assert a.samples[0] != a.samples[1]  # distinct run seeds actually differ
+
+
+def test_run_reads_an_edge_iterator_once():
+    # a generator of edges is read once, so every run starts from it
+    cfg = SimConfig(rule=make_named("identity", 2), n=10,
+                    initial=((u, (u + 1) % 10) for u in range(10)),
+                    horizon=0.0, seed=1, runs=2)
+    out = run(cfg)
+    assert out.samples[0] == out.samples[1] == [((10 / 45,),)]
 
 
 def test_run_horizon_zero_reports_start():
