@@ -19,19 +19,11 @@ from .codes import (
 )
 from .rooted import (
     RootedGraph,
-    are_twins,
-    automorphisms,
     blowup,
-    blowup_vectors_equivalent,
-    class_sizes,
     count_rrr_maps,
-    find_isomorphism,
     is_twinfree,
-    isomorphic,
-    rooted_graph_from_json_obj,
     rooted_version,
     twin_classes,
-    twinfree_version,
     vstar,
 )
 from .rules import (

@@ -43,7 +43,6 @@ from .codes import (
 from .rules import (
     Rule,
     entry_codes,
-    entry_numerators,
     is_deterministic,
     symmetrize,
     validate,
@@ -181,7 +180,7 @@ def coeff_vector(rule, cap=None):
     p = num_pairs(k)
     # integer numerators over the common denominator; denom stands for 1
     f, h = entry_codes(rule)
-    denom, nums = entry_numerators(rule)
+    denom, nums = rule._denom, rule._nums
     if not _codes_in_range(f, h, p):
         raise ValueError(f"graph codes out of range for order {k}")
     starts = rule._starts
@@ -228,7 +227,7 @@ def lift(rule, to, cap=None):
     if to == k1:
         return rule
     low = num_pairs(k1)
-    denom, nums = entry_numerators(rule)
+    denom, nums = rule._denom, rule._nums
     if not len(nums):
         return Rule(to)
     _check_budget(len(nums) << (num_pairs(to) - low), rules._ENTRY_BUDGET,

@@ -1,8 +1,8 @@
 """Rooted graphs over arbitrary hashable vertex labels.
 
-Covers the combinatorial side of the density formula: twins and twinfree
-quotients, blowups, the rooted version of a graph, isomorphism with roots
-matched in order, and the structure-preserving maps counted by the formula.
+Covers the combinatorial side of the density formula: twins, blowups, the
+rooted version of a graph, and the structure-preserving maps counted by the
+formula.
 
 A map phi between rooted graphs is counted when it
   * preserves the relation both ways: uv is an edge iff phi(u)phi(v) is
@@ -79,54 +79,15 @@ class RootedGraph:
                     key=lambda e: (_label_key(e[0]), _label_key(e[1])))
         return f"RootedGraph({vs}, {es}, roots={list(self.roots)})"
 
-    def to_json_obj(self):
-        vs = sorted(self.vertices, key=_label_key)
-        es = sorted((sorted(e, key=_label_key) for e in self.edges),
-                    key=lambda e: (_label_key(e[0]), _label_key(e[1])))
-        return {
-            "vertices": [_jsonable(v) for v in vs],
-            "edges": [[_jsonable(u), _jsonable(v)] for u, v in es],
-            "roots": [_jsonable(v) for v in self.roots],
-        }
 
-
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
-
-
-def _unjson(v):
-    if isinstance(v, list):
-        return tuple(_unjson(x) for x in v)
-    return v
-
-
-def rooted_graph_from_json_obj(obj):
-    """Inverse of RootedGraph.to_json_obj; list labels become tuples.
-    The serialized root list order is the root order."""
-    extra = set(obj) - {"vertices", "edges", "roots"}
-    if extra:
-        raise ValueError(f"unknown fields in rooted graph: {sorted(extra)}")
-    return RootedGraph(
-        [_unjson(v) for v in obj.get("vertices", [])],
-        [(_unjson(u), _unjson(v)) for u, v in obj.get("edges", [])],
-        [_unjson(v) for v in obj.get("roots", [])],
-    )
-
-
-# ------------------------------------------------------------- twins, quotient
-
-def are_twins(g, u, v):
-    """Equal open neighborhoods.  Adjacent vertices are never twins."""
-    return g.neighbors(u) == g.neighbors(v)
-
+# --------------------------------------------------------------------- twins
 
 def twin_classes(g):
-    """Classes of the relation: u ~ v iff u = v, or u and v are twins and
-    the roots contain both or neither of them.  Root classes come first,
-    ordered by the position of their earliest member in the root order;
-    non-root classes follow in label order."""
+    """Classes of the relation: u ~ v iff u = v, or u and v are twins (equal
+    open neighbourhoods, so never adjacent) and the roots contain both or
+    neither of them.  Root classes come first, ordered by the position of
+    their earliest member in the root order; non-root classes follow in
+    label order."""
     root_pos = {v: i for i, v in enumerate(g.roots)}
     buckets = {}
     for v in g.vertices:
@@ -146,31 +107,6 @@ def twin_classes(g):
 def is_twinfree(g):
     """No two distinct vertices are twins unless exactly one is a root."""
     return all(len(c) == 1 for c in twin_classes(g))
-
-
-def twinfree_version(g):
-    """Quotient by the twin relation.  Each class is labelled by its
-    minimal member; classes inherit edges between members and the root
-    classes keep the order induced by their earliest members."""
-    classes = twin_classes(g)
-    rep_of = {}
-    reps = {}
-    for cls in classes:
-        rep = min(cls, key=_label_key)
-        reps[cls] = rep
-        for v in cls:
-            rep_of[v] = rep
-    edges = {frozenset((rep_of[u], rep_of[v])) for u, v in (tuple(e) for e in g.edges)
-             if rep_of[u] != rep_of[v]}
-    root_set = set(g.roots)
-    roots = [reps[cls] for cls in classes if cls & root_set]
-    return RootedGraph(reps.values(), edges, roots)
-
-
-def class_sizes(g):
-    """Twin class sizes keyed by the minimal member, matching the labels
-    of twinfree_version(g)."""
-    return {min(c, key=_label_key): len(c) for c in twin_classes(g)}
 
 
 # ------------------------------------------------------------------- blowups
@@ -231,16 +167,16 @@ def vstar(g):
     return len(g.vertices) - len(g.roots) - root_twin_count(g)
 
 
-# ----------------------------------------------------- isomorphism, rrr maps
+# ------------------------------------------------------------------ rrr maps
 
-def _maps(src, dst, injective):
+def _maps(src, dst):
     """Generate the maps src -> dst of the module docstring, as
-    dictionaries; with `injective`, only the injective ones.  The roots of
-    src go onto each choice of as many roots of dst, kept in root order; the
-    non-roots follow by decreasing degree, each tried on the non-roots of dst
-    in label order.  A non-root may go to c when c is adjacent to the images of its
-    mapped neighbours and to none of the images of its mapped non-neighbours;
-    dst has no loops, so two vertices share an image only if not adjacent."""
+    dictionaries.  The roots of src go onto each choice of as many roots of
+    dst, kept in root order; the non-roots follow by decreasing degree, each
+    tried on the non-roots of dst in label order.  A non-root may go to c
+    when c is adjacent to the images of its mapped neighbours and to none of
+    the images of its mapped non-neighbours; dst has no loops, so two
+    vertices share an image only if not adjacent."""
     dst_free = dst.nonroots()
     src_free = sorted(src.nonroots(), key=lambda v: -len(src.neighbors(v)))
 
@@ -256,8 +192,6 @@ def _maps(src, dst, injective):
                 allowed &= dst.neighbors(img)
             else:
                 allowed -= dst.neighbors(img)
-        if injective:
-            allowed -= set(phi.values())
         for c in dst_free:
             if c in allowed:
                 phi[v] = c
@@ -271,55 +205,9 @@ def _maps(src, dst, injective):
             yield from extend(phi, 0)
 
 
-def _shape(g):
-    """Vertex, edge and root counts and the degree sequence: equal for
-    isomorphic rooted graphs."""
-    return (len(g.vertices), len(g.edges), len(g.roots),
-            sorted(len(g.neighbors(v)) for v in g.vertices))
-
-
-def _iso_maps(g1, g2):
-    """Generate isomorphisms g1 -> g2 matching roots in order.  With equal
-    vertex and root counts an injective map is a bijection, so the
-    injective maps are exactly these isomorphisms."""
-    if _shape(g1) == _shape(g2):
-        yield from _maps(g1, g2, injective=True)
-
-
-def find_isomorphism(g1, g2):
-    """An isomorphism g1 -> g2 sending the i-th root to the i-th root,
-    or None."""
-    for phi in _iso_maps(g1, g2):
-        return phi
-    return None
-
-
-def isomorphic(g1, g2):
-    return find_isomorphism(g1, g2) is not None
-
-
-def automorphisms(g):
-    """All automorphisms fixing the root order (hence each root)."""
-    return list(_iso_maps(g, g))
-
-
 def count_rrr_maps(src, dst):
     """All relation-preserving, root-respecting, root-order-preserving maps
     from src to dst, as dictionaries.  Maps need not be injective on
     non-roots, but strict order preservation makes them injective on roots;
     more roots in src than dst means there are none."""
-    return list(_maps(src, dst, injective=False))
-
-
-def blowup_vectors_equivalent(base, m, n):
-    """Whether some automorphism phi of the twinfree rooted base carries the
-    multiplicity vector m to n, i.e. m[v] = n[phi(v)] for all v.  For a
-    twinfree base this holds iff the two blowups are isomorphic."""
-    if not is_twinfree(base):
-        raise ValueError("blowup vector comparison requires a twinfree base")
-    if set(m) != base.vertices or set(n) != base.vertices:
-        raise ValueError("multiplicity vectors must be indexed by the vertices")
-    for phi in _iso_maps(base, base):
-        if all(m[v] == n[phi[v]] for v in base.vertices):
-            return True
-    return False
+    return list(_maps(src, dst))

@@ -110,7 +110,13 @@ def _row_starts(f):
 
 class Rule:
     """order: number of sampled vertices k.
-    entries: mapping (from_bits, to_bits) -> probability, exact rationals."""
+    entries: mapping (from_bits, to_bits) -> probability, exact rationals.
+
+    The explicit entries are held sorted by (from, to) in read-only arrays:
+    codes _f and _h, and numerators _nums over their least common
+    denominator _denom, so that _nums[i] / _denom is the i-th entry.  _nums
+    is int64 when the numbers are small, else Python integers.  _starts
+    indexes the first entry of each explicit row."""
 
     __slots__ = ("order", "_f", "_h", "_nums", "_denom", "_starts",
                  "_entries", "_rows", "_hash")
@@ -224,13 +230,6 @@ class Rule:
 
     def __repr__(self):
         return f"Rule(order={self.order}, entries={len(self._nums)})"
-
-
-def entry_numerators(rule):
-    """(denom, nums): the explicit entries over their least common
-    denominator, nums[i] / denom == the i-th entry, as a read-only array:
-    int64 when the numbers are small, else Python integers."""
-    return rule._denom, rule._nums
 
 
 def _exact_problems(rule):
@@ -380,11 +379,6 @@ def entry_codes(rule):
     if rule._f.dtype == object or rule._h.dtype == object:
         raise ValueError(f"graph codes out of range for order {rule.order}")
     return rule._f, rule._h
-
-
-def row_codes(rule):
-    """The explicit rows' from_bits as an int64 array, in row order."""
-    return entry_codes(rule)[0][rule._starts]
 
 
 # ----------------------------------------------------------------- predicates
@@ -557,17 +551,21 @@ def exact_number(text):
     names, parsed once per distinct string.  A string with more than
     MAX_NUMBER_DIGITS characters before its exponent, or whose decimal
     exponent would take its digits past that, raises ValueError before
-    any arithmetic: Fraction("1e-3000000") would build 10^3000000."""
+    any arithmetic: Fraction("1e-3000000") would build 10^3000000.  A zero
+    denominator raises ValueError too, naming the string."""
+    shown = text if len(text) <= 40 else text[:37] + "..."
     body, _, exponent = text.strip().lower().partition("e")
     magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
     if len(body) > MAX_NUMBER_DIGITS or (magnitude.isdecimal() and (
             len(magnitude) > 4 or len(body) + int(magnitude) > MAX_NUMBER_DIGITS)):
-        shown = text if len(text) <= 40 else text[:37] + "..."
         raise ValueError(
             f"number {shown!r} exceeds the input budget of {MAX_NUMBER_DIGITS} "
             f"digits, counting a decimal exponent as its magnitude"
         )
-    return Fraction(text)  # "p/q" and decimal strings, both exact
+    try:
+        return Fraction(text)  # "p/q" and decimal strings, both exact
+    except ZeroDivisionError:
+        raise ValueError(f"number {shown!r} has a zero denominator") from None
 
 
 def rule_from_json_obj(obj):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .codes import _check_budget, num_pairs, pair_list
 from .dynamics import StepKernel, integrate
-from .rules import entry_codes, entry_numerators, row_codes
+from .rules import entry_codes
 
 _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
@@ -262,12 +262,11 @@ class _Engine:
         self.second = np.array([j - 1 for _, j in pairs], np.int64)
         self.bits = np.arange(len(pairs), dtype=np.int64)
         self.weights = np.left_shift(1, self.bits)
-        self.hs = entry_codes(rule)[1]  # ValueError for codes past int64
-        self.codes = row_codes(rule)
+        fs, self.hs = entry_codes(rule)  # ValueError for codes past int64
+        self.codes = fs[rule._starts]
         self.starts = rule._starts.astype(np.int64)
         self.widths = np.diff(self.starts, append=len(self.hs))
-        denom, nums = entry_numerators(rule)
-        nums = nums.tolist()
+        denom, nums = rule._denom, rule._nums.tolist()
         bounds = self.starts.tolist() + [len(nums)]
         cums = []
         for lo, hi in zip(bounds, bounds[1:]):

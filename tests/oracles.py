@@ -387,18 +387,6 @@ def random_rooted_graph(rng, n, roots=0, p=0.5):
     return RootedGraph(verts, edges, root_list)
 
 
-def random_relabelling(rng, g):
-    """g with its vertex labels shuffled among themselves."""
-    perm = list(g.vertices)
-    rng.shuffle(perm)
-    relabel = dict(zip(sorted(g.vertices), perm))
-    return RootedGraph(
-        [relabel[v] for v in g.vertices],
-        [(relabel[u], relabel[v]) for u, v in (tuple(e) for e in g.edges)],
-        [relabel[v] for v in g.roots],
-    )
-
-
 # ------------------------------------------------------ brute-force matchers
 
 def brute_isomorphisms(g1, g2):

@@ -474,6 +474,23 @@ def test_invalid_rule_file(tmp_path, capsys):
     assert "row 1 has row sum 1/2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "RULE"],
+    ["velocity", "TR", "KERNEL"],
+    ["named", "extremist", "--k", "3", "--threshold", "1/0"],
+    ["named", "ignorant", "--k", "3", "--dist", '{"0": "1/0"}'],
+], ids=["rule-entry", "kernel-weight", "threshold", "dist"])
+def test_zero_denominator_names_its_input(argv, tr_file, tmp_path, capsys):
+    rule = tmp_path / "rule.json"
+    rule.write_text('{"order": 2, "entries": [{"from": 1, "to": 0, "p": "1/0"}]}')
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text('{"weights": ["1/0"], "values": [[0.5]]}')
+    files = {"RULE": str(rule), "TR": tr_file, "KERNEL": str(kernel)}
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "1/0" in captured.err
+
+
 @pytest.mark.parametrize("command, text", [
     ("coeffs", '{"order": 3, "entries": 5}'),
     ("coeffs", '{"order": 3, "entries": [5]}'),

@@ -426,6 +426,13 @@ def test_exact_number_budget(text):
         exact_number(text)
 
 
+def test_exact_number_zero_denominator():
+    # Fraction's own ZeroDivisionError would print as "Fraction(1, 0)"
+    for text in ("1/0", " -3/0 "):
+        with pytest.raises(ValueError, match=f"number '{text}' has a zero denominator"):
+            exact_number(text)
+
+
 def test_named_order_bound():
     # the complete graph of order 169 prints in 4,274 digits, order 170 in
     # 4,325, past CPython's 4,300-digit limit
