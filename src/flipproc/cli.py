@@ -41,7 +41,6 @@ from .equivalence import (
     symmetrize,
 )
 from .rules import (
-    RuleValidationError,
     _json_text,
     exact_number,
     load_rule,
@@ -184,9 +183,11 @@ def _cmd_named(args):
         raw = json.loads(args.dist)
         if not isinstance(raw, dict):
             raise ValueError("--dist must be a JSON object {code: probability}")
-        if not all(isinstance(p, (int, float, str)) and not isinstance(p, bool)
-                   for p in raw.values()):
-            raise ValueError("--dist probabilities must be numbers or strings")
+        for p in raw.values():
+            if not (isinstance(p, (int, str)) and not isinstance(p, bool)
+                    or isinstance(p, float) and math.isfinite(p)):
+                raise ValueError(
+                    f"--dist probabilities must be finite numbers or strings, got {p!r}")
         params["dist"] = {
             _graph_code(code, args.k): exact_number(p) if isinstance(p, str) else Fraction(p)
             for code, p in raw.items()
@@ -316,11 +317,8 @@ def main(argv=None):
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RuleValidationError, IntegrationError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, ZeroDivisionError,
-            NotImplementedError) as exc:
+    except (ValueError, IntegrationError, OverflowError, KeyError, OSError,
+            ZeroDivisionError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

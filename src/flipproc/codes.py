@@ -18,11 +18,11 @@ class.  At order 6 the table takes 4.7 MB; canonical_class is a lookup in
 it.
 
 The orbits of a rule's index pairs (f, h), keyed by their least images
-(f' << P) | h', come from _orbit_sweep: one sweep over all k!
-relabellings, a block of entries at a time, relabels the row and
-replacement codes once each and yields every touched orbit's size and
-members, including the orbits of the rows' diagonals (f, f).
-Symmetrization, the symmetry check and the orbit-sum check read it.
+(f' << P) | h', come from _orbit_sweep in two passes over all k!
+relabellings, a block of pairs at a time: the first keys every entry and
+every row's diagonal (f, f), the second lists the members of each orbit
+once, from one of its pairs.  Symmetrization, the symmetry check and the
+orbit-sum check read it.
 """
 
 import functools
@@ -256,6 +256,15 @@ def _blocks(n, width):
     return [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
+def _pair_images(k, f, h):
+    """(σf << P) | σh, the pair (f[i], h[i]) relabelled by all_perms(k)[s],
+    as an int64 array of shape (len(f), k!)."""
+    images = perm_images(k, f).astype(np.int64)
+    images <<= num_pairs(k)
+    images |= perm_images(k, h)
+    return images
+
+
 # The relabelling orbits that a rule's explicit rows touch, from _orbit_sweep
 _Orbits = namedtuple("_Orbits", "sizes members owners entry_orbit row_orbit")
 
@@ -263,61 +272,38 @@ _Orbits = namedtuple("_Orbits", "sizes members owners entry_orbit row_orbit")
 def _orbit_sweep(k, f, h, starts):
     """The relabelling orbits of the entries (f[i], h[i]), sorted by f
     with the explicit rows starting at `starts`, and of each row's
-    diagonal (f, f), from one sweep over all k! relabellings.  Orbits are
-    numbered by their keys, their least members (f' << P) | h'.  Returns
-    _Orbits: sizes[j] the member count of orbit j, all members in
-    increasing order with owners[i] the orbit of members[i],
-    entry_orbit[i] the orbit of entry i and row_orbit[r] that of row r's
-    diagonal.
+    diagonal (f, f).  Orbits are numbered by their keys, their least
+    members (f' << P) | h'.  Returns _Orbits: sizes[j] the member count of
+    orbit j, all members in increasing order with owners[i] the orbit of
+    members[i], entry_orbit[i] the orbit of entry i and row_orbit[r] that
+    of row r's diagonal.
 
-    A block of entries relabels the codes of the rows it spans and its
-    replacement codes once: its entry images are a row gather of the
-    former, and a row's diagonal (σf << P) | σf is least where σf is.  The
-    members of an orbit first seen in a block are the distinct values of
-    one row of its images."""
-    p = num_pairs(k)
+    Two passes over blocks of pairs: the first keys every pair by its
+    least image, the second lists each orbit's members once, as the
+    distinct images of the first pair with its key."""
     n = len(f)
-    rows = f[starts]
-    row_of = np.searchsorted(rows, f)
-    keys = np.empty(n + len(rows), dtype=np.int64)  # entries, then rows
-    known = np.empty(0, dtype=np.int64)
-    members, owned, counts = [known], [known], [known]
-    for blk in _blocks(n, _byte_images(k).shape[2]):
-        # rows r0 to r1 - 1 have entries here (a row that spans blocks is
-        # met again in the next one, and its orbits are known there)
-        r0, r1 = row_of[blk.start], row_of[blk.stop - 1] + 1
-        relabelled = perm_images(k, rows[r0:r1])
-        images = relabelled[row_of[blk] - r0].astype(np.int64)
-        images <<= p
-        images |= perm_images(k, h[blk])
-        least = relabelled[: r1 - r0].min(axis=1).astype(np.int64)
-        keys[blk] = images.min(axis=1)
-        keys[n + r0 : n + r1] = least << p | least
-        new, first = np.unique(np.concatenate([keys[blk], keys[n + r0 : n + r1]]),
-                               return_index=True)
-        if len(known):
-            unseen = known[np.searchsorted(known, new).clip(max=len(known) - 1)] != new
-            new, first = new[unseen], first[unseen]
-        diagonal = first >= len(images)
-        graphs = relabelled[first[diagonal] - len(images)].astype(np.int64)
+    froms, tos = np.concatenate([f, f[starts]]), np.concatenate([h, f[starts]])
+    width = _byte_images(k).shape[2]
+    keys = np.empty(len(froms), dtype=np.int64)
+    for blk in _blocks(len(keys), width):
+        keys[blk] = _pair_images(k, froms[blk], tos[blk]).min(axis=1)
+    _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
+    sizes = np.empty(len(first), dtype=np.int64)
+    members = [keys[:0]]  # an empty rule has no blocks to list
+    for blk in _blocks(len(first), width):
+        images = _pair_images(k, froms[first[blk]], tos[first[blk]])
         # stable argsorts only, the kernel that np.unique uses: numpy's sort
         # kernels would page in a few hundred KB more of its library
-        orbits = np.concatenate([images[first[~diagonal]], graphs << p | graphs])
-        orbits = np.take_along_axis(orbits, orbits.argsort(axis=1, kind="stable"), axis=1)
-        distinct = np.ones(orbits.shape, dtype=bool)
-        distinct[:, 1:] = orbits[:, 1:] != orbits[:, :-1]
-        members.append(orbits[distinct])
-        owned.append(np.concatenate([new[~diagonal], new[diagonal]]))
-        counts.append(distinct.sum(axis=1))
-        known = np.concatenate([known, new])
-        known = known[known.argsort(kind="stable")]
+        images = np.take_along_axis(images, images.argsort(axis=1, kind="stable"), axis=1)
+        distinct = np.ones(images.shape, dtype=bool)
+        distinct[:, 1:] = images[:, 1:] != images[:, :-1]
+        members.append(images[distinct])
+        sizes[blk] = distinct.sum(axis=1)
     # distinct orbits share no member, so the members sort without ties
     members = np.concatenate(members)
-    order = np.argsort(members, kind="stable")
-    owners = np.searchsorted(known, np.concatenate(owned)).repeat(np.concatenate(counts))
-    orbit = np.searchsorted(known, keys)
-    return _Orbits(np.bincount(owners, minlength=len(known)), members[order],
-                   owners[order], orbit[:n], orbit[n:])
+    order = members.argsort(kind="stable")
+    owners = np.arange(len(sizes)).repeat(sizes)
+    return _Orbits(sizes, members[order], owners[order], orbit[:n], orbit[n:])
 
 
 # --------------------------------------------------------------- orbit classes

@@ -196,7 +196,10 @@ def kernel_from_json_obj(obj):
         for v in row:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"block values must be numbers, got {v!r}")
-            out.append(float(v))
+            try:
+                out.append(float(v))
+            except OverflowError:
+                raise ValueError(f"block value {v} is too large for a float") from None
         values.append(tuple(out))
     return StepKernel(weights, values)
 

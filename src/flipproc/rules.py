@@ -235,17 +235,17 @@ class Rule:
 def _exact_problems(rule):
     """rule_problems on Python integers, for any size of code or number."""
     problems = []
-    limit = 1 << num_pairs(rule.order)
+    p = num_pairs(rule.order)  # not 1 << p: an order has no bound before validation
     denom = rule._denom
     fs, hs, nums = rule._f.tolist(), rule._h.tolist(), rule._nums.tolist()
     bounds = rule._starts.tolist() + [len(nums)]
     for lo, hi in zip(bounds, bounds[1:]):
         f = fs[lo]
-        if not 0 <= f < limit:
+        if f < 0 or f >> p:
             problems.append(f"row index {f} out of range for order {rule.order}")
         total = 0
         for h, num in zip(hs[lo:hi], nums[lo:hi]):
-            if not 0 <= h < limit:
+            if h < 0 or h >> p:
                 problems.append(
                     f"replacement index {h} out of range for order {rule.order}"
                 )

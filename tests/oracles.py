@@ -4,15 +4,15 @@ Everything here that checks a package computation re-derives it from
 definitions with separate code paths: the census count comes from the
 orbit-counting lemma, coefficient sums from a term-by-term sweep over all
 rooted elements with a local canonicalizer, isomorphism, symmetrization,
-the symmetry check, edge histograms and orbit sums from a full
-permutation sweep, validity from a Fraction sum of every row, and the
-velocity from its defining sum over rows, pairs and rooted densities or
-from one grid over all part assignments, the nearest trajectory time from
-a linear scan, the simulator's start graph from one random() call per
-pair, and its steps one at a time on bitmask rows, each replacement found
-by bisection in Fraction-summed cumulatives.  Generators (random rules,
-kernels, graphs) may use package constructors since they only build
-inputs.
+the symmetry check, relabelling orbits, edge histograms and orbit sums
+from a full permutation sweep, validity from a Fraction sum of every row,
+and the velocity from its defining sum over rows, pairs and rooted
+densities or from one grid over all part assignments, the nearest
+trajectory time from a linear scan, the simulator's start graph from one
+random() call per pair, and its steps one at a time on bitmask rows, each
+replacement found by bisection in Fraction-summed cumulatives.
+Generators (random rules, kernels, graphs) may use package constructors
+since they only build inputs.
 """
 
 import bisect
@@ -186,6 +186,23 @@ def orbit_edge_histogram(rule, f, pair):
     for h, p in row.items():
         hist[(h & mask).bit_count()] += p
     return hist
+
+
+def naive_orbits(rule):
+    """The relabelling orbits of the explicit entries (f, h) and of the
+    explicit rows' diagonals (f, f), by a full permutation sweep: {key:
+    members}, each orbit's members the sorted distinct codes
+    (sigma f << P) | sigma h over all k! relabellings of one of its pairs,
+    and its key the least member."""
+    k = rule.order
+    shift = len(pairs_of(k))
+    perms = list(itertools.permutations(range(1, k + 1)))
+    orbits = {}
+    for f, h in [*rule.entries, *((f, f) for f in rule.rows())]:
+        members = sorted({apply_sigma_bits(sigma, k, f) << shift
+                          | apply_sigma_bits(sigma, k, h) for sigma in perms})
+        orbits[members[0]] = members
+    return orbits
 
 
 # ------------------------------------------------------- orbit sums, validity

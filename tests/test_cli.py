@@ -92,6 +92,8 @@ def test_named_with_parameters(capsys):
 
 @pytest.mark.parametrize("dist", [
     '{"7": null}', '{"7": [1]}', '{"7": {"p": 1}}', '{"7": true, "0": false}',
+    # JSON numbers that no Fraction holds
+    '{"0": NaN}', '{"0": 1e400}', '{"0": -Infinity}',
 ])
 def test_named_dist_rejects_non_numbers(capsys, dist):
     assert main(["named", "ignorant", "--k", "3", "--dist", dist]) == 2
@@ -409,6 +411,15 @@ def test_velocity_rejects_non_finite_kernel(tr_file, tmp_path, capsys):
     assert captured.out == "" and "non-finite block value" in captured.err
 
 
+def test_velocity_rejects_kernel_value_past_float(tr_file, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text('{"weights": ["1"], "values": [[' + "9" * 400 + ']]}')
+    assert main(["velocity", tr_file, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "block value 999" in captured.err
+    assert "too large for a float" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["velocity", "R", "K"],
     ["integrate", "R", "K", "--t-max", "0.01"],
@@ -572,6 +583,15 @@ def test_number_budget_and_named_order_bound(tr_file, tmp_path, capsys):
     assert main(["named", "clique-removal", "--k", "170"]) == 2
     assert "stop at order 169" in capsys.readouterr().err
     assert main(["named", "clique-removal", "--k", "169"]) == 0
+
+
+def test_invalid_rule_of_huge_order_exits_2(tmp_path, capsys):
+    # the validator reports the row sum without building 2^C(k, 2)
+    path = tmp_path / "order.json"
+    path.write_text('{"order": 100000000000, "entries": [{"from": 1, "to": 0, "p": "1/2"}]}')
+    assert main(["coeffs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "row sum" in captured.err
 
 
 def test_missing_file(capsys):

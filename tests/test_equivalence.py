@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from flipproc import (
     symmetrize,
 )
 from flipproc import equivalence
-from flipproc.codes import _orbit_sweep, num_pairs
+from flipproc.codes import BLOCK_ELEMENTS, _orbit_sweep, num_pairs
 from flipproc.equivalence import _first_difference
 from flipproc.rules import entry_codes
 
@@ -682,6 +683,51 @@ def test_sweeps_agree_across_many_blocks(monkeypatch):
         if rule.order <= 4:
             assert _as_triples(cv) == oracles.naive_coeff_sums_fast(rule)
             assert k1 == (oracles.naive_orbit_sums(rule) == oracles.naive_orbit_sums(partner))
+
+
+@st.composite
+def _swept_rules(draw):
+    """Rules of order 2 to 5: valid, invalid (entries outside [0, 1], row
+    sums off), empty, or one row of many entries."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    space = 1 << num_pairs(k)
+    codes = st.integers(min_value=0, max_value=space - 1)
+    kind = draw(st.sampled_from(["valid", "invalid", "empty", "wide"]))
+    if kind == "valid":
+        return oracles.random_rule(draw(st.randoms(use_true_random=False)), k, max_rows=6)
+    if kind == "invalid":
+        values = st.sampled_from([F(1, 2), F(-1, 3), F(2), F(1)])
+        return Rule(k, draw(st.dictionaries(st.tuples(codes, codes), values,
+                                            min_size=1, max_size=10)))
+    if kind == "empty":
+        return Rule(k, {})
+    f = draw(codes)
+    support = draw(st.lists(codes, min_size=min(space, 16), max_size=min(space, 64),
+                            unique=True))
+    return Rule(k, {(f, h): F(1, len(support)) for h in support})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_swept_rules(), st.sampled_from([BLOCK_ELEMENTS, 64]))
+def test_orbit_sweep_matches_the_permutation_oracle(rule, block):
+    naive = oracles.naive_orbits(rule)
+    number = {m: j for j, key in enumerate(sorted(naive)) for m in naive[key]}
+    members = sorted(number)
+    p = num_pairs(rule.order)
+    f, h = entry_codes(rule)
+    want = {
+        "sizes": [len(naive[key]) for key in sorted(naive)],
+        "members": members,
+        "owners": [number[m] for m in members],
+        "entry_orbit": [number[m] for m in (f << p | h).tolist()],
+        "row_orbit": [number[m] for m in (f[rule._starts] << p | f[rule._starts]).tolist()],
+    }
+    with mock.patch("flipproc.codes.BLOCK_ELEMENTS", block):
+        orbits = _orbits(rule)
+    assert list(want) == list(orbits._fields)
+    for field, values in want.items():
+        got = getattr(orbits, field)
+        assert got.dtype == np.int64 and got.tolist() == values, field
 
 
 def test_certificate_and_witness_leave_numpy_ma_unimported():

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,24 @@ def test_validation_catches_out_of_range_and_bad_probabilities():
                           lambda r: check_k1(r, r), lambda r: lift(r, 3)):
                 with pytest.raises(ValueError, match="out of range for order 2"):
                     check(rule)
+
+
+def test_validation_at_huge_orders_builds_no_code_bound():
+    # an order has no bound before validation, so the range check must not
+    # build 2^C(k, 2) (the Fraction oracle does, so it is not asked here)
+    rule = Rule(10 ** 11, {(1, 0): F(1, 2), (2, -1): F(1)})
+    assert rule_problems(rule) == [
+        "row 1 has row sum 1/2",
+        "replacement index -1 out of range for order 100000000000",
+    ]
+    rule = Rule(100_000, {(1, 0): F(1, 2)})
+    tracemalloc.start()
+    try:
+        assert rule_problems(rule) == ["row 1 has row sum 1/2"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @st.composite
