@@ -40,6 +40,7 @@ Equal seeds give bit-identical results, whatever the grouping of runs.
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
@@ -47,13 +48,13 @@ from random import Random
 import numpy as np
 
 from .codes import _check_budget, num_pairs, pair_list
-from .dynamics import StepKernel, integrate
+from .dynamics import _GRID_BUDGET, StepKernel, integrate
 from .rules import entry_codes
 
 _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
 _BATCH = 512  # steps drawn at once; the draws depend on it
-_BLOCK = 1 << 12  # pair entries per block of sampling and row conversion
+_BLOCK = 1 << 14  # pair entries per block of sampling and row conversion
 _STACK_BYTES = 1 << 23  # matrices and batch reads of the runs stepped at once
 _READ_BYTES = 128  # working memory of one pair read in a batch, at most
 _MASK64 = (1 << 64) - 1
@@ -78,6 +79,19 @@ def run_seed(master, index):
 
 # ------------------------------------------------------------------ word draws
 
+@lru_cache(maxsize=None)
+def _no_seed():
+    """A seed sequence of zeros: an MT19937 built on it skips the seeding
+    that _twister overwrites at once (about 0.15 ms a run)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Zeros(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+
+    return _Zeros()
+
+
 def _twister(rng):
     """A numpy Generator on an MT19937 that continues rng's Mersenne
     Twister: the same words, and random() makes the same doubles."""
@@ -85,7 +99,7 @@ def _twister(rng):
     from numpy.random import MT19937, Generator
 
     internal = rng.getstate()[1]
-    bits = MT19937(0)  # seeded only to be overwritten
+    bits = MT19937(_no_seed())
     # a tuple key is copied in microseconds, an array in tens of them
     bits.state = {"bit_generator": "MT19937",
                   "state": {"key": internal[:-1], "pos": internal[-1]}}
@@ -182,18 +196,30 @@ def part_sizes(weights, n):
 
 def _sample_matrix(kernel, sizes, gen, adj):
     """Draws the start graph from the kernel on parts of the given sizes
-    into the zeroed upper-triangle matrix adj, block of rows by block of
-    rows, taking one uniform per pair from the generator gen."""
+    into the zeroed upper-triangle matrix adj, taking one uniform per pair
+    from the generator gen in row-major order.  A block is whole rows of
+    about _BLOCK pairs, at least one row: row u meets part j in columns
+    max(u + 1, start of j) to the end of j, so its probabilities are its
+    part values repeated over those segment lengths."""
     n = sum(sizes)
     vals = np.array([[float(v) for v in row] for row in kernel.values])
-    part = np.repeat(np.arange(len(sizes)), sizes)
-    cols = np.arange(n)
-    rows = max(1, _BLOCK // max(n, 1))
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        upper = cols > np.arange(lo, hi)[:, None]
-        probs = vals[part[lo:hi, None], part][upper]
-        adj[lo:hi][upper] = gen.random(len(probs)) < probs
+    ends = np.cumsum(sizes)
+    seg = ends - np.maximum(np.arange(1, n + 1)[:, None], ends - sizes)
+    np.maximum(seg, 0, out=seg)
+    row_vals = vals[np.repeat(np.arange(len(sizes)), sizes)]
+    # offsets[u] is the index of row u's first pair in row-major order
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
+    lo = 0
+    while lo < n:
+        end = int(np.searchsorted(offsets, offsets[lo] + _BLOCK, "right"))
+        hi = max(lo + 1, end - 1)
+        probs = np.repeat(row_vals[lo:hi].ravel(), seg[lo:hi].ravel())
+        hits = (gen.random(len(probs)) < probs).view(np.uint8)
+        at = 0
+        for r in range(lo, hi):
+            adj[r, r + 1:] = hits[at:at + n - 1 - r]
+            at += n - 1 - r
+        lo = hi
     return adj
 
 
@@ -393,8 +419,9 @@ def run(config, reference=None):
     at the sample times.  reference, when given, must map each sample time
     to a kernel on the start's parts (the same weights), else ValueError;
     per-run absolute deviations are filled in.  Beyond 5,000 vertices,
-    10,000,000 steps over all runs or rule order 11, CapExceeded before the
-    first step.
+    10,000,000 steps over all runs, 4,000,000 stored block densities
+    (runs * sample points * parts^2) or rule order 11, CapExceeded before
+    the first step.
     """
     rule = config.rule
     n = config.n
@@ -411,6 +438,12 @@ def run(config, reference=None):
             f"horizon must be finite and nonnegative, got {config.horizon}")
     _check_count("runs", config.runs)
     _check_count("sample_points", config.sample_points)
+    from_kernel = isinstance(config.initial, StepKernel)
+    weights = tuple(config.initial.weights) if from_kernel else (1,)
+    # the block densities kept: a horizon of 0 samples the start only
+    points = config.sample_points if config.horizon else 1
+    _check_budget(config.runs * points * len(weights) ** 2, _GRID_BUDGET,
+                  f"block densities stored by {config.runs} runs at {points} times")
     times = _sample_times(config.horizon, config.sample_points)
     ends = [t * n * n + 1e-9 for t in times]
     # int() refuses the infinite count of a huge horizon, so that is
@@ -419,8 +452,6 @@ def run(config, reference=None):
     _check_budget(config.runs * last, _STEP_BUDGET, f"steps of {config.runs} runs")
     targets = [int(e) for e in ends]
 
-    from_kernel = isinstance(config.initial, StepKernel)
-    weights = tuple(config.initial.weights) if from_kernel else (1,)
     # an edge list is read once: an iterator would leave later runs empty
     edges = None if from_kernel else tuple(config.initial)
     sizes = part_sizes(weights, n)

@@ -145,6 +145,9 @@ def test_named_rejects_parameters_the_family_does_not_take(capsys, argv):
       "--seed", "1"], "vertices"),
     (["simulate", "R12", "--n", "20", "--w0", "K", "--time", "0.1",
       "--seed", "1"], "62-bit"),
+    # no steps at all, but a billion runs' densities to keep
+    (["simulate", "R3", "--n", "3", "--w0", "K", "--time", "1e-9",
+      "--seed", "1", "--runs", "1000000000"], "block densities"),
 ])
 def test_budgets_exit_3_before_building(argv, what, tmp_path, kernel_file,
                                         capsys):

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,37 @@ def test_sample_graph_matches_pairwise_coins(n, kern):
     assert fast.getstate() == slow.getstate()
 
 
+@st.composite
+def _kernels(draw):
+    """Step kernels of 1 to 6 parts, zero-weight parts among them, with
+    block values that include 0 and 1."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    weights = draw(st.lists(st.integers(min_value=0, max_value=3),
+                            min_size=m, max_size=m).filter(any))
+    value = st.one_of(st.sampled_from([0.0, 1.0]),
+                      st.floats(min_value=0, max_value=1))
+    vals = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            vals[i][j] = vals[j][i] = draw(value)
+    return StepKernel(tuple(F(w, sum(weights)) for w in weights),
+                      tuple(map(tuple, vals)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernels(), st.integers(min_value=0, max_value=80),
+       st.integers(min_value=0, max_value=2 ** 32))
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_sample_graph_matches_pairwise_coins_in_any_block(block, kern, n, seed):
+    # blocks of one row, of many rows, and rows longer than a block
+    fast, slow = random.Random(seed), random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_BLOCK", block)
+        got = sample_graph(kern, n, fast)
+    assert got == oracles.naive_sample_graph(kern, n, slow)
+    assert fast.getstate() == slow.getstate()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=5).flatmap(
            lambda k: st.tuples(st.just(k), st.integers(min_value=k, max_value=3 * k))),
@@ -413,6 +445,28 @@ def test_run_steps_are_capped(monkeypatch):
     with pytest.raises(CapExceeded):
         transference_check(tr, 10, constant_kernel(0.5), 1.0, 0.5, seed=0,
                            runs=3)
+
+
+def test_run_stored_densities_are_capped(monkeypatch):
+    # floor(T n^2) = 0 steps pass the step budget: the block densities a
+    # run keeps are held to a budget before any sample time is built
+    tr = make_named("triangle-removal", 3)
+    tiny = SimConfig(rule=tr, n=3, initial=constant_kernel(0.5),
+                     horizon=1e-9, seed=0, sample_points=10 ** 9)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="block densities"):
+        run(tiny)
+    assert time.perf_counter() - start < 1
+    # runs * sample points * parts^2, reached exactly, still runs; a
+    # horizon of 0 keeps the start only
+    monkeypatch.setattr(simulate, "_GRID_BUDGET", 2 * 3 * 4)
+    two = StepKernel((F(1, 2), F(1, 2)), ((0.5, 0.2), (0.2, 0.5)))
+    fits = SimConfig(rule=tr, n=6, initial=two, horizon=0.1, seed=0, runs=2,
+                     sample_points=3)
+    assert len(run(fits).samples) == 2
+    with pytest.raises(CapExceeded, match="block densities"):
+        run(dataclasses.replace(fits, runs=3))
+    assert run(dataclasses.replace(fits, runs=6, horizon=0.0)).times == (0.0,)
 
 
 def test_run_step_count_overflow_is_capped():
