@@ -8,9 +8,10 @@ go to stderr.  Exit codes:
 2  input error: a malformed or invalid rule or kernel file (including
    non-finite kernel values), a missing file, a bad argument (argparse
    rejects a --t-max, --dt, --time or --eps that is not finite and
-   positive), and an integration that fails (IntegrationError: the state
-   left [0, 1] or stopped being finite, so the step size was too large)
-   or asks for more steps than a float can count (OverflowError)
+   positive), an enumeration cap (--cap or FLIPPROC_CAP) below 1, and an
+   integration that fails (IntegrationError: the state left [0, 1] or
+   stopped being finite, so the step size was too large) or asks for more
+   steps than a float can count (OverflowError)
 3  resource cap exceeded (CapExceeded): the graph order, census index,
    relabelling tables, rule entries, velocity grid or stored trajectory,
    or a simulation's vertices, drawn-graph code or steps (README "Caps")
@@ -22,7 +23,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .codes import CapExceeded, enumerate_classes, num_pairs
+from .codes import CapExceeded, enumerate_classes, enumeration_cap, num_pairs
 from .dynamics import (
     IntegrationError,
     integrate,
@@ -313,6 +314,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        enumeration_cap(args.cap)  # a bad cap exits 2 even where it is not read
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -151,15 +151,18 @@ class Rule:
         keep = nums != 0
         if not keep.all():
             f, h, nums = f[keep], h[keep], nums[keep]
-        starts = _row_starts(f)
-        # identity point rows: one entry, on the diagonal, of probability 1
-        single = starts[np.diff(starts, append=len(f)) == 1]
-        point = single[(f[single] == h[single]) & (nums[single] == denom)]
+        # identity point rows: one entry, on the diagonal, of probability 1,
+        # so that the entries beside it belong to other rows
+        point = np.flatnonzero((f == h) & (nums == denom))
         if point.size:
-            keep = np.ones(len(f), dtype=bool)
-            keep[point] = False
-            f, h, nums = f[keep], h[keep], nums[keep]
-            starts = _row_starts(f)
+            last = len(f) - 1
+            point = point[((point == 0) | (f[point - 1] != f[point]))
+                          & ((point == last) | (f[np.minimum(point + 1, last)] != f[point]))]
+            if point.size:
+                keep = np.ones(len(f), dtype=bool)
+                keep[point] = False
+                f, h, nums = f[keep], h[keep], nums[keep]
+        starts = _row_starts(f)
         for array in (f, h, nums, starts):
             array.flags.writeable = False  # shared with callers, never copied
         object.__setattr__(self, "order", order)

@@ -10,7 +10,9 @@ and the velocity from its defining sum over rows, pairs and rooted
 densities or from one grid over all part assignments, the nearest
 trajectory time from a linear scan, the simulator's start graph from one
 random() call per pair, and its steps one at a time on bitmask rows, each
-replacement found by bisection in Fraction-summed cumulatives.
+replacement found by bisection in Fraction-summed cumulatives; the exact
+one-step transition matrix on n vertices sums the rule over every ordered
+k-tuple.
 Generators (random rules, kernels, graphs) may use package constructors
 since they only build inputs.
 """
@@ -197,11 +199,14 @@ def naive_orbits(rule):
     k = rule.order
     shift = len(pairs_of(k))
     perms = list(itertools.permutations(range(1, k + 1)))
-    orbits = {}
+    orbits, seen = {}, set()
     for f, h in [*rule.entries, *((f, f) for f in rule.rows())]:
+        if f << shift | h in seen:
+            continue
         members = sorted({apply_sigma_bits(sigma, k, f) << shift
                           | apply_sigma_bits(sigma, k, h) for sigma in perms})
         orbits[members[0]] = members
+        seen.update(members)
     return orbits
 
 
@@ -560,3 +565,27 @@ def step(adj, rule, rng):
     tup = sample_tuple(rng, list(range(n)), k)
     apply_step(adj, compile_rows(rule), k, tup, rng.random())
     return tup
+
+
+def transition_matrix(rule, n):
+    """The exact one-step transition matrix of the flip process on n >= k
+    vertices, {(G, G'): probability} over all graphs G on [n] in the same
+    pair encoding, zero entries left out.  A step draws one of the (n)_k
+    ordered k-tuples of distinct vertices uniformly, reads the graph F that
+    G induces on it (tuple position a as vertex a), draws H with
+    probability R(F, H) (identity rows keep F) and writes H back onto the
+    tuple's pairs: each entry is the sum of R(F, H) over the tuples that
+    carry G to G', over (n)_k."""
+    k = rule.order
+    slots = []  # per tuple, the bit of G under each pair of [k], in pair order
+    for tup in itertools.permutations(range(1, n + 1), k):
+        slots.append([pair_index(tup[a - 1], tup[b - 1]) for a, b in pairs_of(k)])
+    sums = {}
+    for g in range(1 << len(pairs_of(n))):
+        for bits in slots:
+            f = sum(1 << i for i, s in enumerate(bits) if g >> s & 1)
+            cleared = g & ~sum(1 << s for s in bits)
+            for h, p in (rule.row(f) or {f: Fraction(1)}).items():
+                key = g, cleared | sum(1 << s for i, s in enumerate(bits) if h >> i & 1)
+                sums[key] = sums.get(key, 0) + p
+    return {key: p / len(slots) for key, p in sums.items() if p}

@@ -194,6 +194,24 @@ def test_classes_cap(capsys):
     capsys.readouterr()
 
 
+def test_cap_below_one_is_an_input_error(monkeypatch, capsys):
+    assert main(["--cap", "-1", "classes", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--cap" in captured.err
+    # commands that never read the cap refuse it too
+    for argv in (["named", "complementing", "--k", "3"], ["named", "identity", "--k", "3"]):
+        assert main(["--cap", "0", *argv]) == 2
+        assert "--cap" in capsys.readouterr().err
+    monkeypatch.setenv("FLIPPROC_CAP", "-2")
+    assert main(["classes", "--k", "3"]) == 2
+    assert "FLIPPROC_CAP" in capsys.readouterr().err
+    assert main(["named", "identity", "--k", "3"]) == 2
+    assert "FLIPPROC_CAP" in capsys.readouterr().err
+    # an explicit cap still beats the environment
+    assert main(["--cap", "3", "classes", "--k", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_lift_budget_exits_3(tr_file, capsys):
     # 2^33 copies of triangle removal's entry, refused before any is built
     assert main(["--cap", "9", "lift", tr_file, "--to", "9"]) == 3

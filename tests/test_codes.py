@@ -15,6 +15,7 @@ from flipproc import (
     apply_perm,
     canonical_class,
     enumerate_classes,
+    enumeration_cap,
     num_pairs,
     pair_index,
     pair_list,
@@ -246,6 +247,8 @@ def test_enumeration_cap():
         canonical_class(RootedPairGraph(GraphCode(7, 0), 1, 2))
     with pytest.raises(ValueError):
         enumerate_classes(0)
+    assert enumeration_cap(1) == 1
+    assert type(enumeration_cap(np.int64(4))) is int and enumeration_cap(np.int64(4)) == 4
 
 
 def test_census_index_is_held_to_its_budget(monkeypatch):
@@ -281,6 +284,19 @@ def test_enumeration_cap_env(monkeypatch):
     monkeypatch.setenv("FLIPPROC_CAP", "not-a-number")
     with pytest.raises(ValueError):
         enumerate_classes(3)
+    for env in ("0", "-2"):
+        monkeypatch.setenv("FLIPPROC_CAP", env)
+        with pytest.raises(ValueError, match="FLIPPROC_CAP"):
+            enumerate_classes(3)
+
+
+@pytest.mark.parametrize("cap", [0, -1, 6.5, True, "6", np.float64(6)])
+def test_enumeration_cap_must_be_a_positive_integer(cap):
+    # an input error, not a cap to raise; a float is never rounded
+    with pytest.raises(ValueError, match="--cap"):
+        enumeration_cap(cap)
+    with pytest.raises(ValueError, match="--cap"):
+        enumerate_classes(3, cap=cap)
 
 
 def test_orbit_class_json_shape():

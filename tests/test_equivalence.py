@@ -542,6 +542,31 @@ def test_orbit_sums_and_problems_match_oracles(rule1, rule2):
     assert rule_problems(rule2) == oracles.naive_rule_problems(rule2)
 
 
+_transition_base = st.shared(_valid_rules(2, 3), key="transition-base")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_transition_base, _transition_base.flatmap(_partner))
+def test_transition_matrices_decide_check_k1(rule, partner):
+    # on n = k vertices a step's tuple is a uniform relabelling, so the
+    # transition matrix is the symmetrization, entry for entry; equal
+    # symmetrizations give equal matrices on n = k + 1 vertices too
+    k = rule.order
+    at_k = oracles.transition_matrix(rule, k)
+    sym = symmetrize(rule)
+    codes = range(1 << num_pairs(k))
+    assert at_k == {(g, g2): sym.probability(g, g2) for g in codes for g2 in codes
+                    if sym.probability(g, g2)}
+    above = oracles.transition_matrix(rule, k + 1)
+    rows = {}
+    for (g, _), p in above.items():
+        rows[g] = rows.get(g, 0) + p
+    assert rows == dict.fromkeys(range(1 << num_pairs(k + 1)), 1)
+    same = (at_k == oracles.transition_matrix(partner, k)
+            and above == oracles.transition_matrix(partner, k + 1))
+    assert check_k1(rule, partner) == same
+
+
 def _mixture(rule1, rule2, lam):
     """lam * R1 + (1 - lam) * R2 over full matrices, identity rows
     included."""
@@ -688,13 +713,17 @@ def test_sweeps_agree_across_many_blocks(monkeypatch):
 @st.composite
 def _swept_rules(draw):
     """Rules of order 2 to 5: valid, invalid (entries outside [0, 1], row
-    sums off), empty, or one row of many entries."""
+    sums off), empty, one row of many entries, or a symmetrization, whose
+    many pairs fall in few orbits."""
     k = draw(st.integers(min_value=2, max_value=5))
     space = 1 << num_pairs(k)
     codes = st.integers(min_value=0, max_value=space - 1)
-    kind = draw(st.sampled_from(["valid", "invalid", "empty", "wide"]))
+    kind = draw(st.sampled_from(["valid", "invalid", "empty", "wide", "symmetrized"]))
     if kind == "valid":
         return oracles.random_rule(draw(st.randoms(use_true_random=False)), k, max_rows=6)
+    if kind == "symmetrized":
+        rng = draw(st.randoms(use_true_random=False))
+        return symmetrize(oracles.random_rule(rng, k, max_rows=3))
     if kind == "invalid":
         values = st.sampled_from([F(1, 2), F(-1, 3), F(2), F(1)])
         return Rule(k, draw(st.dictionaries(st.tuples(codes, codes), values,
@@ -707,8 +736,11 @@ def _swept_rules(draw):
     return Rule(k, {(f, h): F(1, len(support)) for h in support})
 
 
+# at order 5, blocks of 1 << 10 images hold 8 pairs: the first pass over a
+# symmetrization spans several blocks while the second, one pair per orbit,
+# may fit in one
 @settings(max_examples=80, deadline=None)
-@given(_swept_rules(), st.sampled_from([BLOCK_ELEMENTS, 64]))
+@given(_swept_rules(), st.sampled_from([BLOCK_ELEMENTS, 1 << 10, 64]))
 def test_orbit_sweep_matches_the_permutation_oracle(rule, block):
     naive = oracles.naive_orbits(rule)
     number = {m: j for j, key in enumerate(sorted(naive)) for m in naive[key]}

@@ -49,6 +49,21 @@ def test_normalization_drops_zeros_and_identity_rows():
     assert r2.row(0) is None
 
 
+def test_only_lone_diagonal_entries_are_identity_rows():
+    # (3, 3) -> 1 shares its (invalid) row with (3, 5) and (3, 1), so it is
+    # kept; rows 0 and 6, first and last, are point rows and dropped
+    r = Rule(3, {(0, 0): F(1), (3, 1): F(1, 2), (3, 3): F(1), (3, 5): F(1, 2),
+                 (6, 6): F(1)})
+    assert r.entries == {(3, 1): F(1, 2), (3, 3): F(1), (3, 5): F(1, 2)}
+    assert r._starts.tolist() == [0]
+    # a wider row whose last entry is the diagonal keeps it too
+    r = Rule(3, {(3, 1): F(1, 2), (3, 3): F(1), (6, 6): F(1)})
+    assert r.entries == {(3, 1): F(1, 2), (3, 3): F(1)}
+    assert r._starts.tolist() == [0]
+    assert Rule(3, {(6, 6): F(1)}).entries == {}
+    assert Rule(3, {(5, 0): F(1), (6, 6): F(1)})._starts.tolist() == [0]
+
+
 def test_structural_equality_is_semantic():
     a = Rule(2, {(1, 0): F(1, 2), (1, 1): F(1, 2)})
     b = Rule(2, {(1, 1): F(2, 4), (1, 0): F(1, 2), (0, 0): 1})
