@@ -42,6 +42,7 @@ from .equivalence import (
     symmetrize,
 )
 from .rules import (
+    _exact_value,
     _json_text,
     exact_number,
     load_rule,
@@ -184,13 +185,10 @@ def _cmd_named(args):
         raw = json.loads(args.dist)
         if not isinstance(raw, dict):
             raise ValueError("--dist must be a JSON object {code: probability}")
-        for p in raw.values():
-            if not (isinstance(p, (int, str)) and not isinstance(p, bool)
-                    or isinstance(p, float) and math.isfinite(p)):
-                raise ValueError(
-                    f"--dist probabilities must be finite numbers or strings, got {p!r}")
         params["dist"] = {
-            _graph_code(code, args.k): exact_number(p) if isinstance(p, str) else Fraction(p)
+            _graph_code(code, args.k):
+                Fraction(p) if isinstance(p, float) and math.isfinite(p)
+                else _exact_value(p, "a --dist probability other than a finite float")
             for code, p in raw.items()
         }
     rule = make_named(args.family, args.k, args.cap, **params)

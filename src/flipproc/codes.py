@@ -42,25 +42,33 @@ class CapExceeded(Exception):
     """An operation would enumerate a graph space beyond the configured cap."""
 
 
+def _is_int(value):
+    """Whether value is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _positive_int(value, what):
+    """int(value) for an integer of at least 1; anything else, a float or a
+    bool included, is a ValueError naming `what`.  Every order, count and
+    cap that comes from outside the library is read here."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{what} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def enumeration_cap(cap=None):
     """Resolve the enumeration cap: explicit argument, else the
     FLIPPROC_CAP environment variable, else the default of 6.  A cap that
     is not an integer of at least 1 is a ValueError."""
     if cap is not None:
-        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-            raise ValueError(f"the enumeration cap (cap, --cap) must be an integer "
-                             f"of at least 1, got {cap!r}")
-        return int(cap)
+        return _positive_int(cap, "the enumeration cap (cap, --cap)")
     env = os.environ.get(CAP_ENV_VAR)
     if env is None:
         return DEFAULT_CAP
     try:
-        value = int(env)
+        return _positive_int(int(env), CAP_ENV_VAR)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer of at least 1, got {env!r}")
-    return value
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer of at least 1, got {env!r}") from None
 
 
 def _check_cap(k, cap, what):
@@ -112,12 +120,13 @@ class GraphCode:
     bits: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if not 0 <= self.bits < (1 << num_pairs(self.order)):
-            raise ValueError(
-                f"bits {self.bits} out of range for order {self.order}"
-            )
+        order, bits = _positive_int(self.order, "order"), self.bits
+        p = num_pairs(order)  # not 1 << p: a range check builds no code bound
+        if not _is_int(bits) or bits < 0 or int(bits) >> p:
+            raise ValueError(f"bits must be an integer in [0, 2^{p}) at order {order}, "
+                             f"got {bits!r}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "bits", int(bits))
 
     def has_edge(self, i, j):
         return self.bits >> pair_index(i, j) & 1 == 1
@@ -430,8 +439,7 @@ def enumerate_classes(k, cap=None):
     """All orbit classes of pair-rooted graphs at order k, sorted by their
     canonical representatives.  Order 1 has no pairs, hence no classes.
     The census is built once per order; each call returns a fresh list."""
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k = _positive_int(k, "order")
     _check_cap(k, cap, "orbit census")
     if k == 1:
         return []

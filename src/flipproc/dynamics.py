@@ -32,6 +32,8 @@ from .codes import (
     GraphCode,
     RootedPairGraph,
     _check_budget,
+    _is_int,
+    _positive_int,
     enumeration_cap,
     num_pairs,
     pair_index,
@@ -47,7 +49,7 @@ from .rooted import (
     rooted_version,
     vstar,
 )
-from .rules import _json_text, exact_number
+from .rules import _exact_value, _json_object, _json_text
 
 CLAMP_TOLERANCE = 1e-9
 
@@ -57,7 +59,7 @@ class IntegrationError(RuntimeError):
 
 
 def _exact(value):
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    return _is_int(value) or isinstance(value, Fraction)
 
 
 def _finite(value):
@@ -168,33 +170,18 @@ def kernel_to_json(kernel):
 
 
 def kernel_from_json_obj(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("kernel JSON must be an object")
-    extra = set(obj) - {"weights", "values"}
-    if extra:
-        raise ValueError(f"unknown fields in kernel: {sorted(extra)}")
-    if "weights" not in obj or "values" not in obj:
-        raise ValueError("kernel JSON needs weights and values")
+    _json_object(obj, "kernel", ("weights", "values"))
     if not isinstance(obj["weights"], list):
         raise ValueError("kernel weights must be a list")
     if not isinstance(obj["values"], list) or not all(
             isinstance(row, list) for row in obj["values"]):
         raise ValueError("kernel values must be a list of lists")
-    weights = []
-    for w in obj["weights"]:
-        if isinstance(w, str):
-            weights.append(exact_number(w))
-        elif isinstance(w, int) and not isinstance(w, bool):
-            weights.append(Fraction(w))
-        else:
-            raise ValueError(
-                f"part weights must be exact strings such as \"1/2\", got {w!r}"
-            )
+    weights = [_exact_value(w, "a part weight") for w in obj["weights"]]
     values = []
     for row in obj["values"]:
         out = []
         for v in row:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not (_is_int(v) or isinstance(v, float)):
                 raise ValueError(f"block values must be numbers, got {v!r}")
             try:
                 out.append(float(v))
@@ -287,8 +274,7 @@ def density_formula_check(base, m, G, z, x, y, tolerance=1e-12):
         raise ValueError("G must be twinfree")
     if set(m) != base.vertices:
         raise ValueError("multiplicities must be indexed by the base vertices")
-    if any(cnt < 1 for cnt in m.values()):
-        raise ValueError("multiplicities must be at least 1")
+    m = {v: _positive_int(cnt, "a multiplicity") for v, cnt in m.items()}
     root_mass = sum(m[r] for r in base.roots)
     if root_mass != 2:
         raise ValueError(f"total root multiplicity must be 2, got {root_mass}")
@@ -542,8 +528,7 @@ def velocity(rule, kernel, cap=None):
 
 def lipschitz_constant(k):
     """Supremum-norm Lipschitz bound of the velocity operator at order k."""
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k = _positive_int(k, "order")
     if k == 1:
         return 0.0
     return float((k * (k - 1)) ** 2 * 2 ** (num_pairs(k) - 1))

@@ -39,6 +39,7 @@ from .codes import (
     _census,
     _check_budget,
     _check_cap,
+    _positive_int,
 )
 from .rules import (
     Rule,
@@ -220,7 +221,7 @@ def lift(rule, to, cap=None):
     trajectories as the original.  The lifted rule has
     2^(C(to, 2) - C(k, 2)) entries per entry of the order-k rule; beyond
     4,000,000 of them, CapExceeded before any is built."""
-    k1 = rule.order
+    k1, to = rule.order, _positive_int(to, "the lift order")
     if to < k1:
         raise ValueError(f"cannot lift an order-{k1} rule down to order {to}")
     _check_cap(to, cap, "lifting")

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import _check_budget, _check_cap, _orbit_sweep, full_bits, num_pairs
+from .codes import (_check_budget, _check_cap, _is_int, _orbit_sweep, _positive_int,
+                    full_bits, num_pairs)
 
 
 class RuleValidationError(ValueError):
@@ -122,8 +123,7 @@ class Rule:
                  "_entries", "_rows", "_hash")
 
     def __init__(self, order, entries=None):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+        order = _positive_int(order, "order")
         merged = {}
         for (f, h), p in (entries or {}).items():
             if type(p) is not Fraction:
@@ -306,8 +306,7 @@ def make_named(family, k, cap=None, **params):
     and their entries to 4,000,000; every family stops at
     MAX_NAMED_ORDER."""
     family = family.replace("_", "-")
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k = _positive_int(k, "order")
     param = params.pop({"extremist": "threshold", "ignorant": "dist"}.get(family), None)
     if params:
         raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
@@ -536,12 +535,6 @@ def _json_text(obj):
     return "".join(chunks)
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_ENTRY_FIELDS = frozenset(("from", "to", "p"))
-
 # Input numbers are held to this many digits, counting a decimal exponent
 # as its magnitude, so that every accepted number is cheap to build and
 # prints within the 4,300 digits of CPython's integer-to-text limit.
@@ -571,43 +564,48 @@ def exact_number(text):
         raise ValueError(f"number {shown!r} has a zero denominator") from None
 
 
-def rule_from_json_obj(obj):
+def _exact_value(value, what):
+    """The exact number that an input value names: a string through
+    exact_number, an integer other than a bool as a Fraction; anything
+    else is a ValueError naming `what`."""
+    if isinstance(value, str):
+        return exact_number(value)
+    if _is_int(value):
+        return Fraction(value)
+    raise ValueError(
+        f"{what} must be a string such as \"1/3\" or an integer, got {value!r}")
+
+
+def _json_object(obj, what, required, optional=()):
+    """A ValueError naming `what` unless obj is a JSON object with every
+    field of `required` and none beyond `required` and `optional`."""
     if not isinstance(obj, dict):
-        raise ValueError("rule JSON must be an object")
-    extra = set(obj) - {"order", "entries", "default"}
-    if extra:
-        raise ValueError(f"unknown fields in rule: {sorted(extra)}")
-    if "order" not in obj:
-        raise ValueError("rule JSON is missing the order")
-    order = obj["order"]
-    if not _is_int(order) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for name in required:
+        if name not in obj:
+            raise ValueError(f"{what} is missing {name!r}")
+    if len(obj) > len(required):
+        extra = obj.keys() - {*required, *optional}
+        if extra:
+            raise ValueError(f"unknown fields in {what}: {sorted(extra)}")
+
+
+def rule_from_json_obj(obj):
+    _json_object(obj, "rule", ("order",), ("entries", "default"))
+    order = _positive_int(obj["order"], "order")
     default = obj.get("default", "identity")
     if default != "identity":
         raise ValueError(f"unsupported default {default!r}; only identity rows are implicit")
     items = obj.get("entries", [])
-    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+    if not isinstance(items, list):
         raise ValueError("rule entries must be a list of objects")
     entries = {}
     for item in items:
-        if not _ENTRY_FIELDS.issuperset(item):
-            extra = sorted(set(item) - _ENTRY_FIELDS)
-            raise ValueError(f"unknown fields in rule entry: {extra}")
-        try:
-            key = f, h = item["from"], item["to"]
-        except KeyError as missing:
-            raise ValueError(f"rule entry is missing {missing}")
+        _json_object(item, "rule entry", ("from", "to", "p"))
+        key = f, h = item["from"], item["to"]
         if not _is_int(f) or not _is_int(h):
             raise ValueError("entry graph codes must be integers")
-        p = item.get("p")
-        if isinstance(p, str):
-            p = exact_number(p)
-        elif _is_int(p):
-            p = Fraction(p)
-        else:
-            raise ValueError(
-                f"probability must be an exact string such as \"1/3\", got {p!r}"
-            )
+        p = _exact_value(item["p"], "a probability")
         entries[key] = entries[key] + p if key in entries else p
     return Rule(order, entries)
 

@@ -38,7 +38,6 @@ Equal seeds give bit-identical results, whatever the grouping of runs.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -47,9 +46,9 @@ from random import Random
 
 import numpy as np
 
-from .codes import _check_budget, num_pairs, pair_list
+from .codes import _check_budget, _is_int, _positive_int, num_pairs, pair_list
 from .dynamics import _GRID_BUDGET, StepKernel, integrate
-from .rules import entry_codes
+from .rules import entry_codes, validate
 
 _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
@@ -407,24 +406,24 @@ def _sample_times(horizon, points):
     return tuple(horizon * q / points for q in range(1, points + 1))
 
 
-def _check_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
 def run(config, reference=None):
     """Simulate config.runs independent processes and record block densities
     at the sample times.  reference, when given, must map each sample time
     to a kernel on the start's parts (the same weights), else ValueError;
-    per-run absolute deviations are filled in.  Beyond 5,000 vertices,
-    10,000,000 steps over all runs, 4,000,000 stored block densities
-    (runs * sample points * parts^2) or rule order 11, CapExceeded before
-    the first step.
+    per-run absolute deviations are filled in.  An invalid rule, an n, runs
+    or sample_points below 1 and a seed that is not an integer are
+    ValueErrors.  Beyond 5,000 vertices, 10,000,000 steps over all runs,
+    4,000,000 stored block densities (runs * sample points * parts^2) or
+    rule order 11, CapExceeded before the first step.
     """
     rule = config.rule
-    n = config.n
+    validate(rule)
+    n = _positive_int(config.n, "n")
+    runs = _positive_int(config.runs, "runs")
+    sample_points = _positive_int(config.sample_points, "sample_points")
+    if not _is_int(config.seed):
+        raise ValueError(f"seed must be an integer, got {config.seed!r}")
+    seed = int(config.seed)
     if n < rule.order:
         raise ValueError(
             f"n = {n} is below the rule order {rule.order}; a step cannot "
@@ -436,20 +435,18 @@ def run(config, reference=None):
     if not (math.isfinite(config.horizon) and config.horizon >= 0):
         raise ValueError(
             f"horizon must be finite and nonnegative, got {config.horizon}")
-    _check_count("runs", config.runs)
-    _check_count("sample_points", config.sample_points)
     from_kernel = isinstance(config.initial, StepKernel)
     weights = tuple(config.initial.weights) if from_kernel else (1,)
     # the block densities kept: a horizon of 0 samples the start only
-    points = config.sample_points if config.horizon else 1
-    _check_budget(config.runs * points * len(weights) ** 2, _GRID_BUDGET,
-                  f"block densities stored by {config.runs} runs at {points} times")
-    times = _sample_times(config.horizon, config.sample_points)
+    points = sample_points if config.horizon else 1
+    _check_budget(runs * points * len(weights) ** 2, _GRID_BUDGET,
+                  f"block densities stored by {runs} runs at {points} times")
+    times = _sample_times(config.horizon, sample_points)
     ends = [t * n * n + 1e-9 for t in times]
     # int() refuses the infinite count of a huge horizon, so that is
     # checked as a float
     last = ends[-1] if math.isinf(ends[-1]) else int(ends[-1])
-    _check_budget(config.runs * last, _STEP_BUDGET, f"steps of {config.runs} runs")
+    _check_budget(runs * last, _STEP_BUDGET, f"steps of {runs} runs")
     targets = [int(e) for e in ends]
 
     # an edge list is read once: an iterator would leave later runs empty
@@ -466,14 +463,14 @@ def run(config, reference=None):
         ref_mats = [tuple(tuple(map(float, row)) for row in ref.values) for ref in kernels]
 
     result = SimResult(
-        times=times, part_sizes=sizes, samples=[], n=n, seed=config.seed,
+        times=times, part_sizes=sizes, samples=[], n=n, seed=seed,
         reference=ref_mats,
     )
     # runs step in lockstep, as many at a time as the stack budget holds
     group = max(1, _STACK_BYTES // (n * n + _READ_BYTES * _BATCH * len(engine.bits)))
-    for first in range(0, config.runs, group):
-        adj = np.zeros((min(group, config.runs - first), n, n), np.uint8)
-        gens = [_twister(Random(run_seed(config.seed, first + r)))
+    for first in range(0, runs, group):
+        adj = np.zeros((min(group, runs - first), n, n), np.uint8)
+        gens = [_twister(Random(run_seed(seed, first + r)))
                 for r in range(len(adj))]
         for matrix, gen in zip(adj, gens):
             if from_kernel:
@@ -531,11 +528,11 @@ def transference_check(rule, n, start, horizon, eps, seed, runs=5,
     passes when at least 80% of runs pass every time (an empirical
     convention at these sizes; individual runs are reported).  The
     reference trajectory is held to the enumeration cap `cap`."""
-    if points < 10:
+    if _positive_int(points, "points") < 10:
         raise ValueError(f"need at least 10 sample times, got {points}")
     if not isinstance(start, StepKernel):
         raise ValueError("transference check needs a step-kernel start")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
     trajectory = integrate(rule, start, horizon, cap=cap)
     config = SimConfig(

@@ -94,6 +94,8 @@ def test_named_with_parameters(capsys):
     '{"7": null}', '{"7": [1]}', '{"7": {"p": 1}}', '{"7": true, "0": false}',
     # JSON numbers that no Fraction holds
     '{"0": NaN}', '{"0": 1e400}', '{"0": -Infinity}',
+    # not an object at all
+    '[1]', '"1/2"',
 ])
 def test_named_dist_rejects_non_numbers(capsys, dist):
     assert main(["named", "ignorant", "--k", "3", "--dist", dist]) == 2
@@ -532,8 +534,12 @@ def test_zero_denominator_names_its_input(argv, tr_file, tmp_path, capsys):
     ("velocity", '{"weights": ["1"], "values": 0.5}'),
     ("velocity", '{"weights": ["1"], "values": [0.5]}'),
     ("velocity", '{"weights": "1", "values": [[0.5]]}'),
+    ("coeffs", '{"order": 3, "entries": [{"to": 0, "p": "1"}]}'),
+    ("velocity", '[["1"], [[0.5]]]'),
+    ("velocity", '{"weights": ["1"]}'),
 ], ids=["entries-number", "entries-of-numbers", "order-true", "from-true",
-        "to-false", "values-number", "values-of-numbers", "weights-string"])
+        "to-false", "values-number", "values-of-numbers", "weights-string",
+        "entry-without-from", "kernel-not-object", "kernel-without-values"])
 def test_malformed_json_shapes(command, text, tr_file, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)

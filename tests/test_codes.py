@@ -1,6 +1,9 @@
 """Edge bitmask encoding, relabelling action, and the orbit census."""
 
+import dataclasses
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,14 +14,25 @@ from flipproc import (
     CapExceeded,
     GraphCode,
     OrbitClass,
+    RootedGraph,
     RootedPairGraph,
+    Rule,
+    SimConfig,
     apply_perm,
     canonical_class,
+    constant_kernel,
+    density_formula_check,
     enumerate_classes,
     enumeration_cap,
+    lift,
+    lipschitz_constant,
+    make_named,
     num_pairs,
     pair_index,
     pair_list,
+    rule_from_json_obj,
+    run,
+    transference_check,
 )
 from flipproc import codes
 from flipproc.codes import _census, perm_images
@@ -57,6 +71,24 @@ def test_graph_code_validation():
     GraphCode(1, 0)  # no pairs, bits must be 0
     with pytest.raises(ValueError):
         GraphCode(1, 1)
+    for bits in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError):
+            GraphCode(3, bits)
+    code = GraphCode(3, np.int64(5))
+    assert type(code.bits) is int and code.edge_count() == 2
+
+
+def test_graph_code_range_check_builds_no_code_bound():
+    # C(100000, 2) bits: 1 << C(k, 2) would take about 600 MB
+    tracemalloc.start()
+    try:
+        assert GraphCode(100_000, 1).bits == 1
+        with pytest.raises(ValueError):
+            GraphCode(100_000, -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_graph_code_edges_and_complement():
@@ -297,6 +329,60 @@ def test_enumeration_cap_must_be_a_positive_integer(cap):
         enumeration_cap(cap)
     with pytest.raises(ValueError, match="--cap"):
         enumerate_classes(3, cap=cap)
+
+
+def _run_field(field):
+    """run on a small identity configuration with one field set, and the
+    value that field takes in the result."""
+    read = {"n": lambda out: out.n, "runs": lambda out: len(out.samples),
+            "sample_points": lambda out: len(out.times), "seed": lambda out: out.seed}
+
+    def call(value):
+        cfg = SimConfig(rule=make_named("identity", 2), n=4, initial=constant_kernel(0.5),
+                        horizon=0.01, seed=0, runs=1, sample_points=1)
+        return read[field](run(dataclasses.replace(cfg, **{field: value})))
+
+    return call
+
+
+def _multiplicity(value):
+    base = RootedGraph([1, 2], [(1, 2)], roots=(1,))
+    g = RootedGraph("ab", [("a", "b")])
+    return density_formula_check(base, {1: 2, 2: value}, g,
+                                 {"a": Fraction(1, 3), "b": Fraction(2, 3)}, "a", "a")
+
+
+_ORDERS_AND_COUNTS = {
+    "GraphCode": (lambda v: GraphCode(v, 0).order, 3),
+    "enumerate_classes": (enumerate_classes, 3),
+    "enumeration_cap": (enumeration_cap, 3),
+    "Rule": (lambda v: Rule(v).order, 3),
+    "make_named": (lambda v: make_named("identity", v).order, 3),
+    "rule-json-order": (lambda v: rule_from_json_obj({"order": v}).order, 3),
+    "lipschitz_constant": (lipschitz_constant, 3),
+    "density-multiplicity": (_multiplicity, 1),
+    "lift-to": (lambda v: lift(Rule(2), v).order, 3),
+    "run-n": (_run_field("n"), 4),
+    "run-runs": (_run_field("runs"), 2),
+    "run-sample-points": (_run_field("sample_points"), 2),
+    "run-seed": (_run_field("seed"), 1),
+    "transference-points": (lambda v: len(transference_check(
+        make_named("identity", 2), n=4, start=constant_kernel(0.5), horizon=0.01,
+        eps=0.5, seed=0, runs=1, points=v)[0]["times"]), 10),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ORDERS_AND_COUNTS))
+def test_orders_and_counts_are_integers(entry):
+    # a float, bool or string is refused, never rounded; a numpy integer is
+    # taken and read as the Python integer
+    call, good = _ORDERS_AND_COUNTS[entry]
+    for bad in (float(good), good + 0.5, True, str(good)):
+        with pytest.raises(ValueError):
+            call(bad)
+    expect = call(good)
+    got = call(np.int64(good))
+    assert got == expect and type(got) is type(expect)
 
 
 def test_orbit_class_json_shape():

@@ -520,6 +520,23 @@ def test_kernel_json_round_trip():
     assert again == kern
     with pytest.raises(ValueError):
         kernel_from_json('{"weights": ["1"], "values": [[0.5]], "x": 1}')
+    # an integer weight is exact
+    assert kernel_from_json('{"weights": [1], "values": [[0.5]]}') == constant_kernel(0.5)
+
+
+@pytest.mark.parametrize("weights, values, match", [
+    ((), (), "at least one part"),
+    ((F(3, 2), F(-1, 2)), ((0.5, 0.5), (0.5, 0.5)), "negative part weight"),
+    ((F(1, 3), F(1, 3)), ((0.5, 0.5), (0.5, 0.5)), "sum to 2/3"),
+    ((0.5, 0.5 + 1e-11), ((0.5, 0.5), (0.5, 0.5)), "sum to 1.00000000001"),
+    ((F(1, 2), F(1, 2)), ((0.5, 0.5),), "2x2"),
+    ((F(1, 2), F(1, 2)), ((0.5, 0.5), (0.5,)), "2x2"),
+    ((F(1, 2), F(1, 2)), ((0.5, 0.1), (0.2, 0.5)), "not symmetric"),
+], ids=["no-parts", "negative-weight", "exact-sum", "float-sum", "short-matrix",
+        "ragged-matrix", "asymmetric"])
+def test_kernel_rejects_malformed_parts_and_values(weights, values, match):
+    with pytest.raises(ValueError, match=match):
+        StepKernel(weights, values)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -574,6 +591,31 @@ def test_density_formula_rejects_uncovered_shapes():
     with pytest.raises(ValueError):
         density_formula_check(base1, {1: 1, 2: 1}, k2,
                               {"a": F(1, 2), "b": F(1, 2)}, "a", "a")
+
+
+_BASE = RootedGraph([1, 2], [(1, 2)], roots=(1,))
+_EDGE = RootedGraph("ab", [("a", "b")])
+
+
+@pytest.mark.parametrize("base, m, g, z, x, match", [
+    (RootedGraph([1, 2, 3], [(1, 2), (1, 3)], roots=(1,)), {1: 2, 2: 1, 3: 1}, _EDGE,
+     None, "a", "base graph must be twinfree"),
+    (_BASE, {1: 2, 2: 1}, RootedGraph("ab", [("a", "b")], roots=("a",)), None, "a",
+     "G must be unrooted"),
+    (_BASE, {1: 2, 2: 1}, RootedGraph("abc", [("a", "b"), ("a", "c")]),
+     {v: F(1, 3) for v in "abc"}, "a", "G must be twinfree"),
+    (_BASE, {1: 2}, _EDGE, None, "a", "indexed by the base vertices"),
+    (_BASE, {1: 2, 2: 0}, _EDGE, None, "a", "multiplicity must be an integer"),
+    (_BASE, {1: 2, 2: 1.0}, _EDGE, None, "a", "multiplicity must be an integer"),
+    (_BASE, {1: 1, 2: 1}, _EDGE, None, "a", "total root multiplicity must be 2"),
+    (_BASE, {1: 2, 2: 1}, _EDGE, {"a": F(1)}, "a", "keyed by the vertices of G"),
+    (_BASE, {1: 2, 2: 1}, _EDGE, None, "c", "x and y must be vertices of G"),
+], ids=["base-twins", "rooted-G", "G-twins", "m-keys", "m-zero", "m-float",
+        "root-mass", "z-keys", "x-outside"])
+def test_density_formula_rejects_bad_inputs(base, m, g, z, x, match):
+    z = {"a": F(1, 3), "b": F(2, 3)} if z is None else z
+    with pytest.raises(ValueError, match=match):
+        density_formula_check(base, m, g, z, x, "a")
 
 
 def test_density_formula_isolated_vertex_kills_embeddings():

@@ -276,6 +276,8 @@ def _sparse_rules(draw):
 
 # the relabellings of row 1 include the identity rows 2 and 4
 @example(Rule(3, {(1, 0): F(1)}))
+# masses fit int64 but their shares over the orbit sizes do not
+@example(Rule(3, {(1, 0): F(1, 2 ** 59 + 1), (1, 1): F(2 ** 59, 2 ** 59 + 1)}))
 @settings(max_examples=30, deadline=None)
 @given(_sparse_rules())
 def test_symmetrize_matches_per_permutation_oracle(rule):

@@ -75,6 +75,8 @@ def test_blowup_examples():
         blowup(k2, {1: 1})
     with pytest.raises(ValueError):
         blowup(k2, {1: 1, 2: 1, 3: 1})
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        blowup(k2, {1: 1, 2: -1})
 
 
 def test_blowup_root_intervals():
@@ -91,6 +93,10 @@ def test_rooted_version_single():
     assert rv.roots == (dup,)
     assert rv.has_edge(1, 2) and rv.has_edge(dup, 2) and not rv.has_edge(dup, 1)
     assert rv.neighbors(dup) == rv.neighbors(1)
+    with pytest.raises(ValueError, match="repeated vertex"):
+        rooted_version(g, (1, 1))
+    with pytest.raises(ValueError, match="outside the graph"):
+        rooted_version(g, (3,))
 
 
 def test_rooted_version_both_endpoints():

@@ -359,6 +359,9 @@ def test_json_probability_formats():
     with pytest.raises(ValueError):
         rule_from_json_obj({"order": 2, "entries": [
             {"from": 1, "to": 0, "p": 0.25}]})
+    # an integer probability is exact
+    assert rule_from_json_obj({"order": 2, "entries": [
+        {"from": 1, "to": 0, "p": 1}]}) == Rule(2, {(1, 0): F(1)})
 
 
 def test_json_duplicate_entries_accumulate():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from flipproc import (
     CapExceeded,
     Rule,
+    RuleValidationError,
     SimConfig,
     StepKernel,
     block_densities,
@@ -29,6 +30,7 @@ from flipproc import (
     run_seed,
     sample_graph,
     transference_check,
+    validate,
 )
 from flipproc import simulate
 
@@ -307,6 +309,51 @@ def test_engine_matches_one_step_path(batch, order_and_n, steps, seed):
         assert [simulate._rows(matrix) for matrix in adj] == rows
 
 
+def _chi2_sf(x, df):
+    """Pr[X >= x] for X chi-squared with df degrees of freedom, by the
+    closed forms for integer df: a Poisson tail for even df, erfc and a
+    half-integer series for odd df."""
+    half = x / 2
+    if df % 2 == 0:
+        return math.exp(-half) * sum(half ** i / math.factorial(i) for i in range(df // 2))
+    return math.erfc(math.sqrt(half)) + math.exp(-half) * sum(
+        half ** (i + 0.5) / math.gamma(i + 1.5) for i in range(df // 2))
+
+
+# (rule, start graph G on k + 1 vertices): every row explicit, and most
+# rows move in several ways, not invariant under relabelling
+_KERNEL_CASES = {
+    2: (Rule(2, {(0, 1): F(1, 3), (0, 0): F(2, 3), (1, 0): F(1, 4), (1, 1): F(3, 4)}), 1),
+    # G is the path 1-2-3-4: pairs {1,2}, {2,3} and {3,4} are bits 0, 2 and 5
+    3: (Rule(3, {(f, h): p for f in range(8) for h, p in (
+        (f ^ 1 << f % 3, F(1, 2)), (f ^ 7, F(1, 3)), (f, F(1, 6)))}), 0b100101),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_KERNEL_CASES))
+def test_engine_one_step_kernel_matches_transition_matrix(k):
+    # R runs, each one step from G on n = k + 1 vertices, tallied by
+    # their graph codes against row G of the exact transition matrix
+    rule, g = _KERNEL_CASES[k]
+    validate(rule)
+    n, runs = k + 1, 4000
+    pairs = oracles.pairs_of(n)
+    adj = np.zeros((runs, n, n), np.uint8)
+    for idx, (i, j) in enumerate(pairs):
+        adj[:, i - 1, j - 1] = g >> idx & 1
+    gens = [simulate._twister(random.Random(run_seed(1, r))) for r in range(runs)]
+    simulate._lockstep(adj, simulate._Engine(rule), gens, 1)
+    weights = np.array([1 << idx for idx in range(len(pairs))])
+    codes = (adj[:, [i - 1 for i, _ in pairs], [j - 1 for _, j in pairs]] * weights).sum(axis=1)
+    seen = dict(zip(*np.unique(codes, return_counts=True)))
+    row = {g2: p for (g1, g2), p in oracles.transition_matrix(rule, n).items() if g1 == g}
+    assert set(seen) <= set(row)  # no outcome of probability 0
+    expected = {g2: runs * float(p) for g2, p in row.items()}
+    assert min(expected.values()) >= 5 and len(row) >= 3
+    stat = sum((seen.get(g2, 0) - e) ** 2 / e for g2, e in expected.items())
+    assert _chi2_sf(stat, len(row) - 1) > 1e-6
+
+
 def test_engine_replacement_ties_go_right():
     # a uniform equal to a cumulative takes the next replacement, as
     # bisect_right does; random draws almost never hit a tie
@@ -413,6 +460,24 @@ def test_run_argument_guards():
                      horizon=0.1, seed=0)
     with pytest.raises(CapExceeded, match="order"):
         run(wide)
+    for edges in ([(0, 4)], [(-1, 2)], [(2, 2)]):
+        start = dataclasses.replace(cfg, rule=make_named("identity", 2), n=4, initial=edges)
+        with pytest.raises(ValueError, match="bad edge"):
+            run(start)
+
+
+@pytest.mark.parametrize("entries", [
+    {(7, 8): F(1)}, {(7, 0): F(1, 2)}, {(7, 0): F(3, 2), (7, 7): F(-1, 2)},
+], ids=["code-out-of-range", "row-sum-half", "negative-entry"])
+def test_run_refuses_invalid_rules(entries):
+    # each of these once ran as triangle removal
+    rule = Rule(3, entries)
+    cfg = SimConfig(rule=rule, n=30, initial=constant_kernel(0.5), horizon=0.1, seed=1)
+    with pytest.raises(RuleValidationError):
+        run(cfg)
+    with pytest.raises(ValueError):
+        transference_check(rule, n=30, start=constant_kernel(0.5), horizon=0.1,
+                           eps=0.05, seed=1)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -609,6 +674,12 @@ def test_transference_flags_excess_deviation():
     with pytest.raises(ValueError):
         transference_check(rule, n=60, start=constant_kernel(0.0),
                            horizon=0.4, eps=0.05, seed=5, points=5)
+    with pytest.raises(ValueError, match="step-kernel start"):
+        transference_check(rule, n=60, start=[(0, 1)], horizon=0.4, eps=0.05, seed=5)
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            transference_check(rule, n=60, start=constant_kernel(0.0),
+                               horizon=0.4, eps=eps, seed=5)
 
 
 def test_result_csv_shape():
