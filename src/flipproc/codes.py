@@ -153,11 +153,13 @@ class RootedPairGraph:
     b: int
 
     def __post_init__(self):
-        k = self.graph.order
-        if not (1 <= self.a <= k and 1 <= self.b <= k):
-            raise ValueError(f"roots ({self.a}, {self.b}) outside [{k}]")
-        if self.a == self.b:
+        k, a, b = self.graph.order, self.a, self.b
+        if not (_is_int(a) and _is_int(b) and 1 <= a <= k and 1 <= b <= k):
+            raise ValueError(f"roots ({a!r}, {b!r}) must be integers in [{k}]")
+        if a == b:
             raise ValueError("root pair must be two distinct vertices")
+        object.__setattr__(self, "a", int(a))
+        object.__setattr__(self, "b", int(b))
 
     @property
     def order(self):
@@ -255,10 +257,10 @@ def _byte_images(k):
 
 def perm_images(k, codes):
     """images[i, s], the image of codes[i] under all_perms(k)[s], as an
-    int32 array of shape (len(codes), k!)."""
+    int32 array of shape (len(codes), k!).  The codes must lie in
+    [0, 2^C(k, 2)): callers pass a census's own codes, a validated rule's
+    or those that rules.entry_codes checked."""
     codes = np.asarray(codes, dtype=np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() >> num_pairs(k)):
-        raise ValueError(f"graph codes out of range for order {k}")
     table = _byte_images(k)
     out = table[0][codes & 0xFF]
     for j in range(1, len(table)):

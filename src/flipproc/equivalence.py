@@ -48,7 +48,6 @@ from .rules import (
     symmetrize,
     validate,
     _SMALL,
-    _codes_in_range,
     _common_denominator,
     _largest,
     _lowest_terms,
@@ -182,8 +181,6 @@ def coeff_vector(rule, cap=None):
     # integer numerators over the common denominator; denom stands for 1
     f, h = entry_codes(rule)
     denom, nums = rule._denom, rule._nums
-    if not _codes_in_range(f, h, p):
-        raise ValueError(f"graph codes out of range for order {k}")
     starts = rule._starts
     # each entry and each row's own pairs enter at most 2p class sums, so
     # no sum can exceed 2p times their total |numerator|; beyond int64,
@@ -234,8 +231,6 @@ def lift(rule, to, cap=None):
     _check_budget(len(nums) << (num_pairs(to) - low), rules._ENTRY_BUDGET,
                   f"entries of a {len(nums)}-entry rule lifted to order {to}")
     f, h = entry_codes(rule)
-    if not _codes_in_range(f, h, low):
-        raise ValueError(f"graph codes out of range for order {k1}")
     # the top bits lie above every code of the rule, so the lifted codes
     # are sorted top by top
     tops = np.arange(1 << (num_pairs(to) - low), dtype=np.int64)[:, None] << low

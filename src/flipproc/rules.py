@@ -51,11 +51,9 @@ def _int_array(values):
 def _numerator_array(nums, denom):
     """Numerators as an int64 array when they and the denominator are
     below _SMALL in magnitude, else as an object array."""
-    nums = _int_array(nums)
-    if nums.dtype == object:
-        small = denom < _SMALL and all(-_SMALL < n < _SMALL for n in nums.tolist())
-        return nums.astype(np.int64) if small else nums
-    if denom >= _SMALL or (nums.size and (nums.min() <= -_SMALL or nums.max() >= _SMALL)):
+    nums = _int_array(nums)  # object only for a value past int64, so past _SMALL
+    if nums.dtype != object and (denom >= _SMALL or (
+            nums.size and (nums.min() <= -_SMALL or nums.max() >= _SMALL))):
         return nums.astype(object)
     return nums
 
@@ -319,16 +317,31 @@ def make_named(family, k, cap=None, **params):
             f"graph codes print in 4,300 digits; got order {k}"
         )
     P = num_pairs(k)
+    nums, denom = [1], 1  # the numerators of each row of a dense family
     if family == "ignorant":
         if param is None:
             raise ValueError("ignorant rule needs dist={to_bits: probability}")
         dist = {int(h): Fraction(p) for h, p in param.items()}
         if sum(dist.values()) != 1 or any(p < 0 for p in dist.values()):
             raise ValueError("ignorant dist must be a probability distribution")
+        codes = sorted(dist)
+        nums, denom = _common_denominator([dist[h] for h in codes])
     if dense:
-        support = len(dist) if family == "ignorant" else 1
-        _check_budget(support << P, _ENTRY_BUDGET,
+        _check_budget(len(nums) << P, _ENTRY_BUDGET,
                       f"entries of the {family} rule at order {k}")
+        # one explicit row per graph, as code and numerator arrays
+        f = np.arange(1 << P, dtype=np.int64)
+        if family == "ignorant":
+            f, h = f.repeat(len(codes)), np.tile(_int_array(codes), len(f))
+        elif family == "complementing":
+            h = f ^ full_bits(k)
+        else:
+            threshold = Fraction(P, 2) if param is None else Fraction(param)
+            edges = sum((f >> bit & 1 for bit in range(P)), np.zeros_like(f))
+            # clamped to [0, P + 1], the threshold's ceiling compares in int64
+            t = min(max(math.ceil(threshold), 0), P + 1)
+            h = np.where(edges >= t, full_bits(k), 0)
+        return Rule._from_numerators(k, f, h, np.tile(_int_array(nums), 1 << P), denom)
 
     if family == "identity":
         return Rule(k, {})
@@ -344,27 +357,8 @@ def make_named(family, k, cap=None, **params):
         third = Fraction(1, 3)
         return Rule(3, {(7, 7 ^ (1 << e)): third for e in range(3)})
 
-    if family == "complementing":
-        comp = full_bits(k)
-        return Rule(k, {(f, f ^ comp): Fraction(1) for f in range(1 << P)})
-
-    if family == "extremist":
-        threshold = Fraction(P, 2) if param is None else Fraction(param)
-        entries = {}
-        for f in range(1 << P):
-            target = full_bits(k) if f.bit_count() >= threshold else 0
-            entries[(f, target)] = Fraction(1)
-        return Rule(k, entries)
-
     if family == "clique-removal":
         return Rule(k, {(full_bits(k), 0): Fraction(1)})
-
-    if family == "ignorant":
-        entries = {}
-        for f in range(1 << P):
-            for h, p in dist.items():
-                entries[(f, h)] = p
-        return Rule(k, entries)
 
     if family == "component-completion":
         raise NotImplementedError(
@@ -376,11 +370,13 @@ def make_named(family, k, cap=None, **params):
 
 def entry_codes(rule):
     """The explicit entries' (from_bits, to_bits) as two read-only int64
-    arrays, in entry order; a code past int64 is out of range at every
-    order that the numpy tables reach."""
-    if rule._f.dtype == object or rule._h.dtype == object:
+    arrays, in entry order: the one range check of the codes that leave a
+    rule for the numpy tables, a ValueError for any outside [0, 2^C(k, 2))."""
+    f, h = rule._f, rule._h
+    if (f.dtype == object or h.dtype == object
+            or not _codes_in_range(f, h, num_pairs(rule.order))):
         raise ValueError(f"graph codes out of range for order {rule.order}")
-    return rule._f, rule._h
+    return f, h
 
 
 # ----------------------------------------------------------------- predicates

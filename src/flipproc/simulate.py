@@ -226,7 +226,11 @@ def sample_graph(kernel, n, rng):
     """A graph on n vertices from the kernel: vertices split into contiguous
     parts, each pair an independent coin with its block's probability.
     Returns (adjacency rows, part index per vertex, part sizes); rng is
-    left as if it had made the draws itself."""
+    left as if it had made the draws itself.  n is held to 5,000, as in run."""
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be an integer of at least 0, got {n!r}")
+    n = int(n)
+    _check_budget(n, _MAX_N, "vertices")
     sizes = part_sizes(kernel.weights, n)
     part_of = [i for i, s in enumerate(sizes) for _ in range(s)]
     gen = _twister(rng)
@@ -534,6 +538,7 @@ def transference_check(rule, n, start, horizon, eps, seed, runs=5,
         raise ValueError("transference check needs a step-kernel start")
     if not eps > 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
+    validate(rule)  # before the reference trajectory is integrated
     trajectory = integrate(rule, start, horizon, cap=cap)
     config = SimConfig(
         rule=rule, n=n, initial=start, horizon=horizon, seed=seed,

@@ -107,6 +107,17 @@ def test_rooted_pair_validation():
         RootedPairGraph(g, 0, 2)
     with pytest.raises(ValueError):
         RootedPairGraph(g, 1, 4)
+    # roots are integers, not floats, bools or strings
+    for a, b in ((True, 2), (1, 2.0), (1.0, 2), (1, "2")):
+        with pytest.raises(ValueError, match="must be integers"):
+            RootedPairGraph(g, a, b)
+    with pytest.raises(ValueError):
+        canonical_class(RootedPairGraph(GraphCode(3, 1), 1.0, 2))
+    # numpy integers are read as Python integers
+    element = RootedPairGraph(GraphCode(3, 1), np.int64(2), np.int32(1))
+    assert element == RootedPairGraph(GraphCode(3, 1), 2, 1)
+    assert type(element.a) is int and type(element.b) is int
+    assert canonical_class(element) == canonical_class(RootedPairGraph(GraphCode(3, 1), 2, 1))
 
 
 def test_apply_perm_example():

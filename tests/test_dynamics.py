@@ -483,6 +483,12 @@ def test_velocity_lipschitz_bound():
         lhs = _dev(velocity(r, k1), velocity(r, k2))
         rhs = lipschitz_constant(k) * max_block_dev(k1, k2)
         assert lhs <= rhs + 1e-9
+    # the bound compares kernels on the same parts only
+    halves = StepKernel((F(1, 2), F(1, 2)), ((0.25, 0.5), (0.5, 1.0)))
+    for other in (constant_kernel(0.25),
+                  StepKernel((F(1, 3), F(2, 3)), ((0.25, 0.5), (0.5, 1.0)))):
+        with pytest.raises(ValueError, match="different partitions"):
+            max_block_dev(halves, other)
 
 
 def test_short_time_drift_bound():
@@ -522,6 +528,19 @@ def test_kernel_json_round_trip():
         kernel_from_json('{"weights": ["1"], "values": [[0.5]], "x": 1}')
     # an integer weight is exact
     assert kernel_from_json('{"weights": [1], "values": [[0.5]]}') == constant_kernel(0.5)
+    # a block value is a JSON number, not a string or a boolean
+    for value in ('"0.5"', "true"):
+        with pytest.raises(ValueError, match="block values must be numbers"):
+            kernel_from_json('{"weights": ["1"], "values": [[%s]]}' % value)
+
+
+def test_kernel_equality_hash_and_repr():
+    kern = StepKernel((F(1, 3), F(2, 3)), ((0.25, 0.5), (0.5, 1.0)))
+    same = StepKernel((F(1, 3), F(2, 3)), ((0.25, 0.5), (0.5, 1.0)))
+    assert kern == same and len({kern, same}) == 1
+    assert kern != kern.values and kern.__eq__(0.5) is NotImplemented
+    assert repr(kern) == "StepKernel(parts=2, graphon=True)"
+    assert repr(constant_kernel(1.5)) == "StepKernel(parts=1, graphon=False)"
 
 
 @pytest.mark.parametrize("weights, values, match", [
@@ -584,10 +603,15 @@ def test_density_formula_rejects_uncovered_shapes():
         density_formula_check(base1, {1: 2, 2: 1}, k2,
                               {"a": F(1, 2), "b": F(1, 2)}, "a", "b")
     g3 = RootedGraph("abc", [("a", "b"), ("b", "c")])
-    with pytest.raises(ValueError):
-        # reduced non-root count too small for the target
+    with pytest.raises(ValueError, match="G must be twinfree"):
+        # a and c of the path are twins
         density_formula_check(base1, {1: 2, 2: 1}, g3,
                               {v: F(1, 3) for v in "abc"}, "a", "a")
+    with pytest.raises(ValueError, match="reduced non-root count"):
+        # the base's non-root twins its root, so its reduced count is 0;
+        # doubling vertex 1 of K2 twins 1 with its copy, leaving 1
+        density_formula_check(RootedGraph([1, 2], [], roots=(1,)), {1: 2, 2: 1},
+                              RootedGraph([1, 2], [(1, 2)]), {1: F(1, 2), 2: F(1, 2)}, 1, 1)
     with pytest.raises(ValueError):
         density_formula_check(base1, {1: 1, 2: 1}, k2,
                               {"a": F(1, 2), "b": F(1, 2)}, "a", "a")

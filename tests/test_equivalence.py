@@ -67,6 +67,10 @@ def test_triangle_removal_coefficients():
     assert v[target] == -6
     assert v.nonzero() == [(target, F(-6))]
     assert not v.is_zero()
+    # a class of another order has no coefficient here
+    with pytest.raises(KeyError):
+        v[_cls_of(4, 7, 1, 2)]
+    assert v != v.values and v.__eq__(v.nums) is NotImplemented
 
 
 def test_triangle_edge_removal_coefficients():

@@ -34,6 +34,15 @@ def test_rooted_graph_validation():
         RootedGraph([1, 2], [], roots=(3,))
 
 
+def test_rooted_graph_equality_hash_and_repr():
+    g = RootedGraph([2, 1, 3], [(2, 1), (3, 2)], roots=(2,))
+    same = RootedGraph([1, 2, 3], [(1, 2), (2, 3)], roots=[2])
+    assert g == same and len({g, same}) == 1
+    assert g != RootedGraph([1, 2, 3], [(1, 2), (2, 3)], roots=(1,))
+    assert g != g.edges and g.__eq__(None) is NotImplemented
+    assert repr(g) == "RootedGraph([1, 2, 3], [(1, 2), (2, 3)], roots=[2])"
+
+
 def test_twins_basics():
     g = RootedGraph([1, 2, 3], [(1, 2), (2, 3)])
     assert g.neighbors(1) == g.neighbors(3)

@@ -69,6 +69,7 @@ def test_structural_equality_is_semantic():
     b = Rule(2, {(1, 1): F(2, 4), (1, 0): F(1, 2), (0, 0): 1})
     assert a == b and hash(a) == hash(b)
     assert a != Rule(2, {(1, 0): F(1)})
+    assert a != a.entries and a.__eq__("rule") is NotImplemented
 
 
 def test_construction_defers_validation():
@@ -218,6 +219,8 @@ def test_named_triangle_edge_removal():
     ter = make_named("triangle-edge-removal", 3)
     assert ter.row(7) == {3: F(1, 3), 5: F(1, 3), 6: F(1, 3)}
     assert set(ter.rows()) == {7}
+    with pytest.raises(ValueError, match="order-3 rule"):
+        make_named("triangle-edge-removal", 4)
 
 
 def test_named_complementing():

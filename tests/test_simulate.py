@@ -213,6 +213,20 @@ def test_part_sizes_largest_remainder():
     assert part_sizes((F(1),), 9) == (9,)
 
 
+@pytest.mark.parametrize("n", [3.5, True, -1, "4", None])
+def test_sample_graph_rejects_bad_vertex_counts(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_graph(constant_kernel(0.5), n, random.Random(0))
+
+
+def test_sample_graph_is_held_to_the_vertex_budget():
+    # refused before the n x n matrix is allocated
+    with pytest.raises(CapExceeded, match="vertices"):
+        sample_graph(constant_kernel(0.5), simulate._MAX_N + 1, random.Random(0))
+    adj, part_of, sizes = sample_graph(constant_kernel(0.5), np.int64(0), random.Random(0))
+    assert adj == [] and part_of == [] and sizes == (0,)
+
+
 def test_sample_graph_respects_blocks():
     kern = StepKernel((F(1, 2), F(1, 2)), ((1, 0), (0, 1)))
     adj, part_of, sizes = sample_graph(kern, 10, random.Random(2))
@@ -469,13 +483,19 @@ def test_run_argument_guards():
 @pytest.mark.parametrize("entries", [
     {(7, 8): F(1)}, {(7, 0): F(1, 2)}, {(7, 0): F(3, 2), (7, 7): F(-1, 2)},
 ], ids=["code-out-of-range", "row-sum-half", "negative-entry"])
-def test_run_refuses_invalid_rules(entries):
+def test_run_refuses_invalid_rules(entries, monkeypatch):
     # each of these once ran as triangle removal
     rule = Rule(3, entries)
     cfg = SimConfig(rule=rule, n=30, initial=constant_kernel(0.5), horizon=0.1, seed=1)
     with pytest.raises(RuleValidationError):
         run(cfg)
-    with pytest.raises(ValueError):
+    # the rule is validated before the reference trajectory is integrated
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("integrate ran on an invalid rule")
+
+    monkeypatch.setattr(simulate, "integrate", unreached)
+    with pytest.raises(RuleValidationError):
         transference_check(rule, n=30, start=constant_kernel(0.5), horizon=0.1,
                            eps=0.05, seed=1)
 
