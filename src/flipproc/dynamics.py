@@ -62,8 +62,14 @@ def _exact(value):
     return _is_int(value) or isinstance(value, Fraction)
 
 
-def _finite(value):
-    return _exact(value) or math.isfinite(value)
+def _check_number(value, what):
+    """Raise ValueError unless value is a finite number: a float, an
+    integer other than a bool, or a Fraction."""
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {what} {value}")
+    elif not _exact(value):
+        raise ValueError(f"{what}s must be numbers, got {value!r}")
 
 
 class StepKernel:
@@ -80,8 +86,7 @@ class StepKernel:
         if not weights:
             raise ValueError("a step kernel needs at least one part")
         for w in weights:
-            if not _finite(w):
-                raise ValueError(f"non-finite part weight {w}")
+            _check_number(w, "part weight")
             if w < 0:
                 raise ValueError(f"negative part weight {w}")
         total = sum(weights)
@@ -97,8 +102,7 @@ class StepKernel:
             )
         for row in values:
             for v in row:
-                if not _finite(v):
-                    raise ValueError(f"non-finite block value {v}")
+                _check_number(v, "block value")
         for i in range(m):
             for j in range(i + 1, m):
                 if values[i][j] != values[j][i]:
@@ -589,21 +593,36 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _check_state(t, lo, hi, graphon_mode):
-    """Raise IntegrationError unless the block values of the state reached at
-    time t, which lie between lo and hi, are finite and, for a graphon
-    start, within CLAMP_TOLERANCE of [0, 1]."""
+def _settle(v, t, graphon_mode):
+    """The state v reached at time t, settled: a graphon state is checked,
+    clipped to [0, 1] and symmetrized, any other state symmetrized and then
+    checked (the sum can overflow where v did not), and a one-part state, a
+    Python float, is never symmetrized.  The check raises IntegrationError
+    unless the block values are finite and, for a graphon start, within
+    CLAMP_TOLERANCE of [0, 1]."""
+    if type(v) is float:
+        lo = hi = v
+    else:
+        if not graphon_mode:
+            v = (v + v.T) / 2.0  # exactly symmetric
+        lo, hi = float(v.min()), float(v.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise IntegrationError(
             f"state is no longer finite at time {t:.6g}; reduce the step size"
         )
-    if graphon_mode:
-        over = max(0.0, hi - 1.0, -lo)
-        if over > CLAMP_TOLERANCE:
-            raise IntegrationError(
-                f"state left [0, 1] by {over:.3e} at time {t:.6g}; "
-                f"reduce the step size or check the starting kernel"
-            )
+    if not graphon_mode:
+        return v
+    # checked before the clip, which hides excursions
+    over = max(0.0, hi - 1.0, -lo)
+    if over > CLAMP_TOLERANCE:
+        raise IntegrationError(
+            f"state left [0, 1] by {over:.3e} at time {t:.6g}; "
+            f"reduce the step size or check the starting kernel"
+        )
+    if type(v) is float:
+        return min(max(v, 0.0), 1.0)  # np.clip, -0.0 included
+    np.clip(v, 0.0, 1.0, out=v)
+    return (v + v.T) / 2.0  # exactly symmetric
 
 
 def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
@@ -641,48 +660,29 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
     out = np.empty((n_steps + 1,) + v.shape)
     out[0] = v
 
+    if v.shape == (1, 1):
+        # one part: the same steps on a Python float
+        v = float(v[0, 0])
+        drift = comp.point
+    else:
+        drift = functools.partial(comp.values, weights)
     times = [0.0]
     t = 0.0
     try:
-        if v.shape == (1, 1):
-            # one part: the multi-part loop's operations in the same
-            # order, on Python floats; a 1x1 state needs no symmetrizing
-            p = float(v[0, 0])
+        # a state that overflows or turns nan raises IntegrationError from
+        # _settle; numpy's warnings on the way are noise
+        with np.errstate(over="ignore", invalid="ignore"):
             for step in range(n_steps):
                 dt = h if step < n_full else rem
-                s1 = comp.point(p)
-                s2 = comp.point(p + (dt / 2.0) * s1)
-                s3 = comp.point(p + (dt / 2.0) * s2)
-                s4 = comp.point(p + dt * s3)
-                p = p + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                s1 = drift(v)
+                s2 = drift(v + (dt / 2.0) * s1)
+                s3 = drift(v + (dt / 2.0) * s2)
+                s4 = drift(v + dt * s3)
+                v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
                 t += dt
-                _check_state(t, p, p, graphon_mode)
-                if graphon_mode:
-                    p = min(max(p, 0.0), 1.0)  # np.clip, -0.0 included
+                v = _settle(v, t, graphon_mode)
                 times.append(t)
-                out[step + 1] = p
-        else:
-            # a state that overflows or turns nan raises IntegrationError
-            # from _check_state; numpy's warnings on the way are noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                for step in range(n_steps):
-                    dt = h if step < n_full else rem
-                    s1 = comp.values(weights, v)
-                    s2 = comp.values(weights, v + (dt / 2.0) * s1)
-                    s3 = comp.values(weights, v + (dt / 2.0) * s2)
-                    s4 = comp.values(weights, v + dt * s3)
-                    v = v + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-                    t += dt
-                    # one check: a graphon state before the clip hides excursions,
-                    # any other after the sum, which can overflow where v did not
-                    if graphon_mode:
-                        _check_state(t, float(v.min()), float(v.max()), True)
-                        np.clip(v, 0.0, 1.0, out=v)
-                    v = (v + v.T) / 2.0  # exactly symmetric
-                    if not graphon_mode:
-                        _check_state(t, float(v.min()), float(v.max()), False)
-                    times.append(t)
-                    out[step + 1] = v
+                out[step + 1] = v
     except OverflowError as exc:
         # Python float powers on the one-part path overflow instead of
         # returning inf

@@ -124,6 +124,9 @@ class Rule:
         order = _positive_int(order, "order")
         merged = {}
         for (f, h), p in (entries or {}).items():
+            # type() first: _is_int on every key adds ~1 ms to a 4,096-entry load
+            if not ((type(f) is int or _is_int(f)) and (type(h) is int or _is_int(h))):
+                raise ValueError(f"graph codes must be integers, got ({f!r}, {h!r})")
             if type(p) is not Fraction:
                 p = Fraction(p)
             if p:
@@ -321,11 +324,16 @@ def make_named(family, k, cap=None, **params):
     if family == "ignorant":
         if param is None:
             raise ValueError("ignorant rule needs dist={to_bits: probability}")
+        for h in param:
+            if not _is_int(h):
+                raise ValueError(f"ignorant dist codes must be integers, got {h!r}")
         dist = {int(h): Fraction(p) for h, p in param.items()}
         if sum(dist.values()) != 1 or any(p < 0 for p in dist.values()):
             raise ValueError("ignorant dist must be a probability distribution")
         codes = sorted(dist)
         nums, denom = _common_denominator([dist[h] for h in codes])
+    if family == "extremist" and isinstance(param, bool):
+        raise ValueError(f"extremist threshold must be a number, got {param!r}")
     if dense:
         _check_budget(len(nums) << P, _ENTRY_BUDGET,
                       f"entries of the {family} rule at order {k}")

@@ -39,13 +39,13 @@ Equal seeds give bit-identical results, whatever the grouping of runs.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
 
 import numpy as np
 
+from . import codes
 from .codes import _check_budget, _is_int, _positive_int, num_pairs, pair_list
 from .dynamics import _GRID_BUDGET, StepKernel, integrate
 from .rules import entry_codes, validate
@@ -53,7 +53,6 @@ from .rules import entry_codes, validate
 _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
 _BATCH = 512  # steps drawn at once; the draws depend on it
-_BLOCK = 1 << 14  # pair entries per block of sampling and row conversion
 _STACK_BYTES = 1 << 23  # matrices and batch reads of the runs stepped at once
 _READ_BYTES = 128  # working memory of one pair read in a batch, at most
 _MASK64 = (1 << 64) - 1
@@ -78,19 +77,6 @@ def run_seed(master, index):
 
 # ------------------------------------------------------------------ word draws
 
-@lru_cache(maxsize=None)
-def _no_seed():
-    """A seed sequence of zeros: an MT19937 built on it skips the seeding
-    that _twister overwrites at once (about 0.15 ms a run)."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _Zeros(ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype)
-
-    return _Zeros()
-
-
 def _twister(rng):
     """A numpy Generator on an MT19937 that continues rng's Mersenne
     Twister: the same words, and random() makes the same doubles."""
@@ -98,7 +84,7 @@ def _twister(rng):
     from numpy.random import MT19937, Generator
 
     internal = rng.getstate()[1]
-    bits = MT19937(_no_seed())
+    bits = MT19937(0)
     # a tuple key is copied in microseconds, an array in tens of them
     bits.state = {"bit_generator": "MT19937",
                   "state": {"key": internal[:-1], "pos": internal[-1]}}
@@ -197,9 +183,9 @@ def _sample_matrix(kernel, sizes, gen, adj):
     """Draws the start graph from the kernel on parts of the given sizes
     into the zeroed upper-triangle matrix adj, taking one uniform per pair
     from the generator gen in row-major order.  A block is whole rows of
-    about _BLOCK pairs, at least one row: row u meets part j in columns
-    max(u + 1, start of j) to the end of j, so its probabilities are its
-    part values repeated over those segment lengths."""
+    about codes.BLOCK_ELEMENTS pairs, at least one row: row u meets part j
+    in columns max(u + 1, start of j) to the end of j, so its probabilities
+    are its part values repeated over those segment lengths."""
     n = sum(sizes)
     vals = np.array([[float(v) for v in row] for row in kernel.values])
     ends = np.cumsum(sizes)
@@ -210,7 +196,8 @@ def _sample_matrix(kernel, sizes, gen, adj):
     offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
     lo = 0
     while lo < n:
-        end = int(np.searchsorted(offsets, offsets[lo] + _BLOCK, "right"))
+        cut = offsets[lo] + codes.BLOCK_ELEMENTS
+        end = int(np.searchsorted(offsets, cut, "right"))
         hi = max(lo + 1, end - 1)
         probs = np.repeat(row_vals[lo:hi].ravel(), seg[lo:hi].ravel())
         hits = (gen.random(len(probs)) < probs).view(np.uint8)
@@ -245,9 +232,8 @@ def _rows(adj):
     """Adjacency bitmask rows of an upper-triangle matrix."""
     n = len(adj)
     out = []
-    rows = max(1, _BLOCK // max(n, 1))
-    for lo in range(0, n, rows):
-        full = adj[lo:lo + rows] | adj[:, lo:lo + rows].T
+    for rows in codes._blocks(n, max(n, 1)):
+        full = adj[rows] | adj[:, rows].T
         packed = np.packbits(full, axis=1, bitorder="little")
         out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return out

@@ -551,8 +551,13 @@ def test_kernel_equality_hash_and_repr():
     ((F(1, 2), F(1, 2)), ((0.5, 0.5),), "2x2"),
     ((F(1, 2), F(1, 2)), ((0.5, 0.5), (0.5,)), "2x2"),
     ((F(1, 2), F(1, 2)), ((0.5, 0.1), (0.2, 0.5)), "not symmetric"),
+    ((True,), ((True,),), "part weights must be numbers, got True"),
+    ((1,), ((True,),), "block values must be numbers, got True"),
+    (("1",), ((0.5,),), "part weights must be numbers, got '1'"),
+    ((1,), (("0.5",),), "block values must be numbers, got '0.5'"),
 ], ids=["no-parts", "negative-weight", "exact-sum", "float-sum", "short-matrix",
-        "ragged-matrix", "asymmetric"])
+        "ragged-matrix", "asymmetric", "bool-weight", "bool-value", "string-weight",
+        "string-value"])
 def test_kernel_rejects_malformed_parts_and_values(weights, values, match):
     with pytest.raises(ValueError, match=match):
         StepKernel(weights, values)

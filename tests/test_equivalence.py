@@ -418,6 +418,9 @@ def _symmetric_rules(draw):
 @example(symmetrize(Rule(3, {(2, 5): F(1)})))
 # one pair toggled: only the relabelled-row trade applies
 @example(symmetrize(Rule(3, {(1, 0): F(1, 2), (1, 1): F(1, 2)})))
+# row 3 is {3: 5/6, 4: 1/6}: the lower code holds more edges, so the
+# marginal trade swaps the pair before it moves mass
+@example(symmetrize(Rule(3, {(3, 3): F(1, 2), (3, 4): F(1, 2)})))
 @settings(max_examples=40, deadline=None)
 @given(_symmetric_rules())
 def test_symmetric_nondeterministic_rules_get_witnesses(rule):

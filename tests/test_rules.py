@@ -47,6 +47,13 @@ def test_normalization_drops_zeros_and_identity_rows():
     assert r2.probability(0, 0) == 1  # implicit identity
     assert r2.probability(0, 1) == 0
     assert r2.row(0) is None
+    # codes are integers, zero-probability keys too; numpy's become int
+    for key in ((7.9, 0.2), ("7", 0), (True, 0), (1, 0.0)):
+        with pytest.raises(ValueError, match="graph codes must be integers"):
+            Rule(3, {key: 0})
+    r3 = Rule(3, {(np.int64(7), np.uint8(0)): 1})
+    assert r3 == Rule(3, {(7, 0): 1})
+    assert [type(code) for code in next(iter(r3.entries))] == [int, int]
 
 
 def test_only_lone_diagonal_entries_are_identity_rows():
@@ -245,6 +252,9 @@ def test_named_extremist():
     assert e.probability(0, 0) == 1
     lax = make_named("extremist", 3, threshold=F(1))
     assert lax.probability(1, 7) == 1
+    # a bool is not a threshold, though Fraction(True) is 1
+    with pytest.raises(ValueError, match="threshold must be a number, got True"):
+        make_named("extremist", 3, threshold=True)
     with pytest.raises(ValueError):
         make_named("extremist", 3, threshold=F(1), cutoff=2)
 
@@ -264,6 +274,13 @@ def test_named_ignorant():
     assert ig.probability(1, 1) == F(2, 3)
     with pytest.raises(ValueError):
         make_named("ignorant", 2, dist={0: F(1, 2)})
+    # codes are integers, as in JSON: no float, bool or string is read as one
+    for dist in ({0.9: 1}, {True: 1}, {"1": 1}, {1: 1, 0.0: 0}):
+        with pytest.raises(ValueError, match="codes must be integers"):
+            make_named("ignorant", 2, dist=dist)
+    one = make_named("ignorant", 2, dist={np.int64(1): 1})
+    assert one == make_named("ignorant", 2, dist={1: 1})
+    assert all(type(f) is int and type(h) is int for f, h in one.entries)
     with pytest.raises(ValueError):
         make_named("ignorant", 2)
 

@@ -277,10 +277,29 @@ def test_sample_graph_matches_pairwise_coins_in_any_block(block, kern, n, seed):
     # blocks of one row, of many rows, and rows longer than a block
     fast, slow = random.Random(seed), random.Random(seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "_BLOCK", block)
+        patch.setattr("flipproc.codes.BLOCK_ELEMENTS", block)
         got = sample_graph(kern, n, fast)
     assert got == oracles.naive_sample_graph(kern, n, slow)
     assert fast.getstate() == slow.getstate()
+
+
+def test_sample_block_size_is_read_at_call_time(monkeypatch):
+    # 45 pairs fit one default block; a block of one pair holds one row
+    # (the last row, with no pairs, joins the one before it)
+    gen = simulate._twister(random.Random(3))
+    calls = []
+
+    class Counting:
+        def random(self, count):
+            calls.append(count)
+            return gen.random(count)
+
+    for block, expected in ((1 << 14, [45]), (1, list(range(9, 0, -1)))):
+        monkeypatch.setattr("flipproc.codes.BLOCK_ELEMENTS", block)
+        calls.clear()
+        simulate._sample_matrix(constant_kernel(0.5), (10,), Counting(),
+                                np.zeros((10, 10), np.uint8))
+        assert calls == expected
 
 
 @settings(max_examples=40, deadline=None)
