@@ -21,7 +21,9 @@ from .rooted import (
     RootedGraph,
     blowup,
     count_rrr_maps,
+    density_formula_check,
     is_twinfree,
+    rooted_density,
     rooted_version,
     twin_classes,
     vstar,
@@ -60,14 +62,12 @@ from .dynamics import (
     StepKernel,
     Trajectory,
     constant_kernel,
-    density_formula_check,
     integrate,
     kernel_from_json,
     kernel_to_json,
     lipschitz_constant,
     load_kernel,
     max_block_dev,
-    rooted_density,
     velocity,
 )
 from .simulate import (

@@ -263,7 +263,7 @@ def build_parser():
     p.add_argument("--witness", default=None,
                    help="write the witness rule here when not unique")
 
-    p = add("k1", _cmd_k1, "conjectured orbit-sum distribution check")
+    p = add("k1", _cmd_k1, "equal orbit sums: equal processes (converse past n = k open)")
     p.add_argument("rule1")
     p.add_argument("rule2")
 

@@ -28,9 +28,11 @@ check read it.
 
 import functools
 import itertools
+import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,6 +56,21 @@ def _positive_int(value, what):
     if not _is_int(value) or value < 1:
         raise ValueError(f"{what} must be an integer of at least 1, got {value!r}")
     return int(value)
+
+
+def _exact(value):
+    return _is_int(value) or isinstance(value, Fraction)
+
+
+def _check_number(value, what, wrong):
+    """Raise ValueError unless value is a finite number: a float, an integer
+    other than a bool, or a Fraction; the message names a `what`, or follows
+    the text `wrong`.  Numbers that library callers pass are read here."""
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {what} {value}")
+    elif not _exact(value):
+        raise ValueError(f"{wrong}, got {value!r}")
 
 
 def enumeration_cap(cap=None):

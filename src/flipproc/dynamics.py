@@ -29,26 +29,15 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (
-    GraphCode,
-    RootedPairGraph,
     _check_budget,
-    _is_int,
+    _check_number,
+    _exact,
     _positive_int,
     enumeration_cap,
     num_pairs,
-    pair_index,
     pair_list,
 )
 from .equivalence import coeff_vector
-from .rooted import (
-    RootedGraph,
-    _label_key,
-    blowup,
-    count_rrr_maps,
-    is_twinfree,
-    rooted_version,
-    vstar,
-)
 from .rules import _exact_value, _json_object, _json_text
 
 CLAMP_TOLERANCE = 1e-9
@@ -56,20 +45,6 @@ CLAMP_TOLERANCE = 1e-9
 
 class IntegrationError(RuntimeError):
     """The integrator detected a state outside the valid region."""
-
-
-def _exact(value):
-    return _is_int(value) or isinstance(value, Fraction)
-
-
-def _check_number(value, what):
-    """Raise ValueError unless value is a finite number: a float, an
-    integer other than a bool, or a Fraction."""
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite {what} {value}")
-    elif not _exact(value):
-        raise ValueError(f"{what}s must be numbers, got {value!r}")
 
 
 class StepKernel:
@@ -86,7 +61,7 @@ class StepKernel:
         if not weights:
             raise ValueError("a step kernel needs at least one part")
         for w in weights:
-            _check_number(w, "part weight")
+            _check_number(w, "part weight", "part weights must be numbers")
             if w < 0:
                 raise ValueError(f"negative part weight {w}")
         total = sum(weights)
@@ -102,7 +77,7 @@ class StepKernel:
             )
         for row in values:
             for v in row:
-                _check_number(v, "block value")
+                _check_number(v, "block value", "block values must be numbers")
         for i in range(m):
             for j in range(i + 1, m):
                 if values[i][j] != values[j][i]:
@@ -185,8 +160,7 @@ def kernel_from_json_obj(obj):
     for row in obj["values"]:
         out = []
         for v in row:
-            if not (_is_int(v) or isinstance(v, float)):
-                raise ValueError(f"block values must be numbers, got {v!r}")
+            _check_number(v, "block value", "block values must be numbers")
             try:
                 out.append(float(v))
             except OverflowError:
@@ -202,148 +176,6 @@ def kernel_from_json(text):
 def load_kernel(path):
     with open(path, "r", encoding="utf-8") as fh:
         return kernel_from_json(fh.read())
-
-
-# ------------------------------------------------------------ rooted densities
-
-def rooted_density(element, kernel, x, y):
-    """Probability that a random embedding of [k] into the kernel's parts,
-    with the two roots pinned to parts x and y, induces exactly the rooted
-    graph `element`: product of block values over edges and complements
-    over non-edges, weighted by part measures of the free vertices.
-
-    Exact when the kernel is exact; zero partial products are pruned, which
-    makes 0/1-valued kernels cheap.
-    """
-    k = element.order
-    m = kernel.num_parts
-    if not (0 <= x < m and 0 <= y < m):
-        raise ValueError(f"part indices ({x}, {y}) outside range({m})")
-    a, b = element.a, element.b
-    g = element.graph
-    vals = kernel.values
-    wts = kernel.weights
-    free = [v for v in range(1, k + 1) if v != a and v != b]
-    placed = [(a, x), (b, y)]
-
-    w = vals[x][y]
-    acc0 = w if g.has_edge(a, b) else 1 - w
-
-    def extend(i, acc):
-        if acc == 0:
-            return acc
-        if i == len(free):
-            return acc
-        v = free[i]
-        total = 0
-        for part in range(m):
-            term = acc * wts[part]
-            for u, pu in placed:
-                if term == 0:
-                    break
-                w = vals[part][pu]
-                term = term * (w if g.has_edge(v, u) else 1 - w)
-            if term == 0:
-                continue
-            placed.append((v, part))
-            total = total + extend(i + 1, term)
-            placed.pop()
-        return total
-
-    return extend(0, acc0)
-
-
-def density_formula_check(base, m, G, z, x, y, tolerance=1e-12):
-    """Evaluate a rooted density against its combinatorial closed form.
-
-    base: a twinfree rooted graph; m: positive multiplicities with total
-    root multiplicity exactly 2; G: a twinfree unrooted graph whose
-    vertices name the parts of the kernel; z: part weights keyed by the
-    vertices of G; x, y: vertices of G naming the pinned parts.
-
-    The numeric side evaluates the density of the blown-up base in the
-    0/1-valued kernel of G; the combinatorial side is 0 when the base has
-    more roots than the doubled version of G at (x, y), and otherwise sums
-    the free-vertex weight monomials over the structure-preserving maps.
-    Requires |roots(base)| >= |roots(doubled G)| or strictly more roots,
-    and in the map case the reduced non-root counts must be ordered
-    correspondingly; other shapes are outside the formula and rejected.
-    Returns (numeric, combinatorial); raises on disagreement.
-    """
-    if not is_twinfree(base):
-        raise ValueError("the rooted base graph must be twinfree")
-    if G.roots:
-        raise ValueError("G must be unrooted; its roots come from doubling")
-    if not is_twinfree(G):
-        raise ValueError("G must be twinfree")
-    if set(m) != base.vertices:
-        raise ValueError("multiplicities must be indexed by the base vertices")
-    m = {v: _positive_int(cnt, "a multiplicity") for v, cnt in m.items()}
-    root_mass = sum(m[r] for r in base.roots)
-    if root_mass != 2:
-        raise ValueError(f"total root multiplicity must be 2, got {root_mass}")
-    if set(z) != G.vertices:
-        raise ValueError("z must be keyed by the vertices of G")
-    if x not in G.vertices or y not in G.vertices:
-        raise ValueError("x and y must be vertices of G")
-
-    parts = sorted(G.vertices, key=_label_key)
-    index = {v: i for i, v in enumerate(parts)}
-    kernel = StepKernel(
-        tuple(z[v] for v in parts),
-        tuple(
-            tuple(1 if G.has_edge(u, v) else 0 for v in parts)
-            for u in parts
-        ),
-    )
-
-    blown = blowup(base, m)
-    order = list(blown.roots) + blown.nonroots()
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    bits = 0
-    for e in blown.edges:
-        u, v = tuple(e)
-        bits |= 1 << pair_index(pos[u], pos[v])
-    element = RootedPairGraph(GraphCode(len(order), bits), 1, 2)
-    numeric = rooted_density(element, kernel, index[x], index[y])
-
-    subset = (x,) if x == y else (x, y)
-    doubled = rooted_version(G, subset)
-    n_roots = len(base.roots)
-    n_targets = len(doubled.roots)
-    if n_roots > n_targets:
-        combinatorial = 0
-    else:
-        if n_roots < n_targets:
-            raise ValueError(
-                "the base has fewer roots than the doubled target; this shape "
-                "is outside the closed form"
-            )
-        if vstar(base) < vstar(doubled):
-            raise ValueError(
-                "reduced non-root count of the base is below the target's; "
-                "this shape is outside the closed form"
-            )
-        combinatorial = 0
-        for phi in count_rrr_maps(base, doubled):
-            term = 1
-            for v in base.vertices:
-                if v in base.roots:
-                    continue
-                term = term * z[phi[v]] ** m[v]
-            combinatorial = combinatorial + term
-
-    exact_mode = all(_exact(w) for w in z.values())
-    if exact_mode:
-        agree = numeric == combinatorial
-    else:
-        agree = abs(float(numeric) - float(combinatorial)) <= tolerance
-    if not agree:
-        raise RuntimeError(
-            f"density formula mismatch: numeric {numeric} vs combinatorial "
-            f"{combinatorial}"
-        )
-    return numeric, combinatorial
 
 
 # ------------------------------------------------------------------- velocity

@@ -374,24 +374,24 @@ def _marginal_witness(rule, cap=None):
     return Rule(k, entries)
 
 
-# -------------------------------------------------------- orbit-sum conjecture
+# ------------------------------------------------- orbit sums, finite process
 
 K1_BANNER = (
-    "CONJECTURE: equal orbit sums deciding distribution equality of the "
-    "finite processes is unproven; this check is exploratory and its verdict "
-    "must not be treated as established fact."
+    "Equal orbit sums give identically distributed finite processes on every "
+    "n >= k vertices, unequal ones different processes on n = k. CONJECTURE: "
+    "unequal sums give different processes on each n > k too; that is unproven."
 )
 
 
 def check_k1(rule1, rule2, cap=None):
-    """Conjectured test: the two rules induce identically distributed finite
-    processes iff, for every relabelling orbit of index pairs (F, H), the
-    total entry mass over the orbit agrees.  Compares those orbit sums: a
-    symmetrization spreads each orbit's sum evenly over its members, so
-    the sums agree exactly when the symmetrizations are equal.
-
-    Implicit identity rows carry mass 1 on their diagonal pair and are
-    included.  See K1_BANNER: the equivalence is a conjecture.
+    """Whether the rules put equal total entry mass on every relabelling
+    orbit of index pairs (F, H), implicit identity rows counted as mass 1
+    on their diagonal pair: whether their symmetrizations are equal.  A step
+    draws a uniform ordered k-tuple, so the one-step kernel on n vertices
+    reads the rule only through its symmetrization: equal sums give
+    identically distributed finite processes for every n >= k, and on n = k,
+    where the transition matrix is the symmetrization, unequal sums give
+    different ones.  That they do on a fixed n > k too is a conjecture.
     """
     if rule1.order != rule2.order:
         raise ValueError("the orbit-sum check compares rules of equal order")

@@ -1,8 +1,11 @@
-"""Rooted graphs over arbitrary hashable vertex labels.
+"""Rooted graphs over arbitrary hashable vertex labels, rooted densities
+in step kernels, and their closed form.
 
-Covers the combinatorial side of the density formula: twins, blowups, the
-rooted version of a graph, and the structure-preserving maps counted by the
-formula.
+A rule's velocity sums, per class, the rooted density of a pair-rooted
+graph with its roots pinned to two parts.  In the 0/1 kernel of a
+twinfree graph G, the density of a blowup of a twinfree base is a sum of
+part-weight monomials over the maps from the base to the rooted version
+of G at the pinned parts; density_formula_check evaluates both sides.
 
 A map phi between rooted graphs is counted when it
   * preserves the relation both ways: uv is an edge iff phi(u)phi(v) is
@@ -12,6 +15,9 @@ A map phi between rooted graphs is counted when it
 """
 
 import itertools
+
+from .codes import GraphCode, RootedPairGraph, _exact, _positive_int, pair_index
+from .dynamics import StepKernel
 
 
 def _label_key(v):
@@ -154,35 +160,32 @@ def rooted_version(g, subset):
     return RootedGraph(verts, edges, [dup[x] for x in subset])
 
 
-def root_twin_count(g):
-    """Number of non-roots that are twins of some root."""
+def vstar(g):
+    """Number of non-roots that are not twins of a root."""
     roots = set(g.roots)
     root_nbhds = {g.neighbors(r) for r in roots}
     return sum(1 for v in g.vertices
-               if v not in roots and g.neighbors(v) in root_nbhds)
-
-
-def vstar(g):
-    """Non-root count minus the number of non-roots twinned with a root."""
-    return len(g.vertices) - len(g.roots) - root_twin_count(g)
+               if v not in roots and g.neighbors(v) not in root_nbhds)
 
 
 # ------------------------------------------------------------------ rrr maps
 
-def _maps(src, dst):
-    """Generate the maps src -> dst of the module docstring, as
-    dictionaries.  The roots of src go onto each choice of as many roots of
-    dst, kept in root order; the non-roots follow by decreasing degree, each
-    tried on the non-roots of dst in label order.  A non-root may go to c
-    when c is adjacent to the images of its mapped neighbours and to none of
-    the images of its mapped non-neighbours; dst has no loops, so two
-    vertices share an image only if not adjacent."""
+def count_rrr_maps(src, dst):
+    """All relation-preserving, root-respecting, root-order-preserving maps
+    from src to dst, as dictionaries.  Maps need not be injective on
+    non-roots, but strict order preservation makes them injective on roots;
+    more roots in src than dst means there are none."""
+    # the roots of src go onto each choice of as many roots of dst, in
+    # root order, then each non-root, by decreasing degree, onto each
+    # non-root of dst, in label order, that the images of its mapped
+    # neighbours and non-neighbours allow (dst has no loops)
     dst_free = dst.nonroots()
     src_free = sorted(src.nonroots(), key=lambda v: -len(src.neighbors(v)))
+    maps = []
 
     def extend(phi, i):
         if i == len(src_free):
-            yield dict(phi)
+            maps.append(dict(phi))
             return
         v = src_free[i]
         near = src.neighbors(v)
@@ -195,19 +198,154 @@ def _maps(src, dst):
         for c in dst_free:
             if c in allowed:
                 phi[v] = c
-                yield from extend(phi, i + 1)
+                extend(phi, i + 1)
                 del phi[v]
 
     for chosen in itertools.combinations(dst.roots, len(src.roots)):
         phi = dict(zip(src.roots, chosen))
         if all(src.has_edge(u, v) == dst.has_edge(phi[u], phi[v])
                for u, v in itertools.combinations(src.roots, 2)):
-            yield from extend(phi, 0)
+            extend(phi, 0)
+    return maps
 
 
-def count_rrr_maps(src, dst):
-    """All relation-preserving, root-respecting, root-order-preserving maps
-    from src to dst, as dictionaries.  Maps need not be injective on
-    non-roots, but strict order preservation makes them injective on roots;
-    more roots in src than dst means there are none."""
-    return list(_maps(src, dst))
+# ------------------------------------------------------------ rooted densities
+
+def rooted_density(element, kernel, x, y):
+    """Probability that a random embedding of [k] into the kernel's parts,
+    with the two roots pinned to parts x and y, induces exactly the rooted
+    graph `element`: product of block values over edges and complements
+    over non-edges, weighted by part measures of the free vertices.
+
+    Exact when the kernel is exact; zero partial products are pruned, which
+    makes 0/1-valued kernels cheap.
+    """
+    k = element.order
+    m = kernel.num_parts
+    if not (0 <= x < m and 0 <= y < m):
+        raise ValueError(f"part indices ({x}, {y}) outside range({m})")
+    a, b = element.a, element.b
+    g = element.graph
+    vals = kernel.values
+    wts = kernel.weights
+    free = [v for v in range(1, k + 1) if v != a and v != b]
+    placed = [(a, x), (b, y)]
+
+    w = vals[x][y]
+    acc0 = w if g.has_edge(a, b) else 1 - w
+
+    def extend(i, acc):
+        if acc == 0:
+            return acc
+        if i == len(free):
+            return acc
+        v = free[i]
+        total = 0
+        for part in range(m):
+            term = acc * wts[part]
+            for u, pu in placed:
+                if term == 0:
+                    break
+                w = vals[part][pu]
+                term = term * (w if g.has_edge(v, u) else 1 - w)
+            if term == 0:
+                continue
+            placed.append((v, part))
+            total = total + extend(i + 1, term)
+            placed.pop()
+        return total
+
+    return extend(0, acc0)
+
+
+def density_formula_check(base, m, G, z, x, y, tolerance=1e-12):
+    """Evaluate a rooted density against its combinatorial closed form.
+
+    base: a twinfree rooted graph; m: positive multiplicities with total
+    root multiplicity exactly 2; G: a twinfree unrooted graph whose
+    vertices name the parts of the kernel; z: part weights keyed by the
+    vertices of G; x, y: vertices of G naming the pinned parts.
+
+    The numeric side evaluates the density of the blown-up base in the
+    0/1-valued kernel of G; the combinatorial side is 0 when the base has
+    more roots than the doubled version of G at (x, y), and otherwise sums
+    the free-vertex weight monomials over the structure-preserving maps.
+    Requires |roots(base)| >= |roots(doubled G)| or strictly more roots,
+    and in the map case the reduced non-root counts must be ordered
+    correspondingly; other shapes are outside the formula and rejected.
+    Returns (numeric, combinatorial); raises on disagreement.
+    """
+    if not is_twinfree(base):
+        raise ValueError("the rooted base graph must be twinfree")
+    if G.roots:
+        raise ValueError("G must be unrooted; its roots come from doubling")
+    if not is_twinfree(G):
+        raise ValueError("G must be twinfree")
+    if set(m) != base.vertices:
+        raise ValueError("multiplicities must be indexed by the base vertices")
+    m = {v: _positive_int(cnt, "a multiplicity") for v, cnt in m.items()}
+    root_mass = sum(m[r] for r in base.roots)
+    if root_mass != 2:
+        raise ValueError(f"total root multiplicity must be 2, got {root_mass}")
+    if set(z) != G.vertices:
+        raise ValueError("z must be keyed by the vertices of G")
+    if x not in G.vertices or y not in G.vertices:
+        raise ValueError("x and y must be vertices of G")
+
+    parts = sorted(G.vertices, key=_label_key)
+    index = {v: i for i, v in enumerate(parts)}
+    kernel = StepKernel(
+        tuple(z[v] for v in parts),
+        tuple(
+            tuple(1 if G.has_edge(u, v) else 0 for v in parts)
+            for u in parts
+        ),
+    )
+
+    blown = blowup(base, m)
+    order = list(blown.roots) + blown.nonroots()
+    pos = {v: i + 1 for i, v in enumerate(order)}
+    bits = 0
+    for e in blown.edges:
+        u, v = tuple(e)
+        bits |= 1 << pair_index(pos[u], pos[v])
+    element = RootedPairGraph(GraphCode(len(order), bits), 1, 2)
+    numeric = rooted_density(element, kernel, index[x], index[y])
+
+    subset = (x,) if x == y else (x, y)
+    doubled = rooted_version(G, subset)
+    n_roots = len(base.roots)
+    n_targets = len(doubled.roots)
+    if n_roots > n_targets:
+        combinatorial = 0
+    else:
+        if n_roots < n_targets:
+            raise ValueError(
+                "the base has fewer roots than the doubled target; this shape "
+                "is outside the closed form"
+            )
+        if vstar(base) < vstar(doubled):
+            raise ValueError(
+                "reduced non-root count of the base is below the target's; "
+                "this shape is outside the closed form"
+            )
+        combinatorial = 0
+        for phi in count_rrr_maps(base, doubled):
+            term = 1
+            for v in base.vertices:
+                if v in base.roots:
+                    continue
+                term = term * z[phi[v]] ** m[v]
+            combinatorial = combinatorial + term
+
+    exact_mode = all(_exact(w) for w in z.values())
+    if exact_mode:
+        agree = numeric == combinatorial
+    else:
+        agree = abs(float(numeric) - float(combinatorial)) <= tolerance
+    if not agree:
+        raise RuntimeError(
+            f"density formula mismatch: numeric {numeric} vs combinatorial "
+            f"{combinatorial}"
+        )
+    return numeric, combinatorial

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (_check_budget, _check_cap, _is_int, _orbit_sweep, _positive_int,
-                    full_bits, num_pairs)
+from .codes import (_check_budget, _check_cap, _check_number, _is_int, _orbit_sweep,
+                    _positive_int, full_bits, num_pairs)
 
 
 class RuleValidationError(ValueError):
@@ -128,7 +128,7 @@ class Rule:
             if not ((type(f) is int or _is_int(f)) and (type(h) is int or _is_int(h))):
                 raise ValueError(f"graph codes must be integers, got ({f!r}, {h!r})")
             if type(p) is not Fraction:
-                p = Fraction(p)
+                p = _fraction(p, "probability", "probabilities must be numbers")
             if p:
                 key = int(f), int(h)
                 merged[key] = merged[key] + p if key in merged else p
@@ -327,13 +327,14 @@ def make_named(family, k, cap=None, **params):
         for h in param:
             if not _is_int(h):
                 raise ValueError(f"ignorant dist codes must be integers, got {h!r}")
-        dist = {int(h): Fraction(p) for h, p in param.items()}
+        dist = {int(h): _fraction(p, "dist probability", "dist probabilities must be numbers")
+                for h, p in param.items()}
         if sum(dist.values()) != 1 or any(p < 0 for p in dist.values()):
             raise ValueError("ignorant dist must be a probability distribution")
         codes = sorted(dist)
         nums, denom = _common_denominator([dist[h] for h in codes])
-    if family == "extremist" and isinstance(param, bool):
-        raise ValueError(f"extremist threshold must be a number, got {param!r}")
+    if family == "extremist" and param is not None:
+        param = _fraction(param, "extremist threshold", "extremist threshold must be a number")
     if dense:
         _check_budget(len(nums) << P, _ENTRY_BUDGET,
                       f"entries of the {family} rule at order {k}")
@@ -344,7 +345,7 @@ def make_named(family, k, cap=None, **params):
         elif family == "complementing":
             h = f ^ full_bits(k)
         else:
-            threshold = Fraction(P, 2) if param is None else Fraction(param)
+            threshold = Fraction(P, 2) if param is None else param
             edges = sum((f >> bit & 1 for bit in range(P)), np.zeros_like(f))
             # clamped to [0, P + 1], the threshold's ceiling compares in int64
             t = min(max(math.ceil(threshold), 0), P + 1)
@@ -566,6 +567,14 @@ def exact_number(text):
         return Fraction(text)  # "p/q" and decimal strings, both exact
     except ZeroDivisionError:
         raise ValueError(f"number {shown!r} has a zero denominator") from None
+
+
+def _fraction(value, what, wrong):
+    """The exact Fraction of a number that codes._check_number accepts."""
+    _check_number(value, what, wrong)
+    if isinstance(value, np.floating):  # Fraction reads float64, no other
+        return Fraction(*value.as_integer_ratio())
+    return Fraction(value)
 
 
 def _exact_value(value, what):

@@ -3,7 +3,8 @@
 Everything here that checks a package computation re-derives it from
 definitions with separate code paths: the census count comes from the
 orbit-counting lemma, coefficient sums from a term-by-term sweep over all
-rooted elements with a local canonicalizer, isomorphism, symmetrization,
+rooted elements with a local canonicalizer, a lifted certificate from the
+extensions of each class's member by one vertex, isomorphism, symmetrization,
 the symmetry check, relabelling orbits, edge histograms and orbit sums
 from a full permutation sweep, validity from a Fraction sum of every row,
 and the velocity from its defining sum over rows, pairs and rooted
@@ -131,6 +132,28 @@ def naive_coeff_sums_fast(rule):
                 key = canon_triple(k, f, a, b)
                 sums[key] = sums.get(key, Fraction(0)) + z
     return sums
+
+
+# ---------------------------------------------------------- certificate lift
+
+def lift_certificate(nonzero, k):
+    """The certificate at order k + 1 of a rule lifted from order k, from
+    the order-k certificate's nonzero (class, coefficient) pairs, without
+    building the lifted rule: c'(C') = sum_C N(C', C) c(C), where N(C', C)
+    counts the 2^k edge patterns of vertex k + 1 that extend the canonical
+    member (g, a, b) of C into C'.  The lifted rule acts on [k], so a member
+    of C' rooted inside [k] takes its expected change from its restriction
+    to [k], and one rooted at vertex k + 1 has none.  Returns the nonzero
+    classes as {class: coefficient}."""
+    from flipproc import GraphCode, RootedPairGraph, canonical_class
+    shift = k * (k - 1) // 2
+    out = {}
+    for cls, c in nonzero:
+        g, a, b = cls.canon.graph.bits, cls.canon.a, cls.canon.b
+        for p in range(1 << k):
+            ext = canonical_class(RootedPairGraph(GraphCode(k + 1, g | p << shift), a, b))
+            out[ext] = out.get(ext, 0) + c
+    return {cls: c for cls, c in out.items() if c}
 
 
 # ------------------------------------------------- per-permutation symmetry

@@ -22,6 +22,7 @@ from flipproc import (
     K1_BANNER,
     RootedPairGraph,
     Rule,
+    StepKernel,
     canonical_class,
     check_k1,
     classify_unique,
@@ -33,6 +34,7 @@ from flipproc import (
     is_symmetric,
     lift,
     make_named,
+    rooted_density,
     rule_problems,
     symmetrize,
 )
@@ -193,6 +195,74 @@ def test_lifted_rules_stay_equivalent():
     for _ in range(10):
         r = oracles.random_rule(rng, rng.randint(2, 3))
         assert compare(lift(r, r.order + 1), r).equivalent
+
+
+def test_lifted_certificates_match_the_extension_oracle():
+    # compare(lift(r, k + 1), r) lifts r itself, so it sees one rule twice;
+    # this holds the lifted rule's certificate to one built from r's alone
+    rng = random.Random(525)
+    for k in range(2, 6):
+        for _ in range(20):
+            r = oracles.random_rule(rng, k)
+            assert dict(coeff_vector(lift(r, k + 1)).nonzero()) == \
+                oracles.lift_certificate(coeff_vector(r).nonzero(), k)
+    cert = dict(coeff_vector(TR).nonzero())
+    for k, count in ((3, 8), (4, 64), (5, 639)):
+        cert = oracles.lift_certificate(cert.items(), k)
+        assert len(cert) == count
+        assert dict(coeff_vector(lift(TR, k + 1)).nonzero()) == cert
+
+
+def _exact_kernel(rng, m):
+    """A random rational step kernel on m parts."""
+    vals = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            vals[i][j] = vals[j][i] = F(rng.randint(0, 10 ** 6), 10 ** 6)
+    return StepKernel(oracles.random_fractions(rng, m), vals)
+
+
+def _velocity_gap(r1, r2, kernel):
+    """sum_C (c1(C) - c2(C)) t_C(x, y) at every block (x, y), exactly."""
+    diff = dict(coeff_vector(r1).nonzero())
+    for cls, c in coeff_vector(r2).nonzero():
+        diff[cls] = diff.get(cls, 0) - c
+    m = kernel.num_parts
+    return [sum(c * rooted_density(cls.canon, kernel, x, y) for cls, c in diff.items())
+            for x in range(m) for y in range(m)]
+
+
+def _edge_count_sums(rule):
+    sums = {}
+    for cls, c in coeff_vector(rule).nonzero():
+        e = cls.canon.graph.edge_count()
+        sums[e] = sums.get(e, 0) + c
+    return {e: c for e, c in sums.items() if c}
+
+
+def test_inequivalent_rules_have_different_velocities():
+    # the other half of the characterization: at orders 3 to 5 the rooted
+    # densities on k - 1 parts are linearly independent, so a nonzero
+    # certificate difference moves the velocity of a random rational
+    # kernel there; a one-part kernel sees only the sums per edge count
+    rng = random.Random(2025)
+    pairs = []
+    for k in (3, 4):
+        for _ in range(8):
+            r = oracles.random_rule(rng, k)
+            pairs += [(r, oracles.random_rule(rng, k)), (r, symmetrize(r))]
+    singles = [Rule(3, {(f, h): 1}) for f in range(8) for h in range(8) if f != h]
+    hidden = [(r1, r2) for i, r1 in enumerate(singles) for r2 in singles[i + 1:]
+              if _edge_count_sums(r1) == _edge_count_sums(r2)
+              and coeff_vector(r1) != coeff_vector(r2)]
+    assert len(hidden) == 72
+    assert (Rule(3, {(1, 2): 1}), Rule(3, {(3, 5): 1})) in hidden
+    verdicts = []
+    for r1, r2 in pairs + hidden:
+        gap = _velocity_gap(r1, r2, _exact_kernel(rng, r1.order - 1))
+        verdicts.append(compare(r1, r2).equivalent)
+        assert verdicts[-1] == (not any(gap))
+    assert verdicts.count(True) >= 16 and verdicts.count(False) >= 72
 
 
 def test_dilation_factor():

@@ -5,7 +5,9 @@ import json
 import math
 import pickle
 import random
+import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,12 @@ import oracles
 
 F = Fraction
 
+# values a library caller may pass as a probability or threshold that are
+# no finite number, each with the words that name it in the ValueError
+_NOT_NUMBERS = [(True, "got True"), ("1/2", "got '1/2'"), (None, "got None"),
+                (Decimal("0.5"), "got Decimal('0.5')"), (math.nan, " nan"),
+                (math.inf, " inf"), (-math.inf, " -inf")]
+
 
 def test_normalization_drops_zeros_and_identity_rows():
     r = Rule(2, {(0, 0): 1, (1, 1): F(1), (1, 0): 0})
@@ -54,6 +62,13 @@ def test_normalization_drops_zeros_and_identity_rows():
     r3 = Rule(3, {(np.int64(7), np.uint8(0)): 1})
     assert r3 == Rule(3, {(7, 0): 1})
     assert [type(code) for code in next(iter(r3.entries))] == [int, int]
+    # probabilities are finite numbers, read exactly, never coerced
+    for p, shown in _NOT_NUMBERS:
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            Rule(3, {(7, 0): p, (7, 7): F(1, 2)})
+    for p in (0.1, np.float64(0.1), np.float32(0.1), np.float16(0.1)):
+        assert Rule(3, {(7, 0): p}).entries == {(7, 0): F(*p.as_integer_ratio())}
+    assert Rule(3, {(7, 0): np.int8(1)}).entries == {(7, 0): F(1)}
 
 
 def test_only_lone_diagonal_entries_are_identity_rows():
@@ -255,6 +270,13 @@ def test_named_extremist():
     # a bool is not a threshold, though Fraction(True) is 1
     with pytest.raises(ValueError, match="threshold must be a number, got True"):
         make_named("extremist", 3, threshold=True)
+    for threshold, shown in _NOT_NUMBERS:
+        if threshold is not None:  # None is the default threshold
+            with pytest.raises(ValueError, match=re.escape(shown)):
+                make_named("extremist", 3, threshold=threshold)
+    for threshold in (1, np.int64(1), 1.0, np.float32(1.0)):
+        assert make_named("extremist", 3, threshold=threshold) == lax
+    assert make_named("extremist", 3, threshold=np.float32(1.5)) == make_named("extremist", 3)
     with pytest.raises(ValueError):
         make_named("extremist", 3, threshold=F(1), cutoff=2)
 
@@ -280,6 +302,13 @@ def test_named_ignorant():
             make_named("ignorant", 2, dist=dist)
     one = make_named("ignorant", 2, dist={np.int64(1): 1})
     assert one == make_named("ignorant", 2, dist={1: 1})
+    for p, shown in _NOT_NUMBERS:
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            make_named("ignorant", 2, dist={0: F(1, 2), 1: p})
+    for p in (1.0, np.float32(1.0), np.int64(1), F(1)):
+        assert make_named("ignorant", 2, dist={1: p}) == one
+    assert make_named("ignorant", 2, dist={0: np.float16(0.25), 1: 0.75}) == \
+        make_named("ignorant", 2, dist={0: F(1, 4), 1: F(3, 4)})
     assert all(type(f) is int and type(h) is int for f, h in one.entries)
     with pytest.raises(ValueError):
         make_named("ignorant", 2)
