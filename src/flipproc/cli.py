@@ -12,7 +12,7 @@ go to stderr.  Exit codes:
    integration that fails (IntegrationError: the state left [0, 1] or
    stopped being finite, so the step size was too large) or asks for more
    steps than a float can count (OverflowError)
-3  resource cap exceeded (CapExceeded): the graph order, census index,
+3  resource cap exceeded (CapExceeded): the graph order, census codes,
    relabelling tables, rule entries, velocity grid or stored trajectory,
    or a simulation's vertices, drawn-graph code or steps (README "Caps")
 """

@@ -11,11 +11,11 @@ Orbit classes of (graph, ordered root pair) triples under simultaneous
 relabelling are named by their lexicographically least member.  The census
 of one order is built once, on first use, and cached: a sweep over the
 codes takes one orbit of graphs at a time, relabelling its least member by
-all k! permutations through numpy byte tables of the action, the
+all k! permutations through numpy byte tables of the action, and the
 automorphisms of each such canonical graph then act on the root pairs
-alone, and an int32 table of shape (2^P, k, k) maps every triple to its
-class.  At order 6 the table takes 4.7 MB; canonical_class is a lookup in
-it.
+alone.  A triple's class is one lookup, through the permutation that
+carries its canonical graph onto it, into that graph's k x k class table;
+at order 7 the census arrays take 14.5 MB.
 
 The orbits of a rule's index pairs (f, h), keyed by their least images
 (f' << P) | h', come from _orbit_sweep in two passes over all k!
@@ -360,34 +360,45 @@ def _orbit_sweep(k, f, h, starts):
 @dataclass(frozen=True)
 class _Census:
     """The orbit census of one order: the classes sorted by canonical
-    representative, index[bits, a - 1, b - 1], the position in `classes`
-    of the class of (bits, a, b) (-1 on the diagonal a == b), and the
-    0-based roots of each pair of pair_list in both orientations:
-    index[bits, *roots] holds the classes of (bits, i, j) in row 0 and of
-    (bits, j, i) in row 1, one column per pair."""
+    representative, and for each code, the number of its canonical graph g
+    times k^2, offset[bits], and the permutation all_perms(k)[perm_of[bits]]
+    that carries g onto bits.  tables[offset + a * k + b] is the position in
+    `classes` of the class of (g, a + 1, b + 1), -1 on the diagonal, and
+    cells[s, o, idx] the pair idx = {i, j} of pair_list, as (i, j) for o = 0
+    and (j, i) for o = 1, carried back by the inverse of all_perms(k)[s]."""
 
     classes: tuple
-    index: np.ndarray
-    roots: tuple
+    offset: np.ndarray
+    perm_of: np.ndarray
+    tables: np.ndarray
+    cells: np.ndarray
+
+    def class_of(self, bits):
+        """Positions in `classes` of (bits, i, j) at [..., 0, idx] and of
+        (bits, j, i) at [..., 1, idx], for a code or an array of codes."""
+        return self.tables[self.offset[bits][..., None, None] + self.cells[self.perm_of[bits]]]
+
+    def position(self, element):
+        """The position in `classes` of the class of a pair-rooted graph."""
+        a, b = element.a, element.b
+        return self.class_of(element.graph.bits)[int(a > b), pair_index(a, b)]
 
 
-# Cells of a census index, 2^C(k, 2) * k^2 int32s: order 7 takes 102,760,448
-# (411 MB), order 8 would take 2^34
-_CENSUS_BUDGET = 1 << 27
+# Codes of a census, 2^C(k, 2): order 7 has 2^21, order 8 would have 2^28
+_CENSUS_BUDGET = 1 << 21
 
 
 @functools.lru_cache(maxsize=None)  # one entry per order, and orders are capped
 def _census(k):
-    _check_budget((1 << num_pairs(k)) * k * k, _CENSUS_BUDGET,
-                  f"cells of the census index at order {k}")
+    _check_budget(1 << num_pairs(k), _CENSUS_BUDGET, f"codes of the census at order {k}")
     perms = np.array(all_perms(k), dtype=np.int8) - 1
     fact = len(perms)
     kk = k * k
     n = 1 << num_pairs(k)
     unseen = np.ones(n, dtype=bool)
-    graph_of = np.empty(n, dtype=np.int32)
-    perm_of = np.empty(n, dtype=np.int32)
-    everyone = np.arange(fact, dtype=np.int32)
+    offset = np.empty(n, dtype=np.int32)
+    perm_of = np.empty(n, dtype=np.int16)  # k! fits up to order 7
+    everyone = np.arange(fact, dtype=np.int16)
 
     # 1. one orbit of graphs at a time: the least code not yet seen is the
     #    least image of its orbit, its canonical graph g, so the graphs come
@@ -398,11 +409,11 @@ def _census(k):
     while unseen[g]:
         images = perm_images(k, [g])[0]
         unseen[images] = False
-        graph_of[images] = len(graphs)
+        offset[images] = len(graphs) * kk
         perm_of[images] = everyone
         graphs.append(g)
         auts.append(np.flatnonzero(images == g))
-        g = int(unseen.argmax())
+        g += int(unseen[g:].argmax())
 
     # 2. the automorphisms of each graph act on its root pairs, coded
     #    a * k + b; the least image of a pair names its class, keyed
@@ -425,21 +436,15 @@ def _census(k):
     )
     tables = np.cumsum(counts > 0, dtype=np.int32)[least] - 1
     tables[:, ~offdiag] = -1
-
-    # 3. every (bits, a, b), relabelled onto its canonical graph by the
-    #    inverse of the permutation that carried that graph onto bits
-    inverse = np.argsort(perms, axis=1)
-    inverse = (inverse[:, :, None] * k + inverse[:, None, :]).reshape(fact, kk)
     tables = tables.ravel()
-    index = np.empty((n, kk), dtype=np.int32)
-    for blk in _blocks(n, kk):
-        cell = inverse[perm_of[blk]]
-        cell += (graph_of[blk] * kk)[:, None]
-        np.take(tables, cell, out=index[blk])
-    index = index.reshape(n, k, k)
-    index.flags.writeable = False
-    i, j = np.array(pair_list(k)).reshape(-1, 2).T - 1
-    return _Census(classes, index, (np.stack([i, j]), np.stack([j, i])))
+
+    # 3. the root pairs of pair_list in both orientations, carried back by
+    #    each inverse permutation and coded a * k + b
+    ij = np.array(pair_list(k), dtype=np.intp).reshape(-1, 2) - 1
+    cells = np.argsort(perms, axis=1)[:, np.stack([ij, ij[:, ::-1]])] @ np.array([k, 1])
+    for array in (offset, perm_of, tables, cells):
+        array.flags.writeable = False
+    return _Census(classes, offset, perm_of, tables, cells)
 
 
 def canonical_class(element, cap=None):
@@ -449,9 +454,7 @@ def canonical_class(element, cap=None):
     k = element.order
     _check_cap(k, cap, "orbit census")
     census = _census(k)
-    return census.classes[
-        census.index[element.graph.bits, element.a - 1, element.b - 1]
-    ]
+    return census.classes[census.position(element)]
 
 
 def enumerate_classes(k, cap=None):
@@ -460,6 +463,4 @@ def enumerate_classes(k, cap=None):
     The census is built once per order; each call returns a fresh list."""
     k = _positive_int(k, "order")
     _check_cap(k, cap, "orbit census")
-    if k == 1:
-        return []
     return list(_census(k).classes)

@@ -38,7 +38,7 @@ from .codes import (
     pair_list,
 )
 from .equivalence import coeff_vector
-from .rules import _exact_value, _json_object, _json_text
+from .rules import _exact_value, _fraction, _json_object, _json_text
 
 CLAMP_TOLERANCE = 1e-9
 
@@ -138,7 +138,7 @@ def max_block_dev(k1, k2):
 
 def kernel_to_json_obj(kernel):
     return {
-        "weights": [str(w if isinstance(w, Fraction) else Fraction(w))
+        "weights": [str(_fraction(w, "part weight", "part weights must be numbers"))
                     for w in kernel.weights],
         "values": [[float(v) for v in row] for row in kernel.values],
     }

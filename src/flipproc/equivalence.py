@@ -91,8 +91,7 @@ class CoeffVector:
     def __getitem__(self, cls):
         if cls.order != self.order:
             raise KeyError(cls)
-        root = cls.canon
-        pos = _census(self.order).index[root.graph.bits, root.a - 1, root.b - 1]
+        pos = _census(self.order).position(cls.canon)
         return Fraction(self.nums[pos], self.denom)
 
     def __eq__(self, other):
@@ -206,8 +205,7 @@ def coeff_vector(rule, cap=None):
         if tail:
             own[0] = 0
         z -= own
-        np.add.at(acc, census.index[(graphs[:, None, None], *census.roots)],
-                  z[:, None, :])
+        np.add.at(acc, census.class_of(graphs), z[:, None, :])
     return CoeffVector._from_numerators(k, classes, acc, denom)
 
 

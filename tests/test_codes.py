@@ -254,19 +254,37 @@ def test_census_partitions_every_element():
 
 def test_census_graphs_are_least_images():
     # the census finds each canonical graph as the least code of its orbit
-    # not seen yet; hold it to the definition, the least image of every
-    # code over all k! relabellings, a block of codes at a time
+    # not seen yet; hold its lookup to the definition, the least image of
+    # every code over all k! relabellings, a block of codes at a time
     for k in (2, 3, 4, 5, 6):
         census = _census(k)
         graph = np.array([cls.canon.graph.bits for cls in census.classes])
-        diagonal = np.eye(k, dtype=bool)
-        assert (census.index[:, diagonal] == -1).all()
+        assert (census.tables.reshape(-1, k * k)[:, ::k + 1] == -1).all()
         for lo in range(0, 1 << num_pairs(k), 1024):
             codes = np.arange(lo, min(lo + 1024, 1 << num_pairs(k)))
             least = perm_images(k, codes).min(axis=1)
-            classes = census.index[codes][:, ~diagonal]
+            # every ordered root pair: each pair of pair_list both ways
+            classes = census.class_of(codes)
             assert (classes >= 0).all()
-            assert (graph[classes] == least[:, None]).all()
+            assert (graph[classes] == least[:, None, None]).all()
+
+
+@st.composite
+def _census_cell(draw):
+    k = draw(st.integers(min_value=3, max_value=7))
+    bits = draw(st.integers(min_value=0, max_value=(1 << num_pairs(k)) - 1))
+    a, b = draw(st.permutations(range(1, k + 1)))[:2]
+    return k, bits, a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(_census_cell())
+def test_census_lookup_is_the_orbit_minimum(cell):
+    # the class that the lookup names is the least relabelling of the cell
+    # over all k! permutations, order 7 included
+    k, bits, a, b = cell
+    cls = canonical_class(RootedPairGraph(GraphCode(k, bits), a, b), cap=7)
+    assert cls.canon.key() == oracles.canon_triple(k, bits, a, b)
 
 
 def test_census_sorted_by_canonical_representative():
@@ -295,20 +313,26 @@ def test_enumeration_cap():
 
 
 def test_census_index_is_held_to_its_budget(monkeypatch):
-    # order 8 would index 2^28 * 64 cells, 64 GiB of int32: refused before
-    # any is allocated, whatever the cap
+    # order 8 would hold 2^28 codes: refused before any array is
+    # allocated, whatever the cap
     with pytest.raises(CapExceeded, match="census"):
         enumerate_classes(8, cap=8)
     with pytest.raises(CapExceeded, match="census"):
         canonical_class(RootedPairGraph(GraphCode(8, 0), 1, 2), cap=8)
-    # order 7, 2^21 * 49 cells, is within the budget; a budget of exactly
-    # order 4's 2^6 * 16 cells still builds order 4, and refuses order 5
-    assert (1 << 21) * 49 <= codes._CENSUS_BUDGET < (1 << 28) * 64
-    monkeypatch.setattr(codes, "_CENSUS_BUDGET", 2 ** 6 * 16)
+    # order 7, 2^21 codes, is within the budget, and its arrays stay far
+    # below a (code, a, b) index, 392 MiB of int32 at order 7
+    assert 1 << 21 <= codes._CENSUS_BUDGET < 1 << 28
+    assert len(enumerate_classes(7, cap=7)) == 24416
+    census = _census(7)
+    arrays = (census.offset, census.perm_of, census.tables, census.cells)
+    assert sum(array.nbytes for array in arrays) < 32 << 20
+    # a budget of exactly order 4's 2^6 codes still builds order 4, and
+    # refuses order 5
+    monkeypatch.setattr(codes, "_CENSUS_BUDGET", 2 ** 6)
     _census.cache_clear()
     try:
         assert len(enumerate_classes(4)) == 40
-        with pytest.raises(CapExceeded, match="budget of 1024"):
+        with pytest.raises(CapExceeded, match="budget of 64"):
             enumerate_classes(5)
     finally:
         _census.cache_clear()

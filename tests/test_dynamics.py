@@ -524,6 +524,11 @@ def test_kernel_json_round_trip():
     kern = StepKernel((F(1, 3), F(2, 3)), ((0.25, 0.5), (0.5, 1.0)))
     again = kernel_from_json(kernel_to_json(kern))
     assert again == kern
+    # numpy floats of every width are written as their exact fractions
+    for dtype in (np.float16, np.float32, np.float64):
+        kern = StepKernel((dtype(0.25), dtype(0.75)), ((0.25, 0.5), (0.5, 1.0)))
+        assert kernel_from_json(kernel_to_json(kern)) == kern
+        assert json.loads(kernel_to_json(kern))["weights"] == ["1/4", "3/4"]
     with pytest.raises(ValueError):
         kernel_from_json('{"weights": ["1"], "values": [[0.5]], "x": 1}')
     # an integer weight is exact
