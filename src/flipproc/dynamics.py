@@ -219,15 +219,16 @@ class _CompiledVelocity:
         for cls, c in nonzero:
             e = cls.canon.graph.edge_count()
             by_edges[e] = by_edges.get(e, 0) + c
-        self.point_terms = [(float(c), e) for e, c in sorted(by_edges.items()) if c]
+        P = len(self.pairs)
+        self.point_terms = [(float(c), e, P - e) for e, c in sorted(by_edges.items()) if c]
 
     def point(self, p):
         """The velocity on one part at block value p, a Python float.  A
         power that overflows raises OverflowError instead of returning inf."""
-        P = len(self.pairs)
+        q = 1.0 - p
         total = 0.0
-        for c, e in self.point_terms:
-            total += c * p ** e * (1.0 - p) ** (P - e)
+        for c, e, f in self.point_terms:
+            total += c * p ** e * q ** f
         return total
 
     def values(self, weights, vals):
@@ -431,8 +432,11 @@ def _settle(v, t, graphon_mode):
     checked (the sum can overflow where v did not), and a one-part state, a
     Python float, is never symmetrized.  The check raises IntegrationError
     unless the block values are finite and, for a graphon start, within
-    CLAMP_TOLERANCE of [0, 1]."""
+    CLAMP_TOLERANCE of [0, 1].  An in-range state skips the clip, but an
+    m x m state whose least value is 0, perhaps -0.0, is clipped."""
     if type(v) is float:
+        if graphon_mode and 0.0 <= v <= 1.0:
+            return v
         lo = hi = v
     else:
         if not graphon_mode:
@@ -453,7 +457,8 @@ def _settle(v, t, graphon_mode):
         )
     if type(v) is float:
         return min(max(v, 0.0), 1.0)  # np.clip, -0.0 included
-    np.clip(v, 0.0, 1.0, out=v)
+    if lo <= 0.0 or hi > 1.0:
+        np.clip(v, 0.0, 1.0, out=v)
     return (v + v.T) / 2.0  # exactly symmetric
 
 
@@ -492,6 +497,7 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
     out = np.empty((n_steps + 1,) + v.shape)
     out[0] = v
 
+    store = out.reshape(-1) if v.shape == (1, 1) else out  # scalar stores
     if v.shape == (1, 1):
         # one part: the same steps on a Python float
         v = float(v[0, 0])
@@ -514,7 +520,7 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
                 t += dt
                 v = _settle(v, t, graphon_mode)
                 times.append(t)
-                out[step + 1] = v
+                store[step + 1] = v
     except OverflowError as exc:
         # Python float powers on the one-part path overflow instead of
         # returning inf

@@ -8,8 +8,9 @@ extensions of each class's member by one vertex, isomorphism, symmetrization,
 the symmetry check, relabelling orbits, edge histograms and orbit sums
 from a full permutation sweep, validity from a Fraction sum of every row,
 and the velocity from its defining sum over rows, pairs and rooted
-densities or from one grid over all part assignments, the nearest
-trajectory time from a linear scan, the simulator's start graph from one
+densities or from one grid over all part assignments, the integrator's
+post-step settle from its always-clamping form, the nearest trajectory
+time from a linear scan, the simulator's start graph from one
 random() call per pair, and its steps one at a time on bitmask rows, each
 replacement found by bisection in Fraction-summed cumulatives; the exact
 one-step transition matrix on n vertices sums the rule over every ordered
@@ -339,6 +340,38 @@ def grid_velocity(rule, kernel):
     for _ in range(k - 2):
         density = density @ weights
     return (density + density.T) / 2.0
+
+
+def settle_always_clamped(v, t, graphon_mode):
+    """The integrator's post-step settle as it was before in-range states
+    skipped the clamp: a graphon state is checked, always clamped, then
+    symmetrized; any other state symmetrized, then checked; a one-part
+    state, a Python float, is never symmetrized.  An array is clipped in
+    place."""
+    import numpy as np
+    from flipproc import IntegrationError, dynamics
+    if type(v) is float:
+        lo = hi = v
+    else:
+        if not graphon_mode:
+            v = (v + v.T) / 2.0
+        lo, hi = float(v.min()), float(v.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise IntegrationError(
+            f"state is no longer finite at time {t:.6g}; reduce the step size"
+        )
+    if not graphon_mode:
+        return v
+    over = max(0.0, hi - 1.0, -lo)
+    if over > dynamics.CLAMP_TOLERANCE:
+        raise IntegrationError(
+            f"state left [0, 1] by {over:.3e} at time {t:.6g}; "
+            f"reduce the step size or check the starting kernel"
+        )
+    if type(v) is float:
+        return min(max(v, 0.0), 1.0)
+    np.clip(v, 0.0, 1.0, out=v)
+    return (v + v.T) / 2.0
 
 
 def nearest_index(times, t):

@@ -2,6 +2,7 @@
 integration against closed forms, stability bounds, and the density formula
 cross-check."""
 
+import hashlib
 import json
 import math
 import pickle
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipproc import (
@@ -334,6 +335,75 @@ def test_integrate_detects_domain_escape():
     # one part is never symmetrized, so the same block value stays
     one = integrate(ident, constant_kernel(1e308), 0.001, expert_nongraphon=True)
     assert one.final.values == ((1e308,),)
+
+
+# every case of the post-step settle: inside [0, 1], on its boundary with
+# both zeros, within the clamp tolerance outside it, beyond it, not finite,
+# and large enough that a non-graphon symmetrization overflows
+_SETTLE_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1e-9, 1.0 + 5e-10, math.nan, math.inf,
+                     -math.inf, 1.7e308, -1.7e308]),
+    st.floats(min_value=-1e-9, max_value=0.0),
+    st.floats(min_value=1.0, max_value=1.0 + 1e-9),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+_SETTLE_STATES = st.one_of(
+    _SETTLE_VALUES,
+    st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(_SETTLE_VALUES, min_size=m, max_size=m),
+        min_size=m, max_size=m)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), _SETTLE_STATES, st.floats(min_value=0.0, max_value=9.0))
+@example(True, -0.0, 0.5)
+@example(True, [[-0.0, 0.5], [0.5, -0.0]], 0.5)
+@example(True, [[0.0, -0.0], [-0.0, 1.0]], 0.5)
+@example(True, [[0.3, -5e-10], [-5e-10, 1.0 + 5e-10]], 0.5)
+@example(True, [[0.3, -2e-9], [-2e-9, 0.5]], 0.5)
+@example(True, [[0.3, math.nan], [math.nan, 0.5]], 0.5)
+@example(False, [[1.7e308, 1.7e308], [1.7e308, 0.0]], 0.5)
+@example(False, -math.inf, 0.5)
+def test_settle_matches_always_clamped(graphon_mode, state, t):
+    # bit for bit, -0.0 included: an in-range state skips the clamp only
+    # where the clamp would change nothing
+    seen = []
+    for settle in (dynamics._settle, oracles.settle_always_clamped):
+        v = state if type(state) is float else np.array(state)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = settle(v, t, graphon_mode)
+        except IntegrationError as exc:
+            seen.append(str(exc))
+        else:
+            out_array = np.asarray(out)
+            seen.append((type(out), out_array.shape, out_array.tobytes()))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("name,p,t_max,h,digest", [
+    # the starts whose CSV bytes CI pins: one.csv, comp3.csv, badx.csv
+    ("triangle-removal", 0.8, 0.0105, 1e-3,
+     "48d3bea6d60459021dce6457a0b0191b434c772801de55d893a3c704809d031d"),
+    ("complementing", 0.8, 0.5, 1e-3,
+     "e861ba88edff407d81f109a2e6c147c345d56a60d7dd2cbede80c1502a7b19ea"),
+    ("triangle-removal", 1.5, 0.3, 0.01,
+     "ad5a612bf6e47ad584ba1436adfbd88ae0c7a0b945b4f8a6e24c1fdc4b2ba874"),
+    # boundary starts; triangle removal from 0.0 settles on 0.0 every step
+    ("triangle-removal", 1.0, 0.5, 1e-3,
+     "a5f7eb32847aa0501c1fcf2bf5e255f60085464c51931c10c18cc744f7846dba"),
+    ("complementing", 0.0, 0.5, 1e-3,
+     "6d52b57b5ae7af6da25e7cbbf3087c63212e1cecbb7af94a10c1759d67be710c"),
+    ("triangle-removal", 0.0, 0.5, 1e-3,
+     "730ab30fb02b889dcb15bc1f81ec879829f5c97a485e8dfe0856cb3523f6013a"),
+])
+def test_one_part_trajectory_bytes(name, p, t_max, h, digest):
+    # one part is Python float arithmetic: the same bytes on every numpy
+    traj = integrate(make_named(name, 3), constant_kernel(p), t_max, h=h,
+                     expert_nongraphon=p > 1.0)
+    assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
 
 
 def test_integrate_steps_are_capped():
