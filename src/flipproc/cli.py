@@ -191,9 +191,7 @@ def _cmd_named(args):
                 else _exact_value(p, "a --dist probability other than a finite float")
             for code, p in raw.items()
         }
-    rule = make_named(args.family, args.k, args.cap, **params)
-    validate(rule)
-    _emit(rule_to_json(rule), args.out)
+    _emit(rule_to_json(make_named(args.family, args.k, args.cap, **params)), args.out)
     return 0
 
 

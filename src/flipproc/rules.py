@@ -302,10 +302,11 @@ def make_named(family, k, cap=None, **params):
     identity, triangle-removal, triangle-edge-removal, complementing,
     extremist (threshold=...), clique-removal, ignorant (dist=...),
     component-completion (not implemented); a parameter that the family
-    does not take is a ValueError.  complementing, extremist and ignorant
-    list all 2^C(k, 2) rows, so their order is held to the enumeration cap
-    and their entries to 4,000,000; every family stops at
-    MAX_NAMED_ORDER."""
+    does not take is a ValueError, and so is an ignorant dist code of
+    nonzero probability outside [0, 2^C(k, 2)), so that every named rule
+    is valid when built.  complementing, extremist and ignorant list all
+    2^C(k, 2) rows, so their order is held to the enumeration cap and their
+    entries to 4,000,000; every family stops at MAX_NAMED_ORDER."""
     family = family.replace("_", "-")
     k = _positive_int(k, "order")
     param = params.pop({"extremist": "threshold", "ignorant": "dist"}.get(family), None)
@@ -331,7 +332,10 @@ def make_named(family, k, cap=None, **params):
                 for h, p in param.items()}
         if sum(dist.values()) != 1 or any(p < 0 for p in dist.values()):
             raise ValueError("ignorant dist must be a probability distribution")
-        codes = sorted(dist)
+        codes = sorted(h for h, p in dist.items() if p)
+        outside = [h for h in codes if not 0 <= h < 1 << P]
+        if outside:
+            raise ValueError(f"ignorant dist code {outside[0]} is out of range for order {k}")
         nums, denom = _common_denominator([dist[h] for h in codes])
     if family == "extremist" and param is not None:
         param = _fraction(param, "extremist threshold", "extremist threshold must be a number")

@@ -37,6 +37,7 @@ the same double of the same two words.
 Equal seeds give bit-identical results, whatever the grouping of runs.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import codes
 from .codes import _check_budget, _is_int, _positive_int, num_pairs, pair_list
-from .dynamics import _GRID_BUDGET, StepKernel, integrate
+from .dynamics import _GRID_BUDGET, StepKernel, _kernel_arrays, integrate
 from .rules import entry_codes, validate
 
 _STEP_BUDGET = 10_000_000
@@ -182,30 +183,24 @@ def part_sizes(weights, n):
 def _sample_matrix(kernel, sizes, gen, adj):
     """Draws the start graph from the kernel on parts of the given sizes
     into the zeroed upper-triangle matrix adj, taking one uniform per pair
-    from the generator gen in row-major order.  A block is whole rows of
-    about codes.BLOCK_ELEMENTS pairs, at least one row: row u meets part j
-    in columns max(u + 1, start of j) to the end of j, so its probabilities
-    are its part values repeated over those segment lengths."""
+    from the generator gen in row-major order.  A block is
+    codes.BLOCK_ELEMENTS // n whole rows of the n - 1 that hold pairs, at
+    least one: row u meets part j in columns max(u + 1, start of j) to the
+    end of j, so its probabilities are its part values repeated over those
+    segment lengths."""
     n = sum(sizes)
-    vals = np.array([[float(v) for v in row] for row in kernel.values])
+    _, vals = _kernel_arrays(kernel)
     ends = np.cumsum(sizes)
     seg = ends - np.maximum(np.arange(1, n + 1)[:, None], ends - sizes)
     np.maximum(seg, 0, out=seg)
     row_vals = vals[np.repeat(np.arange(len(sizes)), sizes)]
-    # offsets[u] is the index of row u's first pair in row-major order
-    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
-    lo = 0
-    while lo < n:
-        cut = offsets[lo] + codes.BLOCK_ELEMENTS
-        end = int(np.searchsorted(offsets, cut, "right"))
-        hi = max(lo + 1, end - 1)
-        probs = np.repeat(row_vals[lo:hi].ravel(), seg[lo:hi].ravel())
+    for rows in codes._blocks(n - 1, max(n, 1)):
+        probs = np.repeat(row_vals[rows].ravel(), seg[rows].ravel())
         hits = (gen.random(len(probs)) < probs).view(np.uint8)
         at = 0
-        for r in range(lo, hi):
+        for r in range(rows.start, rows.stop):
             adj[r, r + 1:] = hits[at:at + n - 1 - r]
             at += n - 1 - r
-        lo = hi
     return adj
 
 
@@ -517,20 +512,20 @@ def transference_check(rule, n, start, horizon, eps, seed, runs=5,
     deviation from the reference must stay within eps.  The overall verdict
     passes when at least 80% of runs pass every time (an empirical
     convention at these sizes; individual runs are reported).  The
-    reference trajectory is held to the enumeration cap `cap`."""
+    reference trajectory is held to the enumeration cap `cap`, and is
+    integrated only after run has made every check of the simulation."""
     if _positive_int(points, "points") < 10:
         raise ValueError(f"need at least 10 sample times, got {points}")
     if not isinstance(start, StepKernel):
         raise ValueError("transference check needs a step-kernel start")
     if not eps > 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
-    validate(rule)  # before the reference trajectory is integrated
-    trajectory = integrate(rule, start, horizon, cap=cap)
+    trajectory = functools.cache(lambda: integrate(rule, start, horizon, cap=cap))
     config = SimConfig(
         rule=rule, n=n, initial=start, horizon=horizon, seed=seed,
         runs=runs, sample_points=points,
     )
-    result = run(config, reference=trajectory.nearest_state)
+    result = run(config, reference=lambda t: trajectory().nearest_state(t))
     per_run = []
     passing = 0
     for r, devs in enumerate(result.deviations):

@@ -312,6 +312,30 @@ def test_named_ignorant():
     assert all(type(f) is int and type(h) is int for f, h in one.entries)
     with pytest.raises(ValueError):
         make_named("ignorant", 2)
+    # a code of nonzero probability is a graph of the order; zero entries
+    # are dropped, as from the CLI's --dist
+    for dist in ({8: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="out of range for order 3"):
+            make_named("ignorant", 3, dist=dist)
+    assert make_named("ignorant", 3, dist={7: 1, 8: 0}) == \
+        make_named("ignorant", 3, dist={7: 1})
+
+
+def test_named_rules_are_valid_when_built():
+    built = 0
+    for k in (2, 3, 4):
+        for family, params in (
+            ("identity", {}), ("triangle-removal", {}),
+            ("triangle-edge-removal", {}), ("complementing", {}),
+            ("extremist", {}), ("extremist", {"threshold": 1}),
+            ("clique-removal", {}),
+            ("ignorant", {"dist": {0: F(1, 4), (1 << k * (k - 1) // 2) - 1: F(3, 4)}}),
+        ):
+            if family.startswith("triangle") and k != 3:
+                continue
+            assert rule_problems(make_named(family, k, **params)) == [], (family, k)
+            built += 1
+    assert built == 20
 
 
 def test_named_identity_and_underscores():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipproc import (
@@ -272,6 +272,9 @@ def _kernels(draw):
 @settings(max_examples=60, deadline=None)
 @given(_kernels(), st.integers(min_value=0, max_value=80),
        st.integers(min_value=0, max_value=2 ** 32))
+@example(kern=constant_kernel(0.5), n=0, seed=1)
+@example(kern=constant_kernel(0.5), n=1, seed=1)
+@example(kern=StepKernel((F(1, 2), F(1, 2)), ((0.3, 0.6), (0.6, 0.9))), n=2, seed=1)
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_sample_graph_matches_pairwise_coins_in_any_block(block, kern, n, seed):
     # blocks of one row, of many rows, and rows longer than a block
@@ -517,6 +520,24 @@ def test_run_refuses_invalid_rules(entries, monkeypatch):
     with pytest.raises(RuleValidationError):
         transference_check(rule, n=30, start=constant_kernel(0.5), horizon=0.1,
                            eps=0.05, seed=1)
+
+
+def test_transference_refuses_before_integrating(monkeypatch):
+    # run makes every check of the simulation before the reference
+    # trajectory is integrated
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("integrate ran before run's checks")
+
+    monkeypatch.setattr(simulate, "integrate", unreached)
+    tr, start = make_named("triangle-removal", 3), constant_kernel(0.5)
+    # 5 runs of floor(60 * 200^2) steps: 12,000,000
+    with pytest.raises(CapExceeded, match="steps of 5 runs"):
+        transference_check(tr, n=200, start=start, horizon=60.0, eps=0.05, seed=1)
+    with pytest.raises(CapExceeded, match="vertices"):
+        transference_check(tr, n=6000, start=start, horizon=1e-6, eps=0.05, seed=1)
+    with pytest.raises(ValueError, match="below the rule order"):
+        transference_check(tr, n=2, start=start, horizon=0.1, eps=0.05, seed=1)
 
 
 @pytest.mark.parametrize("field,value", [
