@@ -8,13 +8,13 @@ go to stderr.  Exit codes:
 2  input error: a malformed or invalid rule or kernel file (including
    non-finite kernel values), a missing file, a bad argument (argparse
    rejects a --t-max, --dt, --time or --eps that is not finite and
-   positive), an enumeration cap (--cap or FLIPPROC_CAP) below 1, and an
+   positive), an enumeration cap (--cap) below 1, and an
    integration that fails (IntegrationError: the state left [0, 1] or
    stopped being finite, so the step size was too large) or asks for more
    steps than a float can count (OverflowError)
 3  resource cap exceeded (CapExceeded): the graph order, census codes,
    relabelling tables, rule entries, velocity grid or stored trajectory,
-   or a simulation's vertices, drawn-graph code or steps (README "Caps")
+   a 62-bit graph code, or a simulation's vertices or steps (README "Caps")
 """
 
 import argparse
@@ -48,7 +48,6 @@ from .rules import (
     load_rule,
     make_named,
     rule_to_json,
-    validate,
 )
 from .simulate import SimConfig, result_to_csv, run, transference_check
 
@@ -65,12 +64,6 @@ def _emit_json(obj, out_path):
     _emit(_json_text(obj), out_path)
 
 
-def _load_valid_rule(path):
-    rule = load_rule(path)
-    validate(rule)
-    return rule
-
-
 # ----------------------------------------------------------------- handlers
 
 def _cmd_classes(args):
@@ -85,14 +78,14 @@ def _cmd_classes(args):
 
 
 def _cmd_coeffs(args):
-    rule = _load_valid_rule(args.rule)
+    rule = load_rule(args.rule)
     _emit_json(coeff_vector(rule, args.cap).to_json_obj(), args.out)
     return 0
 
 
 def _cmd_compare(args):
-    r1 = _load_valid_rule(args.rule1)
-    r2 = _load_valid_rule(args.rule2)
+    r1 = load_rule(args.rule1)
+    r2 = load_rule(args.rule2)
     verdict = compare(r1, r2, args.cap)
     obj = verdict.to_json_obj()
     affirmative = verdict.equivalent
@@ -105,19 +98,19 @@ def _cmd_compare(args):
 
 
 def _cmd_lift(args):
-    rule = _load_valid_rule(args.rule)
+    rule = load_rule(args.rule)
     _emit(rule_to_json(lift(rule, args.to, args.cap)), args.out)
     return 0
 
 
 def _cmd_symmetrize(args):
-    rule = _load_valid_rule(args.rule)
+    rule = load_rule(args.rule)
     _emit(rule_to_json(symmetrize(rule, args.cap)), args.out)
     return 0
 
 
 def _cmd_unique(args):
-    rule = _load_valid_rule(args.rule)
+    rule = load_rule(args.rule)
     verdict = classify_unique(rule, args.cap)
     obj = verdict.to_json_obj()
     if verdict.witness is not None and args.witness:
@@ -129,8 +122,8 @@ def _cmd_unique(args):
 
 
 def _cmd_k1(args):
-    r1 = _load_valid_rule(args.rule1)
-    r2 = _load_valid_rule(args.rule2)
+    r1 = load_rule(args.rule1)
+    r2 = load_rule(args.rule2)
     print(K1_BANNER, file=sys.stderr)
     holds = check_k1(r1, r2, args.cap)
     _emit_json({"conjectured_check": "orbit-sums", "holds": holds}, args.out)
@@ -138,14 +131,14 @@ def _cmd_k1(args):
 
 
 def _cmd_velocity(args):
-    rule = _load_valid_rule(args.rule)
+    rule = load_rule(args.rule)
     kernel = load_kernel(args.kernel)
     _emit(kernel_to_json(velocity(rule, kernel, args.cap)), args.out)
     return 0
 
 
 def _cmd_integrate(args):
-    rule = _load_valid_rule(args.rule)
+    rule = load_rule(args.rule)
     kernel = load_kernel(args.kernel)
     trajectory = integrate(rule, kernel, args.t_max, args.dt,
                            expert_nongraphon=args.expert_nongraphon,
@@ -155,7 +148,7 @@ def _cmd_integrate(args):
 
 
 def _cmd_simulate(args):
-    rule = _load_valid_rule(args.rule)
+    rule = load_rule(args.rule)
     kernel = load_kernel(args.w0)
     config = SimConfig(
         rule=rule, n=args.n, initial=kernel, horizon=args.time,
@@ -167,7 +160,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_transference(args):
-    rule = _load_valid_rule(args.rule)
+    rule = load_rule(args.rule)
     kernel = load_kernel(args.w0)
     report, _ = transference_check(
         rule, args.n, kernel, args.time, args.eps, args.seed, runs=args.runs,
@@ -227,7 +220,7 @@ def build_parser():
     )
     parser.add_argument(
         "--cap", type=int, default=None,
-        help="enumeration cap on the graph order (default: FLIPPROC_CAP or 6)",
+        help="enumeration cap on the graph order (default: 6)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

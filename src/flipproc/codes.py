@@ -29,7 +29,6 @@ check read it.
 import functools
 import itertools
 import math
-import os
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,6 @@ from fractions import Fraction
 import numpy as np
 
 DEFAULT_CAP = 6
-CAP_ENV_VAR = "FLIPPROC_CAP"
 
 
 class CapExceeded(Exception):
@@ -74,18 +72,11 @@ def _check_number(value, what, wrong):
 
 
 def enumeration_cap(cap=None):
-    """Resolve the enumeration cap: explicit argument, else the
-    FLIPPROC_CAP environment variable, else the default of 6.  A cap that
-    is not an integer of at least 1 is a ValueError."""
-    if cap is not None:
-        return _positive_int(cap, "the enumeration cap (cap, --cap)")
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is None:
+    """Resolve the enumeration cap: the explicit argument, else the default
+    of 6.  A cap that is not an integer of at least 1 is a ValueError."""
+    if cap is None:
         return DEFAULT_CAP
-    try:
-        return _positive_int(int(env), CAP_ENV_VAR)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer of at least 1, got {env!r}") from None
+    return _positive_int(cap, "the enumeration cap (cap, --cap)")
 
 
 def _check_cap(k, cap, what):
@@ -93,7 +84,7 @@ def _check_cap(k, cap, what):
     if k > limit:
         raise CapExceeded(
             f"{what} at order {k} exceeds the enumeration cap {limit}; "
-            f"raise it explicitly (--cap / {CAP_ENV_VAR}) if this is intended"
+            "raise it explicitly (--cap or cap=) if this is intended"
         )
 
 

@@ -215,7 +215,8 @@ def lift(rule, to, cap=None):
     keeps every other pair unchanged.  Lifted rules drive the same
     trajectories as the original.  The lifted rule has
     2^(C(to, 2) - C(k, 2)) entries per entry of the order-k rule; beyond
-    4,000,000 of them, CapExceeded before any is built."""
+    4,000,000 of them, or past order 11, whose graphs need more than 62
+    bits, CapExceeded before any is built."""
     k1, to = rule.order, _positive_int(to, "the lift order")
     if to < k1:
         raise ValueError(f"cannot lift an order-{k1} rule down to order {to}")
@@ -226,6 +227,7 @@ def lift(rule, to, cap=None):
     denom, nums = rule._denom, rule._nums
     if not len(nums):
         return Rule(to)
+    rules._check_code_width(to)
     _check_budget(len(nums) << (num_pairs(to) - low), rules._ENTRY_BUDGET,
                   f"entries of a {len(nums)}-entry rule lifted to order {to}")
     f, h = entry_codes(rule)

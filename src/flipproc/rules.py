@@ -381,10 +381,17 @@ def make_named(family, k, cap=None, **params):
     raise ValueError(f"unknown rule family {family!r}")
 
 
+def _check_code_width(k):
+    """CapExceeded past order 11, whose graphs need more than 62 bits."""
+    _check_budget(num_pairs(k), 62, f"pairs in the 62-bit code of an order-{k} graph")
+
+
 def entry_codes(rule):
     """The explicit entries' (from_bits, to_bits) as two read-only int64
-    arrays, in entry order: the one range check of the codes that leave a
-    rule for the numpy tables, a ValueError for any outside [0, 2^C(k, 2))."""
+    arrays, in entry order: the one check of the codes that leave a rule
+    for the numpy tables.  Past order 11, whose graphs need more than 62
+    bits, CapExceeded; a code outside [0, 2^C(k, 2)) is a ValueError."""
+    _check_code_width(rule.order)
     f, h = rule._f, rule._h
     if (f.dtype == object or h.dtype == object
             or not _codes_in_range(f, h, num_pairs(rule.order))):
@@ -608,6 +615,9 @@ def _json_object(obj, what, required, optional=()):
 
 
 def rule_from_json_obj(obj):
+    """The rule a JSON object describes, validated as a named rule is when
+    built: a malformed object is a ValueError, and a rule that breaks a
+    row sum, a probability or a code range is a RuleValidationError."""
     _json_object(obj, "rule", ("order",), ("entries", "default"))
     order = _positive_int(obj["order"], "order")
     default = obj.get("default", "identity")
@@ -624,7 +634,9 @@ def rule_from_json_obj(obj):
             raise ValueError("entry graph codes must be integers")
         p = _exact_value(item["p"], "a probability")
         entries[key] = entries[key] + p if key in entries else p
-    return Rule(order, entries)
+    rule = Rule(order, entries)
+    validate(rule)
+    return rule
 
 
 def parse_rule_json(text):

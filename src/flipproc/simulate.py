@@ -47,7 +47,7 @@ from random import Random
 import numpy as np
 
 from . import codes
-from .codes import _check_budget, _is_int, _positive_int, num_pairs, pair_list
+from .codes import _check_budget, _is_int, _positive_int, pair_list
 from .dynamics import _GRID_BUDGET, StepKernel, _kernel_arrays, integrate
 from .rules import entry_codes, validate
 
@@ -272,7 +272,7 @@ class _Engine:
         self.second = np.array([j - 1 for _, j in pairs], np.int64)
         self.bits = np.arange(len(pairs), dtype=np.int64)
         self.weights = np.left_shift(1, self.bits)
-        fs, self.hs = entry_codes(rule)  # ValueError for codes past int64
+        fs, self.hs = entry_codes(rule)  # CapExceeded past order 11
         self.codes = fs[rule._starts]
         self.starts = rule._starts.astype(np.int64)
         self.widths = np.diff(self.starts, append=len(self.hs))
@@ -415,8 +415,6 @@ def run(config, reference=None):
             f"sample enough distinct vertices"
         )
     _check_budget(n, _MAX_N, "vertices")
-    _check_budget(num_pairs(rule.order), 62,
-                  f"pairs in the 62-bit code of a drawn order-{rule.order} graph")
     if not (math.isfinite(config.horizon) and config.horizon >= 0):
         raise ValueError(
             f"horizon must be finite and nonnegative, got {config.horizon}")

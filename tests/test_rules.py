@@ -22,9 +22,11 @@ from flipproc import (
     ignorant_edge_count,
     is_deterministic,
     check_k1,
+    classify_unique,
     coeff_vector,
     is_symmetric,
     lift,
+    load_rule,
     make_named,
     parse_rule_json,
     rule_from_json_obj,
@@ -128,6 +130,19 @@ def test_validation_catches_out_of_range_and_bad_probabilities():
                           lambda r: check_k1(r, r), lambda r: lift(r, 3)):
                 with pytest.raises(ValueError, match="out of range for order 2"):
                     check(rule)
+
+
+def test_codes_past_62_bits_are_capped():
+    # an order-12 graph has 66 pairs: its codes fit no int64, so every path
+    # that reads them as one refuses the order instead of wrapping or
+    # calling valid codes out of range
+    rule11, rule12 = make_named("clique-removal", 11), make_named("clique-removal", 12)
+    for call in (lambda: lift(rule11, 12, cap=12), lambda: lift(rule12, 13, cap=13),
+                 lambda: symmetrize(rule12, cap=12), lambda: is_symmetric(rule12, cap=12),
+                 lambda: classify_unique(rule12, cap=12),
+                 lambda: check_k1(rule12, rule12, cap=12)):
+        with pytest.raises(CapExceeded, match="62-bit"):
+            call()
 
 
 def test_validation_at_huge_orders_builds_no_code_bound():
@@ -435,6 +450,17 @@ def test_json_probability_formats():
     # an integer probability is exact
     assert rule_from_json_obj({"order": 2, "entries": [
         {"from": 1, "to": 0, "p": 1}]}) == Rule(2, {(1, 0): F(1)})
+
+
+def test_json_readers_validate(tmp_path):
+    # a rule read from JSON is valid once read, as a named rule once built
+    text = '{"order": 3, "entries": [{"from": 7, "to": 0, "p": "1/2"}]}'
+    path = tmp_path / "half.json"
+    path.write_text(text)
+    for read in (lambda: parse_rule_json(text), lambda: load_rule(path)):
+        with pytest.raises(RuleValidationError) as exc:
+            read()
+        assert exc.value.problems == ["row 7 has row sum 1/2"]
 
 
 def test_json_duplicate_entries_accumulate():
