@@ -32,6 +32,7 @@ from .dynamics import (
     velocity,
 )
 from .equivalence import (
+    _class_records,
     _dilation,
     K1_BANNER,
     check_k1,
@@ -60,26 +61,18 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _emit_json(obj, out_path):
-    _emit(_json_text(obj), out_path)
-
-
 # ----------------------------------------------------------------- handlers
 
 def _cmd_classes(args):
     classes = enumerate_classes(args.k, args.cap)
-    obj = {
-        "order": args.k,
-        "count": len(classes),
-        "classes": [cls.to_json_obj() for cls in classes],
-    }
-    _emit_json(obj, args.out)
+    obj = {"order": args.k, "count": len(classes), "classes": "\0"}
+    _emit(_json_text(obj, _class_records(classes, 1)), args.out)
     return 0
 
 
 def _cmd_coeffs(args):
     rule = load_rule(args.rule)
-    _emit_json(coeff_vector(rule, args.cap).to_json_obj(), args.out)
+    _emit(_json_text("\0", coeff_vector(rule, args.cap)._json_records(0)), args.out)
     return 0
 
 
@@ -87,13 +80,13 @@ def _cmd_compare(args):
     r1 = load_rule(args.rule1)
     r2 = load_rule(args.rule2)
     verdict = compare(r1, r2, args.cap)
-    obj = verdict.to_json_obj()
+    obj = verdict._json_obj(["\0", "\0"])
     affirmative = verdict.equivalent
     if args.dilation:
         factor = _dilation(*verdict.vectors)
         obj["dilation"] = None if factor is None else str(factor)
         affirmative = factor is not None
-    _emit_json(obj, args.out)
+    _emit(_json_text(obj, *(v._json_records(2) for v in verdict.vectors)), args.out)
     return 0 if affirmative else 1
 
 
@@ -117,7 +110,7 @@ def _cmd_unique(args):
         with open(args.witness, "w", encoding="utf-8") as fh:
             fh.write(rule_to_json(verdict.witness))
         obj["witness_path"] = args.witness
-    _emit_json(obj, args.out)
+    _emit(_json_text(obj), args.out)
     return 0 if verdict.unique else 1
 
 
@@ -126,7 +119,7 @@ def _cmd_k1(args):
     r2 = load_rule(args.rule2)
     print(K1_BANNER, file=sys.stderr)
     holds = check_k1(r1, r2, args.cap)
-    _emit_json({"conjectured_check": "orbit-sums", "holds": holds}, args.out)
+    _emit(_json_text({"conjectured_check": "orbit-sums", "holds": holds}), args.out)
     return 0 if holds else 1
 
 
@@ -166,7 +159,7 @@ def _cmd_transference(args):
         rule, args.n, kernel, args.time, args.eps, args.seed, runs=args.runs,
         cap=args.cap,
     )
-    _emit_json(report, args.out)
+    _emit(_json_text(report), args.out)
     return 0 if report["pass"] else 1
 
 

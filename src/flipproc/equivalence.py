@@ -49,10 +49,26 @@ from .rules import (
     validate,
     _SMALL,
     _common_denominator,
+    _json_records,
     _largest,
     _lowest_terms,
     _per_numerator,
 )
+
+
+# a class record of OrbitClass.to_json_obj as json.dumps(..., indent=2)
+# writes it, up to its size; CoeffVector.to_json_obj adds the coefficient
+_CLASS_RECORD = '{\n  "class": {\n    "code": %d,\n    "a": %d,\n    "b": %d\n  },\n  "size": %d'
+
+
+def _class_records(classes, depth, coeffs=None):
+    """The JSON text, at `depth`, of the class records of `classes`, each
+    with its coefficient text when `coeffs` gives them."""
+    rows = [(cls.canon.graph.bits, cls.canon.a, cls.canon.b, cls.size) for cls in classes]
+    if coeffs is None:
+        return _json_records(_CLASS_RECORD + "\n}", rows, depth)
+    rows = [row + (text,) for row, text in zip(rows, coeffs)]
+    return _json_records(_CLASS_RECORD + ',\n  "coeff": "%s"\n}', rows, depth)
 
 
 class CoeffVector:
@@ -115,12 +131,12 @@ class CoeffVector:
         return not any(self.nums)
 
     def to_json_obj(self):
-        out = []
-        for cls, text in zip(self.classes, _per_numerator(self.nums, self.denom, str)):
-            entry = cls.to_json_obj()
-            entry["coeff"] = text
-            out.append(entry)
-        return out
+        return [dict(cls.to_json_obj(), coeff=text)
+                for cls, text in zip(self.classes, _per_numerator(self.nums, self.denom, str))]
+
+    def _json_records(self, depth):
+        """The JSON text of to_json_obj() at `depth`."""
+        return _class_records(self.classes, depth, _per_numerator(self.nums, self.denom, str))
 
 
 @dataclass(frozen=True)
@@ -131,22 +147,16 @@ class EquivalenceVerdict:
     differing_class: object  # OrbitClass or None
 
     def to_json_obj(self):
+        return self._json_obj([v.to_json_obj() for v in self.vectors])
+
+    def _json_obj(self, certificates):
+        """to_json_obj() with `certificates` in place of the two lists."""
         v1, v2 = self.vectors
-        obj = {
-            "equivalent": self.equivalent,
-            "order": self.order,
-            "certificates": [v1.to_json_obj(), v2.to_json_obj()],
-        }
-        if self.differing_class is None:
-            obj["first_difference"] = None
-        else:
-            cls = self.differing_class
-            obj["first_difference"] = {
-                **cls.to_json_obj(),
-                "coeff_1": str(v1[cls]),
-                "coeff_2": str(v2[cls]),
-            }
-        return obj
+        cls = self.differing_class
+        return {"equivalent": self.equivalent, "order": self.order,
+                "certificates": certificates,
+                "first_difference": None if cls is None else dict(
+                    cls.to_json_obj(), coeff_1=str(v1[cls]), coeff_2=str(v2[cls]))}
 
 
 @dataclass(frozen=True)

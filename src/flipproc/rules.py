@@ -15,6 +15,7 @@ least common one, beside the sorted from and to codes.  The Fraction views
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -483,72 +484,43 @@ def rule_to_json_obj(rule):
     }
 
 
+# an entry of rule_to_json_obj as json.dumps(..., indent=2) writes it
+_ENTRY = '{\n  "from": %d,\n  "to": %d,\n  "p": "%s"\n}'
+
+
 def rule_to_json(rule):
-    return _json_text(rule_to_json_obj(rule))
+    texts = _per_numerator(rule._nums.tolist(), rule._denom, str)
+    rows = list(zip(rule._f.tolist(), rule._h.tolist(), texts))
+    return _json_text({"order": rule.order, "entries": "\0", "default": "identity"},
+                      _json_records(_ENTRY, rows, 1))
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_encode_scalar = json.JSONEncoder().encode
+# a stand-in "\0" as json.dumps writes it: a value, neither a key (":"
+# follows) nor the end of a string whose last quote is escaped
+_STAND_IN = re.compile(r'(?<!\\)"\\u0000"(?!:)')
 
 
-def _json_text(obj):
-    """json.dumps(obj, indent=2) + "\n", byte for byte, for a tree of
-    dicts with string keys, lists, tuples and JSON scalars.
+def _json_text(obj, *lists):
+    """json.dumps(obj, indent=2) + "\n", in which the i-th string "\0"
+    among the values of obj is replaced by the JSON text lists[i]."""
+    texts = iter(lists)
+    text, count = _STAND_IN.subn(lambda _: next(texts, ""), json.dumps(obj, indent=2))
+    if count != len(lists):
+        raise ValueError(f"{count} stand-ins for {len(lists)} lists")
+    return text + "\n"
 
-    With an indent, CPython's json runs its pure-Python encoder.  Here
-    the containers are laid out in Python and each leaf is encoded by
-    json itself: strings by its C encode_basestring_ascii, ints by
-    int.__repr__, and floats, booleans and None by a JSONEncoder."""
-    chunks = []
-    append = chunks.append
-    # layouts[d]: the separators inside a container at depth d, shared by
-    # every container at that depth
-    layouts = []
 
-    def put(value, depth):
-        if isinstance(value, str):
-            append(_encode_str(value))
-        elif value is None or value is True or value is False or isinstance(value, float):
-            append(_encode_scalar(value))
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, (list, tuple, dict)):
-            is_dict = isinstance(value, dict)
-            if not value:
-                append("{}" if is_dict else "[]")
-                return
-            while len(layouts) <= depth:
-                inner = "\n" + "  " * (len(layouts) + 1)
-                layouts.append((inner, "," + inner, inner[:-2]))
-            first, sep, close = layouts[depth]
-            append("{" if is_dict else "[")
-            start = len(chunks)
-            for item in value:
-                append(sep)
-                if is_dict:
-                    if not isinstance(item, str):
-                        raise TypeError(f"keys must be str, not {item.__class__.__name__}")
-                    append(_encode_str(item))
-                    append(": ")
-                    item = value[item]
-                # the common leaves inline, the rest through put
-                kind = type(item)
-                if kind is str:
-                    append(_encode_str(item))
-                elif kind is int:
-                    append(int.__repr__(item))
-                else:
-                    put(item, depth + 1)
-            chunks[start] = first
-            append(close)
-            append("}" if is_dict else "]")
-        else:
-            raise TypeError(f"Object of type {value.__class__.__name__} "
-                            f"is not JSON serializable")
+def _json_records(template, rows, depth):
+    """The text json.dumps(..., indent=2) writes at `depth` for a list of
+    records, record i the text template % rows[i] of its depth-0 text.
 
-    put(obj, 0)
-    append("\n")
-    return "".join(chunks)
+    Nothing is escaped: the slots take only ints and str(Fraction) texts,
+    made by the writer itself, which hold digits, "-" and "/" alone."""
+    if not rows:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    item = template.replace("\n", pad)
+    return "[" + pad + ("," + pad).join([item % row for row in rows]) + pad[:-2] + "]"
 
 
 # Input numbers are held to this many digits, counting a decimal exponent

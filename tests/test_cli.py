@@ -593,6 +593,22 @@ def test_json_outputs_are_json_dumps_bytes(tmp_path, capsys):
     for family, k in (("clique-removal", 5), ("complementing", 3), ("identity", 2)):
         assert output("named", family, "--k", str(k)) == _indented(
             rule_to_json_obj(make_named(family, k)))
+    # order 1 has no classes, so its record lists are empty; --dilation
+    # adds a key after the certificates
+    rules["one"], rules["id3"] = Rule(1), make_named("identity", 3)
+    paths["one"], paths["id3"] = str(tmp_path / "one.json"), str(tmp_path / "id3.json")
+    (tmp_path / "one.json").write_text('{"order": 1}')
+    save_rule(rules["id3"], paths["id3"])
+    assert output("classes", "--k", "1") == _indented({"order": 1, "count": 0, "classes": []})
+    assert output("coeffs", paths["one"]) == _indented(coeff_vector(rules["one"]).to_json_obj())
+    for a, b in (("one", "one"), ("tr", "one")):
+        verdict = compare(rules[a], rules[b])
+        assert output("compare", paths[a], paths[b]) == _indented(verdict.to_json_obj())
+    assert output("named", "identity", "--k", "3") == _indented(rule_to_json_obj(rules["id3"]))
+    for b, factor, code in (("ter", "3", 0), ("id3", None, 1)):
+        assert main(["compare", paths["tr"], paths[b], "--dilation"]) == code
+        want = dict(compare(rules["tr"], rules[b]).to_json_obj(), dilation=factor)
+        assert capsys.readouterr().out == _indented(want)
 
 
 def test_number_budget_and_named_order_bound(tr_file, tmp_path, capsys):

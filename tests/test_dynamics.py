@@ -3,6 +3,7 @@ integration against closed forms, stability bounds, and the density formula
 cross-check."""
 
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -98,6 +99,36 @@ def test_rooted_density_orientation_swap():
             for y in range(2):
                 assert rooted_density(RootedPairGraph(code, 1, 2), kern, x, y) \
                     == rooted_density(RootedPairGraph(code, 2, 1), kern, y, x)
+
+
+def test_rooted_density_on_zero_one_kernels():
+    # 0/1 values make many partial products zero, which rooted_density
+    # prunes: every rooted graph of orders 3 and 4, on every 0/1 kernel of
+    # one and of two parts, at every pair of root parts, against a sum over
+    # the parts of the free vertices
+    kernels = [constant_kernel(0), constant_kernel(1)] + [
+        StepKernel((F(1, 3), F(2, 3)), ((u, v), (v, w)))
+        for u, v, w in itertools.product((0, 1), repeat=3)]
+    pinned = [(kernel, x, y) for kernel in kernels
+              for x, y in itertools.product(range(kernel.num_parts), repeat=2)]
+    for k in (3, 4):
+        pairs = oracles.pairs_of(k)
+        roots = itertools.permutations(range(1, k + 1), 2)
+        for (a, b), (kernel, x, y) in itertools.product(roots, pinned):
+            free = [v for v in range(1, k + 1) if v not in (a, b)]
+            # each placement of the free vertices: its weight, and the block
+            # value of each pair
+            placements = []
+            for parts in itertools.product(range(kernel.num_parts), repeat=len(free)):
+                part = {a: x, b: y, **dict(zip(free, parts))}
+                placements.append((math.prod(kernel.weights[p] for p in parts),
+                                   [kernel.values[part[i]][part[j]] for i, j in pairs]))
+            for f in range(1 << len(pairs)):
+                want = sum(weight * math.prod(w if f >> idx & 1 else 1 - w
+                                              for idx, w in enumerate(values))
+                           for weight, values in placements)
+                element = RootedPairGraph(GraphCode(k, f), a, b)
+                assert rooted_density(element, kernel, x, y) == want
 
 
 def test_rooted_density_rejects_bad_parts():

@@ -787,6 +787,15 @@ def test_sweeps_agree_across_many_blocks(monkeypatch):
         if rule.order <= 4:
             assert _as_triples(cv) == oracles.naive_coeff_sums_fast(rule)
             assert k1 == (oracles.naive_orbit_sums(rule) == oracles.naive_orbit_sums(partner))
+    # certificate blocks of s entries each, s = 1 to 11, so that the rows
+    # of random rules end at every offset of a block, the first included
+    rng = random.Random(3)
+    for _ in range(40):
+        rule = oracles.random_rule(rng, rng.choice((3, 4)), max_rows=8)
+        want = oracles.naive_coeff_sums_fast(rule)
+        for s in range(1, 12):
+            monkeypatch.setattr("flipproc.codes.BLOCK_ELEMENTS", s * num_pairs(rule.order))
+            assert _as_triples(coeff_vector(rule)) == want
 
 
 @st.composite

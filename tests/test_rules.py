@@ -36,7 +36,7 @@ from flipproc import (
     symmetrize,
     validate,
 )
-from flipproc.rules import MAX_NAMED_ORDER, _json_text, exact_number
+from flipproc.rules import _ENTRY, MAX_NAMED_ORDER, _json_records, _json_text, exact_number
 
 import oracles
 
@@ -497,19 +497,34 @@ def test_random_rules_round_trip():
 # ------------------------------------------------------- indented JSON text
 
 # every character, lone surrogates included, so that ASCII escaping is
-# exercised in keys and values
-_text = st.text(st.characters(exclude_categories=()), max_size=8)
+# exercised in keys and values; and texts that end as a stand-in does, or
+# are one as a key
+_text = st.one_of(st.text(st.characters(exclude_categories=()), max_size=8),
+                  st.sampled_from(['"\0', 'x\\"\0', "\0\"", "\0\0"]))
+_huge_ints = st.one_of(st.integers(), st.integers(min_value=-(1 << 4000), max_value=1 << 4000))
 _json_scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(1 << 4000), max_value=1 << 4000),
+    _huge_ints,
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e16, 5e-324]),
-    _text,
+    _text.filter(lambda text: text != "\0"),  # a value "\0" is a stand-in
 )
+
+
+class _Records:
+    """A place in a tree for a list of rule entries, rows of (from, to, p)."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
+_records = st.lists(st.tuples(
+    _huge_ints, _huge_ints,
+    st.builds(F, _huge_ints, st.integers(min_value=1, max_value=1 << 200)).map(str),
+), max_size=3).map(_Records)
 _json_trees = st.recursive(
-    _json_scalars,
+    st.one_of(_json_scalars, _records),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -519,10 +534,31 @@ _json_trees = st.recursive(
 )
 
 
+def _place(tree, depth=0):
+    """The tree with a stand-in "\0" for each _Records, the tree with the
+    records' entries in place, and the records' texts at their depths, in
+    the order json writes them."""
+    if isinstance(tree, _Records):
+        entries = [{"from": f, "to": h, "p": p} for f, h, p in tree.rows]
+        return "\0", entries, [_json_records(_ENTRY, tree.rows, depth)]
+    if isinstance(tree, dict):
+        placed = [(key, _place(value, depth + 1)) for key, value in tree.items()]
+        return ({key: p[0] for key, p in placed}, {key: p[1] for key, p in placed},
+                [text for _, p in placed for text in p[2]])
+    if isinstance(tree, (list, tuple)):
+        placed = [_place(item, depth + 1) for item in tree]
+        return (type(tree)(p[0] for p in placed), [p[1] for p in placed],
+                [text for p in placed for text in p[2]])
+    return tree, tree, []
+
+
 @settings(max_examples=400, deadline=None)
-@given(_json_trees)
+@given(st.one_of(_records, _json_trees))
 def test_json_text_matches_json_dumps(tree):
-    assert _json_text(tree) == json.dumps(tree, indent=2) + "\n"
+    # stand-ins at any depth, the top included, take record lists written
+    # by template: huge and negative ints, fraction texts, and no rows
+    standing, expected, lists = _place(tree)
+    assert _json_text(standing, *lists) == json.dumps(expected, indent=2) + "\n"
 
 
 def test_json_text_edge_cases():
@@ -532,9 +568,16 @@ def test_json_text_edge_cases():
         assert _json_text(tree) == json.dumps(tree, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("tree", [{"a": object()}, [set()], b"x", {1: 2}, {"a": {None: 1}}])
+def test_json_text_counts_its_stand_ins():
+    # one record list per stand-in; a key "\0" is no stand-in
+    with pytest.raises(ValueError, match="2 stand-ins for 1 lists"):
+        _json_text(["\0", "\0"], "[]")
+    with pytest.raises(ValueError, match="0 stand-ins for 1 lists"):
+        _json_text({"\0": 1}, "[]")
+
+
+@pytest.mark.parametrize("tree", [{"a": object()}, [set()], b"x"])
 def test_json_text_rejects_non_json_trees(tree):
-    # json would quote an int or None key; the writer serves string keys only
     with pytest.raises(TypeError):
         _json_text(tree)
 
