@@ -12,7 +12,6 @@ from .codes import (
     apply_perm_graph,
     canonical_class,
     enumerate_classes,
-    enumeration_cap,
     num_pairs,
     pair_index,
     pair_list,

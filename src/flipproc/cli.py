@@ -8,13 +8,13 @@ go to stderr.  Exit codes:
 2  input error: a malformed or invalid rule or kernel file (including
    non-finite kernel values), a missing file, a bad argument (argparse
    rejects a --t-max, --dt, --time or --eps that is not finite and
-   positive), an enumeration cap (--cap) below 1, and an
-   integration that fails (IntegrationError: the state left [0, 1] or
-   stopped being finite, so the step size was too large) or asks for more
-   steps than a float can count (OverflowError)
-3  resource cap exceeded (CapExceeded): the graph order, census codes,
-   relabelling tables, rule entries, velocity grid or stored trajectory,
-   a 62-bit graph code, or a simulation's vertices or steps (README "Caps")
+   positive), and an integration that fails (IntegrationError: the state
+   left [0, 1] or stopped being finite, so the step size was too large)
+   or asks for more steps than a float can count (OverflowError)
+3  resource budget exceeded (CapExceeded): census pairs, relabelling
+   tables or sweep images, rule entries, velocity grid or stored
+   trajectory, a 62-bit graph code, or a simulation's vertices or steps
+   (README "Caps")
 """
 
 import argparse
@@ -23,7 +23,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .codes import CapExceeded, enumerate_classes, enumeration_cap, num_pairs
+from .codes import CapExceeded, enumerate_classes, num_pairs
 from .dynamics import (
     IntegrationError,
     integrate,
@@ -64,7 +64,7 @@ def _emit(text, out_path):
 # ----------------------------------------------------------------- handlers
 
 def _cmd_classes(args):
-    classes = enumerate_classes(args.k, args.cap)
+    classes = enumerate_classes(args.k)
     obj = {"order": args.k, "count": len(classes), "classes": "\0"}
     _emit(_json_text(obj, _class_records(classes, 1)), args.out)
     return 0
@@ -72,14 +72,14 @@ def _cmd_classes(args):
 
 def _cmd_coeffs(args):
     rule = load_rule(args.rule)
-    _emit(_json_text("\0", coeff_vector(rule, args.cap)._json_records(0)), args.out)
+    _emit(_json_text("\0", coeff_vector(rule)._json_records(0)), args.out)
     return 0
 
 
 def _cmd_compare(args):
     r1 = load_rule(args.rule1)
     r2 = load_rule(args.rule2)
-    verdict = compare(r1, r2, args.cap)
+    verdict = compare(r1, r2)
     obj = verdict._json_obj(["\0", "\0"])
     affirmative = verdict.equivalent
     if args.dilation:
@@ -92,19 +92,19 @@ def _cmd_compare(args):
 
 def _cmd_lift(args):
     rule = load_rule(args.rule)
-    _emit(rule_to_json(lift(rule, args.to, args.cap)), args.out)
+    _emit(rule_to_json(lift(rule, args.to)), args.out)
     return 0
 
 
 def _cmd_symmetrize(args):
     rule = load_rule(args.rule)
-    _emit(rule_to_json(symmetrize(rule, args.cap)), args.out)
+    _emit(rule_to_json(symmetrize(rule)), args.out)
     return 0
 
 
 def _cmd_unique(args):
     rule = load_rule(args.rule)
-    verdict = classify_unique(rule, args.cap)
+    verdict = classify_unique(rule)
     obj = verdict.to_json_obj()
     if verdict.witness is not None and args.witness:
         with open(args.witness, "w", encoding="utf-8") as fh:
@@ -118,7 +118,7 @@ def _cmd_k1(args):
     r1 = load_rule(args.rule1)
     r2 = load_rule(args.rule2)
     print(K1_BANNER, file=sys.stderr)
-    holds = check_k1(r1, r2, args.cap)
+    holds = check_k1(r1, r2)
     _emit(_json_text({"conjectured_check": "orbit-sums", "holds": holds}), args.out)
     return 0 if holds else 1
 
@@ -126,7 +126,7 @@ def _cmd_k1(args):
 def _cmd_velocity(args):
     rule = load_rule(args.rule)
     kernel = load_kernel(args.kernel)
-    _emit(kernel_to_json(velocity(rule, kernel, args.cap)), args.out)
+    _emit(kernel_to_json(velocity(rule, kernel)), args.out)
     return 0
 
 
@@ -134,8 +134,7 @@ def _cmd_integrate(args):
     rule = load_rule(args.rule)
     kernel = load_kernel(args.kernel)
     trajectory = integrate(rule, kernel, args.t_max, args.dt,
-                           expert_nongraphon=args.expert_nongraphon,
-                           cap=args.cap)
+                           expert_nongraphon=args.expert_nongraphon)
     _emit(trajectory.to_csv(), args.out)
     return 0
 
@@ -155,10 +154,8 @@ def _cmd_simulate(args):
 def _cmd_transference(args):
     rule = load_rule(args.rule)
     kernel = load_kernel(args.w0)
-    report, _ = transference_check(
-        rule, args.n, kernel, args.time, args.eps, args.seed, runs=args.runs,
-        cap=args.cap,
-    )
+    report, _ = transference_check(rule, args.n, kernel, args.time, args.eps,
+                                   args.seed, runs=args.runs)
     _emit(_json_text(report), args.out)
     return 0 if report["pass"] else 1
 
@@ -177,7 +174,7 @@ def _cmd_named(args):
                 else _exact_value(p, "a --dist probability other than a finite float")
             for code, p in raw.items()
         }
-    _emit(rule_to_json(make_named(args.family, args.k, args.cap, **params)), args.out)
+    _emit(rule_to_json(make_named(args.family, args.k, **params)), args.out)
     return 0
 
 
@@ -210,10 +207,6 @@ def build_parser():
             "Flip process rules: equivalence certificates, uniqueness "
             "witnesses, trajectories, and simulation."
         ),
-    )
-    parser.add_argument(
-        "--cap", type=int, default=None,
-        help="enumeration cap on the graph order (default: 6)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -296,7 +289,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        enumeration_cap(args.cap)  # a bad cap exits 2 even where it is not read
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,11 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-DEFAULT_CAP = 6
-
 
 class CapExceeded(Exception):
-    """An operation would enumerate a graph space beyond the configured cap."""
+    """An operation would need more of a resource than its budget allows."""
 
 
 def _is_int(value):
@@ -49,8 +47,8 @@ def _is_int(value):
 
 def _positive_int(value, what):
     """int(value) for an integer of at least 1; anything else, a float or a
-    bool included, is a ValueError naming `what`.  Every order, count and
-    cap that comes from outside the library is read here."""
+    bool included, is a ValueError naming `what`.  Every order and count
+    that comes from outside the library is read here."""
     if not _is_int(value) or value < 1:
         raise ValueError(f"{what} must be an integer of at least 1, got {value!r}")
     return int(value)
@@ -71,26 +69,9 @@ def _check_number(value, what, wrong):
         raise ValueError(f"{wrong}, got {value!r}")
 
 
-def enumeration_cap(cap=None):
-    """Resolve the enumeration cap: the explicit argument, else the default
-    of 6.  A cap that is not an integer of at least 1 is a ValueError."""
-    if cap is None:
-        return DEFAULT_CAP
-    return _positive_int(cap, "the enumeration cap (cap, --cap)")
-
-
-def _check_cap(k, cap, what):
-    limit = enumeration_cap(cap)
-    if k > limit:
-        raise CapExceeded(
-            f"{what} at order {k} exceeds the enumeration cap {limit}; "
-            "raise it explicitly (--cap or cap=) if this is intended"
-        )
-
-
 def _check_budget(need, budget, what):
     """CapExceeded when `need` units of a resource, named by `what`, pass
-    its `budget`.  Every bound but the enumeration cap is checked here."""
+    its `budget`.  Every bound is checked here."""
     if need > budget:
         raise CapExceeded(f"{what}: {need}, beyond the budget of {budget}")
 
@@ -292,6 +273,16 @@ def _pair_images(k, f, h):
     return images
 
 
+# Pairs of a census graph, C(k, 2): order 7 has 21, so 2^21 codes; order 8
+# would have 28
+_CENSUS_BUDGET = 21
+# Entries of a rule that lift, a dense named family or a symmetrization
+# builds: order 7 complementing has 2,097,152
+_ENTRY_BUDGET = 4_000_000
+# Images of a relabelling sweep, (entries + explicit rows) * k!: a rule
+# within the entry budget has at most 8,000,000 pairs, 5.76e9 images at order 6
+_SWEEP_BUDGET = 1 << 33
+
 # The relabelling orbits that a rule's explicit rows touch, from _orbit_sweep
 _Orbits = namedtuple("_Orbits", "sizes members owners entry_orbit row_orbit")
 
@@ -312,6 +303,8 @@ def _orbit_sweep(k, f, h, starts):
     n = len(f)
     froms, tos = np.concatenate([f, f[starts]]), np.concatenate([h, f[starts]])
     width = _byte_images(k).shape[2]
+    _check_budget(len(froms) * width, _SWEEP_BUDGET,
+                  f"images of the relabelling sweep at order {k}")
     keys = np.empty(len(froms), dtype=np.int64)
     blocks = _blocks(len(keys), width)
     for blk in blocks:
@@ -326,6 +319,7 @@ def _orbit_sweep(k, f, h, starts):
     orbit[by_key] = new.cumsum() - 1
     sizes = np.empty(len(first), dtype=np.int64)
     members = [keys[:0]]  # an empty rule has no blocks to list
+    listed = 0
     for blk in _blocks(len(first), width):
         if len(blocks) == 1:
             images = images[first]
@@ -337,8 +331,11 @@ def _orbit_sweep(k, f, h, starts):
         distinct = np.empty(images.shape, dtype=bool)
         distinct[:, 0] = True
         np.not_equal(images[:, 1:], images[:, :-1], out=distinct[:, 1:])
-        members.append(images[distinct])
         sizes[blk] = distinct.sum(axis=1)
+        listed += int(sizes[blk].sum())
+        _check_budget(listed, _ENTRY_BUDGET, f"members of the first {blk.stop} "
+                      f"of {len(first)} relabelling orbits at order {k}")
+        members.append(images[distinct])
     # distinct orbits share no member, so the members sort without ties
     members = np.concatenate(members)
     order = members.argsort(kind="stable")
@@ -375,13 +372,9 @@ class _Census:
         return self.class_of(element.graph.bits)[int(a > b), pair_index(a, b)]
 
 
-# Codes of a census, 2^C(k, 2): order 7 has 2^21, order 8 would have 2^28
-_CENSUS_BUDGET = 1 << 21
-
-
-@functools.lru_cache(maxsize=None)  # one entry per order, and orders are capped
+@functools.lru_cache(maxsize=None)  # one entry per order, and orders are bounded
 def _census(k):
-    _check_budget(1 << num_pairs(k), _CENSUS_BUDGET, f"codes of the census at order {k}")
+    _check_budget(num_pairs(k), _CENSUS_BUDGET, f"pairs of the census graphs at order {k}")
     perms = np.array(all_perms(k), dtype=np.int8) - 1
     fact = len(perms)
     kk = k * k
@@ -438,20 +431,18 @@ def _census(k):
     return _Census(classes, offset, perm_of, tables, cells)
 
 
-def canonical_class(element, cap=None):
+def canonical_class(element):
     """The orbit class of a pair-rooted graph: minimal orbit element
     (lexicographic on (bits, a, b)) plus the orbit size.  The order is
-    held to the same cap as the census, which this reads."""
-    k = element.order
-    _check_cap(k, cap, "orbit census")
-    census = _census(k)
+    held to the census budget, as this reads the census."""
+    census = _census(element.order)
     return census.classes[census.position(element)]
 
 
-def enumerate_classes(k, cap=None):
+def enumerate_classes(k):
     """All orbit classes of pair-rooted graphs at order k, sorted by their
     canonical representatives.  Order 1 has no pairs, hence no classes.
-    The census is built once per order; each call returns a fresh list."""
+    The census is built once per order, up to order 7; each call returns
+    a fresh list."""
     k = _positive_int(k, "order")
-    _check_cap(k, cap, "orbit census")
     return list(_census(k).classes)

@@ -33,7 +33,6 @@ from .codes import (
     _check_number,
     _exact,
     _positive_int,
-    enumeration_cap,
     num_pairs,
     pair_list,
 )
@@ -205,8 +204,8 @@ class _CompiledVelocity:
     class, its roots relabelled to vertices 1 and 2 so that all classes
     share one elimination of the free vertices."""
 
-    def __init__(self, rule, cap):
-        nonzero = coeff_vector(rule, cap).nonzero()
+    def __init__(self, rule):
+        nonzero = coeff_vector(rule).nonzero()
         self.k = rule.order
         self.pairs = pair_list(self.k)
         terms = sorted((_roots_first(cls.canon), float(c))
@@ -340,9 +339,7 @@ def _plan(comp, m):
     return tuple(plans)
 
 
-@functools.lru_cache(maxsize=64)
-def _compiled(rule, cap):
-    return _CompiledVelocity(rule, cap)
+_compiled = functools.lru_cache(maxsize=64)(_CompiledVelocity)
 
 
 def _kernel_arrays(kernel):
@@ -351,13 +348,13 @@ def _kernel_arrays(kernel):
     return weights, vals
 
 
-def velocity(rule, kernel, cap=None):
+def velocity(rule, kernel):
     """The instantaneous drift the rule induces at a kernel, as a kernel on
     the same parts: sum_C coeff(C) t_C(x, y) over the nonzero classes of the
-    rule's certificate.  The certificate is held to the enumeration cap and
+    rule's certificate.  The certificate is held to the census budget and
     the grid of part assignments (m^k cells for m parts at order k) to
     4,000,000 cells; beyond either, CapExceeded."""
-    comp = _compiled(rule, enumeration_cap(cap))
+    comp = _compiled(rule)
     out = comp.values(*_kernel_arrays(kernel))
     out = (out + out.T) / 2.0  # exact symmetry against float jitter
     return StepKernel(kernel.weights, tuple(map(tuple, out.tolist())))
@@ -462,7 +459,7 @@ def _settle(v, t, graphon_mode):
     return (v + v.T) / 2.0  # exactly symmetric
 
 
-def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
+def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False):
     """Integrate the rule's drift from a step kernel with classical
     fixed-step fourth-order steps, a short final step when h does not
     divide t_max, and a guard that keeps graphon starts inside [0, 1]:
@@ -470,7 +467,7 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
 
     Non-graphon starts are refused unless expert_nongraphon is set; with
     the flag the dynamics are integrated as-is with no domain guarantees.
-    The drift is held to the same caps as velocity(), and the trajectory
+    The drift is held to the same budgets as velocity(), and the trajectory
     to (steps + 1) * m^2 stored block values for m parts within the same
     budget of 4,000,000; beyond it, CapExceeded before the first step.
     """
@@ -492,7 +489,7 @@ def integrate(rule, start, t_max, h=1e-3, expert_nongraphon=False, cap=None):
     n_steps = n_full + (rem > h * 1e-9)
     _check_budget((n_steps + 1) * len(start.weights) ** 2, _GRID_BUDGET,
                   f"block values stored by {n_steps} steps")
-    comp = _compiled(rule, enumeration_cap(cap))
+    comp = _compiled(rule)
     weights, v = _kernel_arrays(start)
     out = np.empty((n_steps + 1,) + v.shape)
     out[0] = v

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rules
+from . import codes, rules
 from .codes import (
     enumerate_classes,
     num_pairs,
@@ -38,7 +38,6 @@ from .codes import (
     _blocks,
     _census,
     _check_budget,
-    _check_cap,
     _positive_int,
 )
 from .rules import (
@@ -172,7 +171,7 @@ class UniquenessVerdict:
 
 # ----------------------------------------------------------------- coefficients
 
-def coeff_vector(rule, cap=None):
+def coeff_vector(rule):
     """Exact trajectory coefficients of a rule, one per orbit class.
 
     Only explicit rows contribute: an identity row keeps every pair
@@ -182,7 +181,7 @@ def coeff_vector(rule, cap=None):
     if f holds it.
     """
     k = rule.order
-    classes = enumerate_classes(k, cap)
+    classes = enumerate_classes(k)
     if not classes:
         return CoeffVector._from_numerators(k, classes, (), 1)
     census = _census(k)
@@ -219,7 +218,7 @@ def coeff_vector(rule, cap=None):
     return CoeffVector._from_numerators(k, classes, acc, denom)
 
 
-def lift(rule, to, cap=None):
+def lift(rule, to):
     """Rewrite a rule so that it samples `to` vertices, applies the original
     rule to the subgraph induced on the first `rule.order` of them, and
     keeps every other pair unchanged.  Lifted rules drive the same
@@ -230,7 +229,6 @@ def lift(rule, to, cap=None):
     k1, to = rule.order, _positive_int(to, "the lift order")
     if to < k1:
         raise ValueError(f"cannot lift an order-{k1} rule down to order {to}")
-    _check_cap(to, cap, "lifting")
     if to == k1:
         return rule
     low = num_pairs(k1)
@@ -238,7 +236,7 @@ def lift(rule, to, cap=None):
     if not len(nums):
         return Rule(to)
     rules._check_code_width(to)
-    _check_budget(len(nums) << (num_pairs(to) - low), rules._ENTRY_BUDGET,
+    _check_budget(len(nums) << (num_pairs(to) - low), codes._ENTRY_BUDGET,
                   f"entries of a {len(nums)}-entry rule lifted to order {to}")
     f, h = entry_codes(rule)
     # the top bits lie above every code of the rule, so the lifted codes
@@ -249,14 +247,14 @@ def lift(rule, to, cap=None):
         np.broadcast_to(nums, (len(tops), len(nums))).ravel(), denom)
 
 
-def compare(rule1, rule2, cap=None):
+def compare(rule1, rule2):
     """Decide trajectory equivalence exactly.  Rules of different orders are
     compared after lifting the lower-order one."""
     to = max(rule1.order, rule2.order)
-    rule1, rule2 = (lift(rule, to, cap) if rule.order < to else rule
+    rule1, rule2 = (lift(rule, to) if rule.order < to else rule
                     for rule in (rule1, rule2))
-    v1 = coeff_vector(rule1, cap)
-    v2 = coeff_vector(rule2, cap)
+    v1 = coeff_vector(rule1)
+    v2 = coeff_vector(rule2)
     differing = _first_difference(v1, v2)
     return EquivalenceVerdict(differing is None, to, (v1, v2), differing)
 
@@ -290,16 +288,16 @@ def _dilation(v1, v2):
     return factor if factor > 0 else None
 
 
-def dilation_factor(rule1, rule2, cap=None):
+def dilation_factor(rule1, rule2):
     """The positive rational C with coeffs(rule1) = C * coeffs(rule2)
     everywhere, meaning rule1 runs the shared trajectory C times faster.
     Two zero vectors give 1; no positive proportionality gives None."""
-    return _dilation(*compare(rule1, rule2, cap).vectors)
+    return _dilation(*compare(rule1, rule2).vectors)
 
 
 # ----------------------------------------------------------------- uniqueness
 
-def classify_unique(rule, cap=None):
+def classify_unique(rule):
     """Is this the only rule with its trajectories?
 
     Yes exactly when the order is at most 2, or the rule is symmetric and
@@ -319,22 +317,22 @@ def classify_unique(rule, cap=None):
         return UniquenessVerdict(True, "order-2", None)
     # a rule is symmetric when it equals its symmetrization, which is the
     # witness when it does not
-    witness = symmetrize(rule, cap)
+    witness = symmetrize(rule)
     if witness == rule:
         if is_deterministic(rule):
             return UniquenessVerdict(True, "symmetric-deterministic", None)
-        witness = _marginal_witness(rule, cap)
-    _check_witness(rule, witness, cap)
+        witness = _marginal_witness(rule)
+    _check_witness(rule, witness)
     return UniquenessVerdict(False, "witness", witness)
 
 
-def _check_witness(rule, witness, cap=None):
+def _check_witness(rule, witness):
     validate(witness)
     if witness == rule:
         raise RuntimeError(
             "internal error: uniqueness witness coincides with the input rule"
         )
-    if not compare(rule, witness, cap).equivalent:
+    if not compare(rule, witness).equivalent:
         raise RuntimeError(
             "internal error: uniqueness witness is not coefficient-equal"
         )
@@ -346,7 +344,7 @@ def _shift(entries, f, source, target, amount):
     entries[(f, target)] = entries.get((f, target), 0) + amount
 
 
-def _marginal_witness(rule, cap=None):
+def _marginal_witness(rule):
     """Witness for a symmetric non-deterministic rule of order >= 3: a
     move of one row's mass that keeps every pair marginal of every row,
     hence every class coefficient."""
@@ -368,7 +366,7 @@ def _marginal_witness(rule, cap=None):
             eps = min(rows[f][a], rows[f][b])
             _shift(entries, f, a, a ^ s, eps)
             _shift(entries, f, b, b ^ s, eps)
-            return symmetrize(Rule(k, entries), cap)
+            return symmetrize(Rule(k, entries))
     # otherwise every non-deterministic row is {L, L + e}.  A row fixed by
     # every relabelling would need a support closed under relabelling, which
     # two graphs one pair apart are not at order >= 3, so some relabelling
@@ -393,7 +391,7 @@ K1_BANNER = (
 )
 
 
-def check_k1(rule1, rule2, cap=None):
+def check_k1(rule1, rule2):
     """Whether the rules put equal total entry mass on every relabelling
     orbit of index pairs (F, H), implicit identity rows counted as mass 1
     on their diagonal pair: whether their symmetrizations are equal.  A step
@@ -405,4 +403,4 @@ def check_k1(rule1, rule2, cap=None):
     """
     if rule1.order != rule2.order:
         raise ValueError("the orbit-sum check compares rules of equal order")
-    return symmetrize(rule1, cap) == symmetrize(rule2, cap)
+    return symmetrize(rule1) == symmetrize(rule2)

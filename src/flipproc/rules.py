@@ -20,8 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (_check_budget, _check_cap, _check_number, _is_int, _orbit_sweep,
-                    _positive_int, full_bits, num_pairs)
+from . import codes
+from .codes import (_check_budget, _check_number, _is_int, _orbit_sweep, _positive_int,
+                    full_bits, num_pairs)
 
 
 class RuleValidationError(ValueError):
@@ -293,12 +294,8 @@ def validate(rule):
 # would need 4,325.
 MAX_NAMED_ORDER = 169
 
-# Entries of a rule that lift or a dense named family builds: order 7
-# complementing has 2,097,152
-_ENTRY_BUDGET = 4_000_000
 
-
-def make_named(family, k, cap=None, **params):
+def make_named(family, k, **params):
     """Construct a named rule family at order k.  Families:
     identity, triangle-removal, triangle-edge-removal, complementing,
     extremist (threshold=...), clique-removal, ignorant (dist=...),
@@ -306,16 +303,13 @@ def make_named(family, k, cap=None, **params):
     does not take is a ValueError, and so is an ignorant dist code of
     nonzero probability outside [0, 2^C(k, 2)), so that every named rule
     is valid when built.  complementing, extremist and ignorant list all
-    2^C(k, 2) rows, so their order is held to the enumeration cap and their
-    entries to 4,000,000; every family stops at MAX_NAMED_ORDER."""
+    2^C(k, 2) rows, so their entries are held to 4,000,000; every family
+    stops at MAX_NAMED_ORDER."""
     family = family.replace("_", "-")
     k = _positive_int(k, "order")
     param = params.pop({"extremist": "threshold", "ignorant": "dist"}.get(family), None)
     if params:
         raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
-    dense = family in ("complementing", "extremist", "ignorant")
-    if dense:
-        _check_cap(k, cap, f"the {family} rule")
     if k > MAX_NAMED_ORDER:
         raise ValueError(
             f"named rules stop at order {MAX_NAMED_ORDER}, the last order whose "
@@ -333,20 +327,20 @@ def make_named(family, k, cap=None, **params):
                 for h, p in param.items()}
         if sum(dist.values()) != 1 or any(p < 0 for p in dist.values()):
             raise ValueError("ignorant dist must be a probability distribution")
-        codes = sorted(h for h, p in dist.items() if p)
-        outside = [h for h in codes if not 0 <= h < 1 << P]
+        support = sorted(h for h, p in dist.items() if p)
+        outside = [h for h in support if not 0 <= h < 1 << P]
         if outside:
             raise ValueError(f"ignorant dist code {outside[0]} is out of range for order {k}")
-        nums, denom = _common_denominator([dist[h] for h in codes])
+        nums, denom = _common_denominator([dist[h] for h in support])
     if family == "extremist" and param is not None:
         param = _fraction(param, "extremist threshold", "extremist threshold must be a number")
-    if dense:
-        _check_budget(len(nums) << P, _ENTRY_BUDGET,
+    if family in ("complementing", "extremist", "ignorant"):
+        _check_budget(len(nums) << P, codes._ENTRY_BUDGET,
                       f"entries of the {family} rule at order {k}")
         # one explicit row per graph, as code and numerator arrays
         f = np.arange(1 << P, dtype=np.int64)
         if family == "ignorant":
-            f, h = f.repeat(len(codes)), np.tile(_int_array(codes), len(f))
+            f, h = f.repeat(len(support)), np.tile(_int_array(support), len(f))
         elif family == "complementing":
             h = f ^ full_bits(k)
         else:
@@ -402,16 +396,13 @@ def entry_codes(rule):
 
 # ----------------------------------------------------------------- predicates
 
-def is_symmetric(rule, cap=None):
+def is_symmetric(rule):
     """Invariance under simultaneous relabelling of both indices: the rule
-    equals its symmetrization, the average over all relabellings.  The
-    order is held to the enumeration cap, since the orbits come from a
-    sweep over all k! relabellings.
-    """
-    return symmetrize(rule, cap) == rule
+    equals its symmetrization, within the same budgets."""
+    return symmetrize(rule) == rule
 
 
-def symmetrize(rule, cap=None):
+def symmetrize(rule):
     """Average the rule over simultaneous relabellings of both indices.
     The result is symmetric, row-stochastic whenever the input is, and has
     the same coefficient vector, hence the same trajectories.
@@ -419,9 +410,10 @@ def symmetrize(rule, cap=None):
     Each relabelling orbit of index pairs that an explicit row touches
     spreads its mass evenly over its members; relabelled identity rows
     add mass 1 on their diagonal.  An orbit left out holds identity rows
-    only, which stay."""
+    only, which stay.  The orbits come from a sweep over all k!
+    relabellings: past order 8, past 2^33 images or past 4,000,000 orbit
+    members, CapExceeded."""
     k = rule.order
-    _check_cap(k, cap, "relabelling sweep")
     denom, nums = rule._denom, rule._nums
     orbits = _orbit_sweep(k, *entry_codes(rule), rule._starts)
     sizes, owners = orbits.sizes, orbits.owners

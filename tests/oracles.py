@@ -20,6 +20,7 @@ since they only build inputs.
 """
 
 import bisect
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -48,8 +49,10 @@ def apply_sigma_bits(sigma, k, bits):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def canon_triple(k, bits, a, b):
-    """Minimal relabelled (bits, a, b), by full permutation sweep."""
+    """Minimal relabelled (bits, a, b), by full permutation sweep, memoized
+    per triple."""
     best = None
     for sigma in itertools.permutations(range(1, k + 1)):
         cand = (apply_sigma_bits(sigma, k, bits), sigma[a - 1], sigma[b - 1])

@@ -13,7 +13,7 @@ def test_public_names():
         "canonical_class", "check_k1", "classify_unique", "codes",
         "coeff_vector", "compare", "constant_kernel", "count_rrr_maps",
         "density_formula_check", "dilation_factor", "dynamics",
-        "enumerate_classes", "enumeration_cap", "equivalence",
+        "enumerate_classes", "equivalence",
         "ignorant_edge_count", "integrate", "is_deterministic", "is_symmetric",
         "is_twinfree", "kernel_from_json", "kernel_to_json", "lift",
         "lipschitz_constant", "load_kernel", "load_rule", "make_named",

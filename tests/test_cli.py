@@ -120,10 +120,9 @@ def test_named_dist_rejects_long_codes(capsys):
 @pytest.mark.parametrize("family", ["complementing", "extremist", "ignorant"])
 def test_named_dense_families_are_capped(capsys, family):
     extra = ["--dist", '{"0": 1}'] if family == "ignorant" else []
-    assert main(["named", family, "--k", "7", *extra]) == 3
-    assert "enumeration cap" in capsys.readouterr().err
-    assert main(["--cap", "2", "named", family, "--k", "3", *extra]) == 3
-    assert main(["--cap", "3", "named", family, "--k", "3", *extra]) == 0
+    assert main(["named", family, "--k", "8", *extra]) == 3
+    assert "entries" in capsys.readouterr().err
+    assert main(["named", family, "--k", "3", *extra]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -137,12 +136,11 @@ def test_named_rejects_parameters_the_family_does_not_take(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,what", [
-    (["--cap", "8", "classes", "--k", "8"], "census"),
-    (["--cap", "8", "coeffs", "R8"], "census"),
-    (["--cap", "8", "named", "complementing", "--k", "8"], "entries"),
-    (["--cap", "7", "named", "ignorant", "--k", "7",
-      "--dist", '{"0": "1/2", "1": "1/2"}'], "entries"),
-    (["--cap", "9", "symmetrize", "R9"], "relabelling"),
+    (["classes", "--k", "8"], "census"),
+    (["coeffs", "R8"], "census"),
+    (["named", "complementing", "--k", "8"], "entries"),
+    (["named", "ignorant", "--k", "7", "--dist", '{"0": "1/2", "1": "1/2"}'], "entries"),
+    (["symmetrize", "R9"], "relabelling"),
     (["simulate", "R3", "--n", "9000", "--w0", "K", "--time", "0.1",
       "--seed", "1"], "vertices"),
     (["simulate", "R12", "--n", "20", "--w0", "K", "--time", "0.1",
@@ -151,8 +149,8 @@ def test_named_rejects_parameters_the_family_does_not_take(capsys, argv):
     (["simulate", "R3", "--n", "3", "--w0", "K", "--time", "1e-9",
       "--seed", "1", "--runs", "1000000000"], "block densities"),
     # graphs past order 11 have no 62-bit code, valid rules included
-    (["--cap", "12", "lift", "R11", "--to", "12"], "62-bit"),
-    (["--cap", "12", "symmetrize", "R12"], "62-bit"),
+    (["lift", "R11", "--to", "12"], "62-bit"),
+    (["symmetrize", "R12"], "62-bit"),
 ])
 def test_budgets_exit_3_before_building(argv, what, tmp_path, kernel_file,
                                         capsys):
@@ -171,9 +169,9 @@ def test_named_sparse_families_are_uncapped(capsys):
     assert main(["named", "clique-removal", "--k", "7"]) == 0
     assert parse_rule_json(capsys.readouterr().out) == make_named(
         "clique-removal", 7)
-    assert main(["--cap", "2", "named", "identity", "--k", "9"]) == 0
-    assert main(["--cap", "2", "named", "triangle-removal", "--k", "3"]) == 0
-    assert main(["--cap", "2", "named", "triangle-edge-removal", "--k", "3"]) == 0
+    assert main(["named", "identity", "--k", "9"]) == 0
+    assert main(["named", "triangle-removal", "--k", "3"]) == 0
+    assert main(["named", "triangle-edge-removal", "--k", "3"]) == 0
 
 
 def test_named_unimplemented_family(capsys):
@@ -192,31 +190,36 @@ def test_classes_census(capsys):
 
 def test_classes_cap(capsys):
     assert main(["classes", "--k", "9"]) == 3
-    assert "cap" in capsys.readouterr().err
-    assert main(["--cap", "3", "classes", "--k", "4"]) == 3
-    capsys.readouterr()
+    assert "census" in capsys.readouterr().err
+    # the budget counts pairs, so its message prints no 2^C(k, 2)
+    assert main(["classes", "--k", "170"]) == 3
+    assert len(capsys.readouterr().err) < 200
     assert main(["classes", "--k", "4"]) == 0
     capsys.readouterr()
 
 
-def test_cap_below_one_is_an_input_error(monkeypatch, capsys):
-    assert main(["--cap", "-1", "classes", "--k", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--cap" in captured.err
-    # commands that never read the cap refuse it too
-    for argv in (["named", "complementing", "--k", "3"], ["named", "identity", "--k", "3"]):
-        assert main(["--cap", "0", *argv]) == 2
-        assert "--cap" in capsys.readouterr().err
-    # the environment sets no cap
-    monkeypatch.setenv("FLIPPROC_CAP", "-2")
-    assert main(["classes", "--k", "3"]) == 0
-    assert main(["named", "identity", "--k", "3"]) == 0
-    capsys.readouterr()
+def test_cap_flag_is_an_unknown_argument(capsys):
+    # every resource has a budget of its own, and no flag raises one
+    for argv in (["--cap", "7", "classes", "--k", "3"], ["classes", "--k", "3", "--cap", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_symmetrization_entries_exit_3(tmp_path, capsys):
+    # 196,608 entries whose symmetrization would have 47,185,920
+    path = tmp_path / "ignorant6.json"
+    save_rule(make_named("ignorant", 6, dist={h: F(1, 6) for h in range(100, 106)}), path)
+    for command in ("symmetrize", "unique"):
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "members" in captured.err
 
 
 def test_lift_budget_exits_3(tr_file, capsys):
     # 2^33 copies of triangle removal's entry, refused before any is built
-    assert main(["--cap", "9", "lift", tr_file, "--to", "9"]) == 3
+    assert main(["lift", tr_file, "--to", "9"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "budget" in captured.err
 
@@ -303,10 +306,17 @@ def test_unique_witness_for_symmetric_rule(tmp_path, capsys):
 
 
 def test_unique_cap(tmp_path, capsys):
-    path = tmp_path / "clique7.json"
-    save_rule(make_named("clique-removal", 7), path)
+    # clique removal at order 8 is symmetric and deterministic: its
+    # relabelling sweep is within budget, and no certificate is needed
+    path = tmp_path / "clique8.json"
+    save_rule(make_named("clique-removal", 8), path)
+    assert main(["unique", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["unique"] is True
+    # an asymmetric rule's witness is checked by certificates, whose
+    # census stops at order 7
+    save_rule(Rule(8, {(1, 0): F(1)}), path)
     assert main(["unique", str(path)]) == 3
-    assert "cap" in capsys.readouterr().err
+    assert "census" in capsys.readouterr().err
 
 
 def test_k1_banner_and_verdicts(tr_file, ter_file, capsys):
@@ -449,12 +459,14 @@ def test_velocity_rejects_kernel_value_past_float(tr_file, tmp_path, capsys):
     ["transference", "R", "--n", "20", "--w0", "K", "--time", "0.01",
      "--eps", "0.5", "--seed", "1", "--runs", "1"],
 ])
-def test_dynamics_commands_are_capped(argv, tr_file, kernel_file, capsys):
-    argv = [tr_file if a == "R" else kernel_file if a == "K" else a
+def test_dynamics_commands_are_capped(argv, tmp_path, kernel_file, capsys):
+    rule = tmp_path / "clique8.json"
+    save_rule(make_named("clique-removal", 8), rule)
+    argv = [str(rule) if a == "R" else kernel_file if a == "K" else a
             for a in argv]
-    assert main(["--cap", "2"] + argv) == 3
+    assert main(argv) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "cap" in captured.err
+    assert captured.out == "" and "census" in captured.err
 
 
 def test_velocity_grid_cap(tmp_path, capsys):
@@ -703,13 +715,12 @@ def _file_text(draw, objs, fields):
 
 # argument values: ones that run, and odd ones
 _VALUES = {
-    "k": (["1", "2", "3", "4"], ["-1", "0", "7", "170", "1e3", "x", str(10 ** 30)]),
+    "k": (["1", "2", "3", "4"], ["-1", "0", "8", "170", "1e3", "x", str(10 ** 30)]),
     "time": (["0.01", "0.1", "0.5"], ["0", "-1", "nan", "inf", "1e-300", "1e300", "abc"]),
     "dt": (["0.01", "0.1"], ["1e-300", "5", "nan"]),
     "n": (["2", "5", "12"], ["-1", "0", "x"]),
     "seed": (["0", "7"], ["-5", "x"]),
     "runs": (["1", "2"], ["0", "-1"]),
-    "cap": (["5", "6"], ["-1", "0", "2", "x"]),
 }
 
 
@@ -763,8 +774,6 @@ def _invocations(draw):
                     _ODD_VALUES, max_size=2))))]
         if draw(st.booleans()):
             argv += ["--threshold", value("time")]
-    if draw(st.integers(min_value=0, max_value=3)) == 0:
-        argv = ["--cap", value("cap")] + argv
     return argv
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from flipproc import (
     constant_kernel,
     density_formula_check,
     enumerate_classes,
-    enumeration_cap,
     lift,
     lipschitz_constant,
     make_named,
@@ -283,7 +283,7 @@ def test_census_lookup_is_the_orbit_minimum(cell):
     # the class that the lookup names is the least relabelling of the cell
     # over all k! permutations, order 7 included
     k, bits, a, b = cell
-    cls = canonical_class(RootedPairGraph(GraphCode(k, bits), a, b), cap=7)
+    cls = canonical_class(RootedPairGraph(GraphCode(k, bits), a, b))
     assert cls.canon.key() == oracles.canon_triple(k, bits, a, b)
 
 
@@ -302,60 +302,54 @@ def test_order_one_has_no_classes():
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_classes(9)
-    with pytest.raises(CapExceeded):
-        canonical_class(RootedPairGraph(GraphCode(7, 0), 1, 2))
+    # the census budget is checked on C(k, 2), so an absurd order is
+    # refused at once, with a short message
+    for k in (9, 10 ** 9):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="census") as exc:
+            enumerate_classes(k)
+        with pytest.raises(CapExceeded, match="census"):
+            canonical_class(RootedPairGraph(GraphCode(k, 0), 1, 2))
+        assert time.perf_counter() - start < 0.1
+        assert len(str(exc.value)) < 200
     with pytest.raises(ValueError):
         enumerate_classes(0)
-    assert enumeration_cap(1) == 1
-    assert type(enumeration_cap(np.int64(4))) is int and enumeration_cap(np.int64(4)) == 4
 
 
 def test_census_index_is_held_to_its_budget(monkeypatch):
-    # order 8 would hold 2^28 codes: refused before any array is
-    # allocated, whatever the cap
+    # order 8 would hold 2^28 codes: refused before any array is allocated
     with pytest.raises(CapExceeded, match="census"):
-        enumerate_classes(8, cap=8)
+        enumerate_classes(8)
     with pytest.raises(CapExceeded, match="census"):
-        canonical_class(RootedPairGraph(GraphCode(8, 0), 1, 2), cap=8)
-    # order 7, 2^21 codes, is within the budget, and its arrays stay far
-    # below a (code, a, b) index, 392 MiB of int32 at order 7
-    assert 1 << 21 <= codes._CENSUS_BUDGET < 1 << 28
-    assert len(enumerate_classes(7, cap=7)) == 24416
+        canonical_class(RootedPairGraph(GraphCode(8, 0), 1, 2))
+    # order 7, 21 pairs and 2^21 codes, is within the budget, and its
+    # arrays stay far below a (code, a, b) index, 392 MiB of int32 at
+    # order 7
+    assert 21 <= codes._CENSUS_BUDGET < 28
+    assert len(enumerate_classes(7)) == 24416
     census = _census(7)
     arrays = (census.offset, census.perm_of, census.tables, census.cells)
     assert sum(array.nbytes for array in arrays) < 32 << 20
-    # a budget of exactly order 4's 2^6 codes still builds order 4, and
+    # a budget of exactly order 4's 6 pairs still builds order 4, and
     # refuses order 5
-    monkeypatch.setattr(codes, "_CENSUS_BUDGET", 2 ** 6)
+    monkeypatch.setattr(codes, "_CENSUS_BUDGET", 6)
     _census.cache_clear()
     try:
         assert len(enumerate_classes(4)) == 40
-        with pytest.raises(CapExceeded, match="budget of 64"):
+        with pytest.raises(CapExceeded, match="budget of 6$"):
             enumerate_classes(5)
     finally:
         _census.cache_clear()
 
 
 def test_enumeration_cap_env(monkeypatch):
-    # the cap comes from the call alone: a process-wide variable, valid or
-    # not, neither lowers it nor makes it an error
+    # no process-wide variable bounds the census: FLIPPROC_CAP, valid or
+    # not, neither lowers a budget nor makes it an error
     element = RootedPairGraph(GraphCode(4, 0), 1, 2)
     for env in ("3", "not-a-number", "0", "-2"):
         monkeypatch.setenv("FLIPPROC_CAP", env)
-        assert enumeration_cap() == 6
         assert len(enumerate_classes(4)) == 40
         assert canonical_class(element).size == 12
-
-
-@pytest.mark.parametrize("cap", [0, -1, 6.5, True, "6", np.float64(6)])
-def test_enumeration_cap_must_be_a_positive_integer(cap):
-    # an input error, not a cap to raise; a float is never rounded
-    with pytest.raises(ValueError, match="--cap"):
-        enumeration_cap(cap)
-    with pytest.raises(ValueError, match="--cap"):
-        enumerate_classes(3, cap=cap)
 
 
 def _run_field(field):
@@ -382,7 +376,6 @@ def _multiplicity(value):
 _ORDERS_AND_COUNTS = {
     "GraphCode": (lambda v: GraphCode(v, 0).order, 3),
     "enumerate_classes": (enumerate_classes, 3),
-    "enumeration_cap": (enumeration_cap, 3),
     "Rule": (lambda v: Rule(v).order, 3),
     "make_named": (lambda v: make_named("identity", v).order, 3),
     "rule-json-order": (lambda v: rule_from_json_obj({"order": v}).order, 3),

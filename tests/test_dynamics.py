@@ -270,7 +270,7 @@ def test_velocity_chunks_agree(monkeypatch, fresh_plans):
     dynamics._plan.cache_clear()
     dynamics._compiled.cache_clear()
     split = np.array(velocity(ext5, kern).values)
-    assert len(dynamics._plan(dynamics._compiled(ext5, 6), 2)) >= 3
+    assert len(dynamics._plan(dynamics._compiled(ext5), 2)) >= 3
     assert np.abs(split - whole).max() <= 1e-12 * max(1.0, np.abs(whole).max())
     # 4^5 cells are beyond the patched budget
     with pytest.raises(CapExceeded, match="grid"):
@@ -279,16 +279,14 @@ def test_velocity_chunks_agree(monkeypatch, fresh_plans):
 
 def test_velocity_is_capped():
     kern = oracles.random_kernel(random.Random(43), 2)
-    # the certificate is held to the enumeration cap
-    with pytest.raises(CapExceeded):
-        velocity(make_named("clique-removal", 7), kern)
-    with pytest.raises(CapExceeded):
-        velocity(TR, kern, cap=2)
-    with pytest.raises(CapExceeded):
-        integrate(TR, kern, 0.01, cap=2)
-    with pytest.raises(CapExceeded):
-        transference_check(TR, 20, kern, 0.01, 0.5, 1, runs=1, cap=2)
-    assert velocity(TR, kern, cap=3).values == velocity(TR, kern).values
+    # the certificate is held to the census budget
+    clique8 = make_named("clique-removal", 8)
+    with pytest.raises(CapExceeded, match="census"):
+        velocity(clique8, kern)
+    with pytest.raises(CapExceeded, match="census"):
+        integrate(clique8, kern, 0.01)
+    with pytest.raises(CapExceeded, match="census"):
+        transference_check(clique8, 20, kern, 0.01, 0.5, 1, runs=1)
     # and the m^k grid of part assignments to its budget: 20^6 cells
     wide = StepKernel([F(1, 20)] * 20, [[0.5] * 20] * 20)
     with pytest.raises(CapExceeded, match="grid"):

@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -178,12 +179,12 @@ def test_lift_errors():
 def test_lift_holds_its_entries_to_the_budget(monkeypatch):
     # 2^(36 - 3) copies of the one entry, refused before any is built
     with pytest.raises(CapExceeded, match="budget of 4000000"):
-        lift(TR, 9, cap=9)
+        lift(TR, 9)
     with pytest.raises(CapExceeded, match="budget"):
-        compare(TR, make_named("identity", 9), cap=9)
-    assert lift(make_named("identity", 3), 9, cap=9) == make_named("identity", 9)
+        compare(TR, make_named("identity", 9))
+    assert lift(make_named("identity", 3), 9) == make_named("identity", 9)
     # reaching the budget exactly still lifts
-    monkeypatch.setattr("flipproc.rules._ENTRY_BUDGET", 1 << 12)
+    monkeypatch.setattr("flipproc.codes._ENTRY_BUDGET", 1 << 12)
     assert len(lift(TR, 6).rows()) == 1 << 12
     with pytest.raises(CapExceeded):
         lift(TER, 6)
@@ -370,18 +371,35 @@ def test_is_symmetric_matches_per_permutation_oracle(rule):
     assert is_symmetric(rule) == oracles.naive_is_symmetric(rule)
 
 
-def test_symmetry_sweeps_are_capped():
-    clique7 = make_named("clique-removal", 7)
-    with pytest.raises(CapExceeded):
-        is_symmetric(clique7)
-    with pytest.raises(CapExceeded):
-        classify_unique(clique7)
-    with pytest.raises(CapExceeded):
-        is_symmetric(TR, cap=2)
-    assert is_symmetric(clique7, cap=7)
+def test_symmetry_sweeps_are_capped(monkeypatch):
+    # complementing 7 has 2^21 entries and 2^21 rows, 2.1e10 images
+    # under the 5,040 relabellings: refused before the first block
+    complementing7 = make_named("complementing", 7)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="sweep"):
+        classify_unique(complementing7)
+    assert time.perf_counter() - start < 1
+    # an ignorant rule over 6 graphs whose orbits hold 1,440 graphs:
+    # 196,608 entries whose symmetrization would have 47,185,920
+    ignorant = make_named("ignorant", 6, dist={h: F(1, 6) for h in range(100, 106)})
+    for call in (symmetrize, classify_unique):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="members"):
+            call(ignorant)
+        assert time.perf_counter() - start < 2
     # beyond order 8 the relabelling images outgrow the numpy tables
-    with pytest.raises(CapExceeded):
-        is_symmetric(Rule(9, {(1, 0): F(1)}), cap=9)
+    with pytest.raises(CapExceeded, match="relabelling tables"):
+        is_symmetric(Rule(9, {(1, 0): F(1)}))
+    # each budget admits its bound exactly: complementing 3 takes
+    # (8 entries + 8 rows) * 3! = 96 images and lists 16 orbit members
+    c3 = make_named("complementing", 3)
+    for name, need in (("_SWEEP_BUDGET", 96), ("_ENTRY_BUDGET", 16)):
+        with monkeypatch.context() as patch:
+            patch.setattr(f"flipproc.codes.{name}", need)
+            assert symmetrize(c3) == c3
+            patch.setattr(f"flipproc.codes.{name}", need - 1)
+            with pytest.raises(CapExceeded, match="budget of"):
+                symmetrize(c3)
 
 
 def test_unique_low_order():
@@ -397,6 +415,9 @@ def test_unique_symmetric_deterministic():
     assert verdict.witness is None
     assert classify_unique(make_named("extremist", 3)).unique
     assert classify_unique(make_named("complementing", 3)).unique
+    for k in range(3, 8):
+        verdict = classify_unique(make_named("clique-removal", k))
+        assert verdict.unique and verdict.reason == "symmetric-deterministic"
 
 
 def test_witness_for_asymmetric_rule_is_its_symmetrization():

@@ -137,10 +137,9 @@ def test_codes_past_62_bits_are_capped():
     # that reads them as one refuses the order instead of wrapping or
     # calling valid codes out of range
     rule11, rule12 = make_named("clique-removal", 11), make_named("clique-removal", 12)
-    for call in (lambda: lift(rule11, 12, cap=12), lambda: lift(rule12, 13, cap=13),
-                 lambda: symmetrize(rule12, cap=12), lambda: is_symmetric(rule12, cap=12),
-                 lambda: classify_unique(rule12, cap=12),
-                 lambda: check_k1(rule12, rule12, cap=12)):
+    for call in (lambda: lift(rule11, 12), lambda: lift(rule12, 13),
+                 lambda: symmetrize(rule12), lambda: is_symmetric(rule12),
+                 lambda: classify_unique(rule12), lambda: check_k1(rule12, rule12)):
         with pytest.raises(CapExceeded, match="62-bit"):
             call()
 
@@ -265,12 +264,12 @@ def test_named_complementing():
     assert c2.row(0) == {1: F(1)} and c2.row(1) == {0: F(1)}
     c3 = make_named("complementing", 3)
     assert all(c3.probability(f, 7 ^ f) == 1 for f in range(8))
-    # the dense families list all 2^C(k, 2) rows, so the order is capped
-    assert make_named("complementing", 3, cap=3) == c3
+    # the dense families list all 2^C(k, 2) rows, so their entries are held
+    # to a budget
     with pytest.raises(CapExceeded):
-        make_named("complementing", 3, cap=2)
+        make_named("complementing", 8)
     with pytest.raises(CapExceeded):
-        make_named("ignorant", 7, dist={0: 1})
+        make_named("ignorant", 7, dist={0: F(1, 2), 1: F(1, 2)})
 
 
 def test_named_extremist():
@@ -374,13 +373,13 @@ def test_named_families_reject_parameters_they_do_not_take(family):
 
 
 def test_dense_named_families_are_held_to_the_entry_budget(monkeypatch):
-    # 2^28 rows at order 8, refused before any is built, whatever the cap
+    # 2^28 rows at order 8, refused before any is built
     for family in ("complementing", "extremist"):
         with pytest.raises(CapExceeded, match="budget of 4000000"):
-            make_named(family, 8, cap=8)
+            make_named(family, 8)
     # ignorant has a row entry per graph of its dist; a budget of exactly
     # the 2^6 rows of order 4 still builds one graph per row, not two
-    monkeypatch.setattr("flipproc.rules._ENTRY_BUDGET", 2 ** 6)
+    monkeypatch.setattr("flipproc.codes._ENTRY_BUDGET", 2 ** 6)
     assert len(make_named("complementing", 4).entries) == 2 ** 6
     # row 0 of this ignorant rule is an identity row, which a rule omits
     assert len(make_named("ignorant", 4, dist={0: 1}).entries) == 2 ** 6 - 1
