@@ -168,12 +168,12 @@ def _cmd_named(args):
         raw = json.loads(args.dist)
         if not isinstance(raw, dict):
             raise ValueError("--dist must be a JSON object {code: probability}")
-        params["dist"] = {
-            _graph_code(code, args.k):
-                Fraction(p) if isinstance(p, float) and math.isfinite(p)
-                else _exact_value(p, "a --dist probability other than a finite float")
-            for code, p in raw.items()
-        }
+        dist = params["dist"] = {}
+        for code, p in raw.items():
+            code = _graph_code(code, args.k)  # "1" and "01" name one graph: they add up
+            p = (Fraction(p) if isinstance(p, float) and math.isfinite(p)
+                 else _exact_value(p, "a --dist probability other than a finite float"))
+            dist[code] = dist[code] + p if code in dist else p
     _emit(rule_to_json(make_named(args.family, args.k, **params)), args.out)
     return 0
 

@@ -247,8 +247,8 @@ def _byte_images(k):
 def perm_images(k, codes):
     """images[i, s], the image of codes[i] under all_perms(k)[s], as an
     int32 array of shape (len(codes), k!).  The codes must lie in
-    [0, 2^C(k, 2)): callers pass a census's own codes, a validated rule's
-    or those that rules.entry_codes checked."""
+    [0, 2^C(k, 2)): callers pass a census's own codes or a rule's, which
+    Rule checks when built."""
     codes = np.asarray(codes, dtype=np.int64)
     table = _byte_images(k)
     out = table[0][codes & 0xFF]

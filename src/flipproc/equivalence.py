@@ -42,7 +42,6 @@ from .codes import (
 )
 from .rules import (
     Rule,
-    entry_codes,
     is_deterministic,
     symmetrize,
     validate,
@@ -187,7 +186,7 @@ def coeff_vector(rule):
     census = _census(k)
     p = num_pairs(k)
     # integer numerators over the common denominator; denom stands for 1
-    f, h = entry_codes(rule)
+    f, h = rule._f, rule._h
     denom, nums = rule._denom, rule._nums
     starts = rule._starts
     # each entry and each row's own pairs enter at most 2p class sums, so
@@ -238,12 +237,11 @@ def lift(rule, to):
     rules._check_code_width(to)
     _check_budget(len(nums) << (num_pairs(to) - low), codes._ENTRY_BUDGET,
                   f"entries of a {len(nums)}-entry rule lifted to order {to}")
-    f, h = entry_codes(rule)
     # the top bits lie above every code of the rule, so the lifted codes
     # are sorted top by top
     tops = np.arange(1 << (num_pairs(to) - low), dtype=np.int64)[:, None] << low
     return Rule._from_numerators(
-        to, (tops | f).ravel(), (tops | h).ravel(),
+        to, (tops | rule._f).ravel(), (tops | rule._h).ravel(),
         np.broadcast_to(nums, (len(tops), len(nums))).ravel(), denom)
 
 

@@ -39,23 +39,14 @@ class RuleValidationError(ValueError):
 _SMALL = 1 << 62
 
 
-def _int_array(values):
-    """Integers as an int64 array when every one fits, else as an object
-    array of Python integers."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        out = np.empty(len(values), dtype=object)
-        out[:] = list(values)
-        return out
-
-
 def _numerator_array(nums, denom):
     """Numerators as an int64 array when they and the denominator are
-    below _SMALL in magnitude, else as an object array."""
-    nums = _int_array(nums)  # object only for a value past int64, so past _SMALL
-    if nums.dtype != object and (denom >= _SMALL or (
-            nums.size and (nums.min() <= -_SMALL or nums.max() >= _SMALL))):
+    below _SMALL in magnitude, else as an object array of Python integers."""
+    try:
+        nums = np.asarray(nums, dtype=np.int64)
+    except OverflowError:  # a value past int64, so past _SMALL
+        return np.array(list(nums), dtype=object)
+    if denom >= _SMALL or (nums.size and (nums.min() <= -_SMALL or nums.max() >= _SMALL)):
         return nums.astype(object)
     return nums
 
@@ -95,13 +86,6 @@ def _largest(nums, denom):
     return max(denom, int(abs(nums).max()) if nums.size else 0)
 
 
-def _codes_in_range(f, h, p):
-    """Whether every code in the int64 arrays f and h is in [0, 2^p)."""
-    # f | h is negative, or holds a bit past p, exactly when f or h does
-    either = f | h
-    return not either.size or (either.min() >= 0 and (p >= 63 or not either.max() >> p))
-
-
 def _row_starts(f):
     """Positions where a run of equal codes starts in the sorted array f."""
     if not len(f):
@@ -109,12 +93,21 @@ def _row_starts(f):
     return np.flatnonzero(np.concatenate(([True], f[1:] != f[:-1])))
 
 
+def _check_code_width(k):
+    """CapExceeded past order 11, whose graphs need more than 62 bits."""
+    _check_budget(num_pairs(k), 62, f"pairs in the 62-bit code of an order-{k} graph")
+
+
 class Rule:
     """order: number of sampled vertices k.
     entries: mapping (from_bits, to_bits) -> probability, exact rationals.
 
+    Past order 11, whose graphs need more than 62 bits, CapExceeded; an
+    entry of nonzero probability with a code outside [0, 2^C(k, 2)) is a
+    ValueError.
+
     The explicit entries are held sorted by (from, to) in read-only arrays:
-    codes _f and _h, and numerators _nums over their least common
+    int64 codes _f and _h, and numerators _nums over their least common
     denominator _denom, so that _nums[i] / _denom is the i-th entry.  _nums
     is int64 when the numbers are small, else Python integers.  _starts
     indexes the first entry of each explicit row."""
@@ -124,6 +117,7 @@ class Rule:
 
     def __init__(self, order, entries=None):
         order = _positive_int(order, "order")
+        _check_code_width(order)
         merged = {}
         for (f, h), p in (entries or {}).items():
             # type() first: _is_int on every key adds ~1 ms to a 4,096-entry load
@@ -131,20 +125,29 @@ class Rule:
                 raise ValueError(f"graph codes must be integers, got ({f!r}, {h!r})")
             if type(p) is not Fraction:
                 p = _fraction(p, "probability", "probabilities must be numbers")
-            if p:
-                key = int(f), int(h)
-                merged[key] = merged[key] + p if key in merged else p
-        keys = sorted(merged)
+            key = int(f), int(h)
+            merged[key] = merged[key] + p if key in merged else p
+        keys = sorted(key for key, p in merged.items() if p)  # zeros dropped first
+        P = num_pairs(order)
+        try:
+            f = np.array([f for f, _ in keys], dtype=np.int64)
+            h = np.array([h for _, h in keys], dtype=np.int64)
+            # f | h is negative, or holds a bit past P, exactly when f or h does
+            either = f | h
+            fits = not either.size or (either.min() >= 0 and not either.max() >> P)
+        except OverflowError:  # a code past int64
+            fits = False
+        if not fits:
+            code = next(c for key in keys for c in key if not 0 <= c < 1 << P)
+            raise ValueError(f"graph code {code} is out of range for order {order}")
         nums, denom = _common_denominator([merged[key] for key in keys])
-        f = _int_array([f for f, _ in keys])
-        h = _int_array([h for _, h in keys])
         self._store(order, f, h, nums, denom)
 
     @classmethod
     def _from_numerators(cls, order, f, h, nums, denom):
-        """The rule with entries (f[i], h[i]) -> nums[i] / denom, for code
-        arrays sorted by (from, to) without repeated pairs, as the library
-        builds them.  Normalizes like the constructor."""
+        """The rule with entries (f[i], h[i]) -> nums[i] / denom, for int64
+        code arrays in range, sorted by (from, to) without repeated pairs, as
+        the library builds them: unchecked.  Normalizes like the constructor."""
         rule = cls.__new__(cls)
         rule._store(order, f, h, nums, denom)
         return rule
@@ -223,9 +226,9 @@ class Rule:
         # velocity() call
         if self._hash is None:
             # the dtype follows the values, so int64 bytes are canonical
-            parts = [a.tobytes() if a.dtype != object else tuple(a.tolist())
-                     for a in (self._f, self._h, self._nums)]
-            object.__setattr__(self, "_hash", hash((self.order, self._denom, *parts)))
+            nums = self._nums.tobytes() if self._nums.dtype != object else tuple(self._nums)
+            object.__setattr__(self, "_hash", hash((
+                self.order, self._denom, self._f.tobytes(), self._h.tobytes(), nums)))
         return self._hash
 
     def __reduce__(self):
@@ -239,22 +242,15 @@ class Rule:
 
 
 def _exact_problems(rule):
-    """rule_problems on Python integers, for any size of code or number."""
+    """rule_problems on Python integers, for any size of number."""
     problems = []
-    p = num_pairs(rule.order)  # not 1 << p: an order has no bound before validation
     denom = rule._denom
     fs, hs, nums = rule._f.tolist(), rule._h.tolist(), rule._nums.tolist()
     bounds = rule._starts.tolist() + [len(nums)]
     for lo, hi in zip(bounds, bounds[1:]):
         f = fs[lo]
-        if f < 0 or f >> p:
-            problems.append(f"row index {f} out of range for order {rule.order}")
         total = 0
         for h, num in zip(hs[lo:hi], nums[lo:hi]):
-            if h < 0 or h >> p:
-                problems.append(
-                    f"replacement index {h} out of range for order {rule.order}"
-                )
             if num < 0 or num > denom:
                 problems.append(f"entry ({f} -> {h}) has probability "
                                 f"{Fraction(num, denom)} outside [0, 1]")
@@ -265,35 +261,29 @@ def _exact_problems(rule):
 
 
 def rule_problems(rule):
-    """Every validation violation, as human-readable strings.  A rule whose
-    codes fit int64 and whose row sums cannot pass 2^62 is checked in
-    numpy; one found invalid there, or too large for it, is checked again
-    on Python integers, which word the problems."""
-    f, h, nums, denom = rule._f, rule._h, rule._nums, rule._denom
+    """Every probability outside [0, 1] and every row sum other than 1, as
+    human-readable strings.  A rule whose row sums cannot pass 2^62 is
+    checked in numpy; one found invalid there, or too large for it, is
+    checked again on Python integers, which word the problems."""
+    nums, denom = rule._nums, rule._denom
     if not len(nums):
         return []
-    if f.dtype != object and nums.dtype != object and len(nums) * denom < _SMALL:
-        if (_codes_in_range(f, h, num_pairs(rule.order))
-                and nums.min() >= 0 and nums.max() <= denom
+    if nums.dtype != object and len(nums) * denom < _SMALL:
+        if (nums.min() >= 0 and nums.max() <= denom
                 and (np.add.reduceat(nums, rule._starts) == denom).all()):
             return []
     return _exact_problems(rule)
 
 
 def validate(rule):
-    """Raise RuleValidationError listing all problems; no-op when valid."""
+    """Raise RuleValidationError listing every probability outside [0, 1]
+    and every row sum other than 1; no-op when valid."""
     problems = rule_problems(rule)
     if problems:
         raise RuleValidationError(problems)
 
 
 # --------------------------------------------------------------- named rules
-
-# The last order whose complete graph, C(k, 2) bits, prints in at most
-# 4,300 digits, CPython's limit for turning an int into text: order 170
-# would need 4,325.
-MAX_NAMED_ORDER = 169
-
 
 def make_named(family, k, **params):
     """Construct a named rule family at order k.  Families:
@@ -303,18 +293,14 @@ def make_named(family, k, **params):
     does not take is a ValueError, and so is an ignorant dist code of
     nonzero probability outside [0, 2^C(k, 2)), so that every named rule
     is valid when built.  complementing, extremist and ignorant list all
-    2^C(k, 2) rows, so their entries are held to 4,000,000; every family
-    stops at MAX_NAMED_ORDER."""
+    2^C(k, 2) rows, so their entries are held to 4,000,000; past order 11,
+    whose graphs need more than 62 bits, every family is CapExceeded."""
     family = family.replace("_", "-")
     k = _positive_int(k, "order")
+    _check_code_width(k)
     param = params.pop({"extremist": "threshold", "ignorant": "dist"}.get(family), None)
     if params:
         raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
-    if k > MAX_NAMED_ORDER:
-        raise ValueError(
-            f"named rules stop at order {MAX_NAMED_ORDER}, the last order whose "
-            f"graph codes print in 4,300 digits; got order {k}"
-        )
     P = num_pairs(k)
     nums, denom = [1], 1  # the numerators of each row of a dense family
     if family == "ignorant":
@@ -340,7 +326,7 @@ def make_named(family, k, **params):
         # one explicit row per graph, as code and numerator arrays
         f = np.arange(1 << P, dtype=np.int64)
         if family == "ignorant":
-            f, h = f.repeat(len(support)), np.tile(_int_array(support), len(f))
+            f, h = f.repeat(len(support)), np.tile(np.array(support, dtype=np.int64), len(f))
         elif family == "complementing":
             h = f ^ full_bits(k)
         else:
@@ -349,7 +335,8 @@ def make_named(family, k, **params):
             # clamped to [0, P + 1], the threshold's ceiling compares in int64
             t = min(max(math.ceil(threshold), 0), P + 1)
             h = np.where(edges >= t, full_bits(k), 0)
-        return Rule._from_numerators(k, f, h, np.tile(_int_array(nums), 1 << P), denom)
+        nums = np.tile(_numerator_array(nums, denom), 1 << P)
+        return Rule._from_numerators(k, f, h, nums, denom)
 
     if family == "identity":
         return Rule(k, {})
@@ -376,24 +363,6 @@ def make_named(family, k, **params):
     raise ValueError(f"unknown rule family {family!r}")
 
 
-def _check_code_width(k):
-    """CapExceeded past order 11, whose graphs need more than 62 bits."""
-    _check_budget(num_pairs(k), 62, f"pairs in the 62-bit code of an order-{k} graph")
-
-
-def entry_codes(rule):
-    """The explicit entries' (from_bits, to_bits) as two read-only int64
-    arrays, in entry order: the one check of the codes that leave a rule
-    for the numpy tables.  Past order 11, whose graphs need more than 62
-    bits, CapExceeded; a code outside [0, 2^C(k, 2)) is a ValueError."""
-    _check_code_width(rule.order)
-    f, h = rule._f, rule._h
-    if (f.dtype == object or h.dtype == object
-            or not _codes_in_range(f, h, num_pairs(rule.order))):
-        raise ValueError(f"graph codes out of range for order {rule.order}")
-    return f, h
-
-
 # ----------------------------------------------------------------- predicates
 
 def is_symmetric(rule):
@@ -415,7 +384,7 @@ def symmetrize(rule):
     members, CapExceeded."""
     k = rule.order
     denom, nums = rule._denom, rule._nums
-    orbits = _orbit_sweep(k, *entry_codes(rule), rule._starts)
+    orbits = _orbit_sweep(k, rule._f, rule._h, rule._starts)
     sizes, owners = orbits.sizes, orbits.owners
     # identity rows per diagonal orbit, each of numerator denom: its
     # members less the explicit rows among them
@@ -580,8 +549,9 @@ def _json_object(obj, what, required, optional=()):
 
 def rule_from_json_obj(obj):
     """The rule a JSON object describes, validated as a named rule is when
-    built: a malformed object is a ValueError, and a rule that breaks a
-    row sum, a probability or a code range is a RuleValidationError."""
+    built: a malformed object or an out-of-range code is a ValueError, an
+    order past 11 is CapExceeded, and a rule that breaks a row sum or a
+    probability is a RuleValidationError."""
     _json_object(obj, "rule", ("order",), ("entries", "default"))
     order = _positive_int(obj["order"], "order")
     default = obj.get("default", "identity")

@@ -49,7 +49,7 @@ import numpy as np
 from . import codes
 from .codes import _check_budget, _is_int, _positive_int, pair_list
 from .dynamics import _GRID_BUDGET, StepKernel, _kernel_arrays, integrate
-from .rules import entry_codes, validate
+from .rules import validate
 
 _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
@@ -272,7 +272,7 @@ class _Engine:
         self.second = np.array([j - 1 for _, j in pairs], np.int64)
         self.bits = np.arange(len(pairs), dtype=np.int64)
         self.weights = np.left_shift(1, self.bits)
-        fs, self.hs = entry_codes(rule)  # CapExceeded past order 11
+        fs, self.hs = rule._f, rule._h
         self.codes = fs[rule._starts]
         self.starts = rule._starts.astype(np.int64)
         self.widths = np.diff(self.starts, append=len(self.hs))
@@ -397,9 +397,9 @@ def run(config, reference=None):
     to a kernel on the start's parts (the same weights), else ValueError;
     per-run absolute deviations are filled in.  An invalid rule, an n, runs
     or sample_points below 1 and a seed that is not an integer are
-    ValueErrors.  Beyond 5,000 vertices, 10,000,000 steps over all runs,
-    4,000,000 stored block densities (runs * sample points * parts^2) or
-    rule order 11, CapExceeded before the first step.
+    ValueErrors.  Beyond 5,000 vertices, 10,000,000 steps over all runs or
+    4,000,000 stored block densities (runs * sample points * parts^2),
+    CapExceeded before the first step.
     """
     rule = config.rule
     validate(rule)

@@ -14,7 +14,7 @@ time from a linear scan, the simulator's start graph from one
 random() call per pair, and its steps one at a time on bitmask rows, each
 replacement found by bisection in Fraction-summed cumulatives; the exact
 one-step transition matrix on n vertices sums the rule over every ordered
-k-tuple.
+k-tuple, and so does the rank of the map from a rule's orbit masses to it.
 Generators (random rules, kernels, graphs) may use package constructors
 since they only build inputs.
 """
@@ -24,6 +24,8 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from flipproc import Rule, RootedGraph
 
@@ -648,3 +650,69 @@ def transition_matrix(rule, n):
                 key = g, cleared | sum(1 << s for i, s in enumerate(bits) if h >> i & 1)
                 sums[key] = sums.get(key, 0) + p
     return {key: p / len(slots) for key, p in sums.items() if p}
+
+
+# a prime near 2^20: products of two residues stay far inside int64
+K1_PRIME = 1_048_573
+
+
+def _rank_mod(matrix, p):
+    """Rank of an integer matrix over the field of p elements, by Gaussian
+    elimination."""
+    a = np.asarray(matrix, dtype=np.int64) % p
+    rank = 0
+    for col in range(a.shape[1]):
+        nonzero = rank + np.flatnonzero(a[rank:, col])
+        if not len(nonzero):
+            continue
+        a[[rank, nonzero[0]]] = a[[nonzero[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
+        others = np.flatnonzero(a[:, col])
+        others = others[others != rank]
+        a[others] = (a[others] - a[others, col, None] * a[rank]) % p
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def k1_rank(k, n, graphs, raw=False, seed=0):
+    """(rank, columns) of the linear map that sends the off-diagonal orbit
+    masses of a symmetrized order-k rule to the off-diagonal entries of its
+    n-vertex one-step transition matrix, rows (G, G') kept for the start
+    graphs G in `graphs`.  There is one column per relabelling orbit of
+    pairs (F, H) with F != H, or with raw=True one per such pair; entry
+    ((G, G'), orbit) counts the ordered k-tuples t with (G|t, G'|t) in the
+    orbit and G' = G off t.  The rank is taken mod K1_PRIME of a seeded
+    random projection of the rows onto columns + 8 combinations, so it is
+    a lower bound on the rank over the rationals: full column rank proves
+    that unequal orbit sums give different transition matrices."""
+    pairs = pairs_of(k)
+    size = 1 << len(pairs)
+    column = {}
+    col_of = np.full((size, size), -1, dtype=np.int64)
+    for f in range(size):
+        for h in range(size):
+            if f != h:
+                key = (f, h) if raw else min(
+                    (apply_sigma_bits(sigma, k, f), apply_sigma_bits(sigma, k, h))
+                    for sigma in itertools.permutations(range(1, k + 1)))
+                col_of[f, h] = column.setdefault(key, len(column))
+    g = np.array(list(graphs), dtype=np.int64)
+    width = len(pairs_of(n))
+    keys, cols = [], []
+    for tup in itertools.permutations(range(1, n + 1), k):
+        slots = [pair_index(tup[a - 1], tup[b - 1]) for a, b in pairs]
+        f = sum(((g >> s) & 1) << i for i, s in enumerate(slots))
+        cleared = g & ~sum(1 << s for s in slots)
+        for h in range(size):
+            moved = f != h
+            placed = sum(1 << s for i, s in enumerate(slots) if h >> i & 1)
+            keys.append((g << width | cleared | placed)[moved])
+            cols.append(col_of[f[moved], h])
+    _, rows = np.unique(np.concatenate(keys), return_inverse=True)
+    matrix = np.zeros((rows.max() + 1, len(column)), dtype=np.int64)
+    np.add.at(matrix, (rows.ravel(), np.concatenate(cols)), 1)
+    rng = np.random.default_rng(seed)
+    projection = rng.integers(0, K1_PRIME, size=(len(column) + 8, len(matrix))) @ matrix
+    return _rank_mod(projection, K1_PRIME), len(column)

@@ -122,6 +122,11 @@ def test_named_dense_families_are_capped(capsys, family):
     extra = ["--dist", '{"0": 1}'] if family == "ignorant" else []
     assert main(["named", family, "--k", "8", *extra]) == 3
     assert "entries" in capsys.readouterr().err
+    # past order 11 the order itself is refused, in one short line
+    for k in ("169", "1000000"):
+        assert main(["named", family, "--k", k, *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "62-bit" in captured.err and len(captured.err) < 120
     assert main(["named", family, "--k", "3", *extra]) == 0
 
 
@@ -148,16 +153,21 @@ def test_named_rejects_parameters_the_family_does_not_take(capsys, argv):
     # no steps at all, but a billion runs' densities to keep
     (["simulate", "R3", "--n", "3", "--w0", "K", "--time", "1e-9",
       "--seed", "1", "--runs", "1000000000"], "block densities"),
-    # graphs past order 11 have no 62-bit code, valid rules included
+    # graphs past order 11 have no 62-bit code, valid rules included: a
+    # rule is refused when lifted to such an order or read at one
     (["lift", "R11", "--to", "12"], "62-bit"),
     (["symmetrize", "R12"], "62-bit"),
 ])
 def test_budgets_exit_3_before_building(argv, what, tmp_path, kernel_file,
                                         capsys):
     files = {"K": kernel_file}
-    for k in (3, 8, 9, 11, 12):
+    for k in (3, 8, 9, 11):
         files[f"R{k}"] = str(tmp_path / f"clique{k}.json")
         save_rule(make_named("clique-removal", k), files[f"R{k}"])
+    # clique removal at order 12, written by hand: no Rule of that order is built
+    files["R12"] = str(tmp_path / "clique12.json")
+    (tmp_path / "clique12.json").write_text(json.dumps(
+        {"order": 12, "entries": [{"from": (1 << 66) - 1, "to": 0, "p": "1"}]}))
     start = time.perf_counter()
     assert main([files.get(a, a) for a in argv]) == 3
     assert time.perf_counter() - start < 5
@@ -635,18 +645,37 @@ def test_number_budget_and_named_order_bound(tr_file, tmp_path, capsys):
     assert main(["named", "extremist", "--k", "3", "--threshold", "1e9999"]) == 2
     assert main(["named", "ignorant", "--k", "2", "--dist", '{"0": "1e-5000"}']) == 2
     assert "input budget" in capsys.readouterr().err
-    assert main(["named", "clique-removal", "--k", "170"]) == 2
-    assert "stop at order 169" in capsys.readouterr().err
-    assert main(["named", "clique-removal", "--k", "169"]) == 0
+    # a named rule stops at order 11, the last whose graphs fit 62 bits
+    assert main(["named", "clique-removal", "--k", "170"]) == 3
+    err = capsys.readouterr().err
+    assert "62-bit" in err and err.count("\n") == 1 and len(err) < 120
+    assert main(["named", "clique-removal", "--k", "12"]) == 3
+    assert "62-bit" in capsys.readouterr().err
+    assert main(["named", "clique-removal", "--k", "11"]) == 0
 
 
-def test_invalid_rule_of_huge_order_exits_2(tmp_path, capsys):
-    # the validator reports the row sum without building 2^C(k, 2)
+def test_named_dist_codes_that_name_one_graph_add_up(capsys):
+    # "1" and "01" are both graph 1: their probabilities add up, so the
+    # listed mass below is 3/2, not a distribution
+    dist = '{"0": "1/2", "1": "1/2", "01": "1/2"}'
+    assert main(["named", "ignorant", "--k", "2", "--dist", dist]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be a probability distribution" in captured.err
+    dist = '{"0": "1/2", "1": "1/4", "01": "1/4"}'
+    assert main(["named", "ignorant", "--k", "2", "--dist", dist]) == 0
+    rule = parse_rule_json(capsys.readouterr().out)
+    assert rule == make_named("ignorant", 2, dist={0: Fraction(1, 2), 1: Fraction(1, 2)})
+    assert rule.probability(0, 1) == Fraction(1, 2)
+
+
+def test_rule_of_huge_order_exits_3(tmp_path, capsys):
+    # the order is refused when the rule is read, in one short line,
+    # without building 2^C(k, 2) and before its row sum is checked
     path = tmp_path / "order.json"
     path.write_text('{"order": 100000000000, "entries": [{"from": 1, "to": 0, "p": "1/2"}]}')
-    assert main(["coeffs", str(path)]) == 2
+    assert main(["coeffs", str(path)]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "row sum" in captured.err
+    assert captured.out == "" and "62-bit" in captured.err and len(captured.err) < 120
 
 
 def test_missing_file(capsys):

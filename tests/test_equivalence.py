@@ -42,7 +42,6 @@ from flipproc import (
 from flipproc import equivalence
 from flipproc.codes import BLOCK_ELEMENTS, _orbit_sweep, num_pairs
 from flipproc.equivalence import _first_difference
-from flipproc.rules import entry_codes
 
 import oracles
 
@@ -667,6 +666,19 @@ def test_transition_matrices_decide_check_k1(rule, partner):
     assert check_k1(rule, partner) == same
 
 
+def test_orbit_masses_to_transitions_have_full_rank():
+    # unequal orbit sums give different n-vertex processes when the map
+    # from orbit masses to transition entries is injective: full column
+    # rank mod a prime proves it for these k and n
+    for k, n in ((2, 3), (2, 4), (3, 3), (3, 4), (3, 5)):
+        rank, columns = oracles.k1_rank(k, n, range(1 << num_pairs(n)))
+        assert rank == columns == {2: 2, 3: 16}[k]
+    # negative control: one column per raw pair (F, H), not per orbit, is
+    # rank deficient, so the rank does see dependencies
+    for n in (3, 4):
+        assert oracles.k1_rank(3, n, range(1 << num_pairs(n)), raw=True) == (16, 56)
+
+
 def _mixture(rule1, rule2, lam):
     """lam * R1 + (1 - lam) * R2 over full matrices, identity rows
     included."""
@@ -785,7 +797,7 @@ def _blocked_cases():
 
 
 def _orbits(rule):
-    return _orbit_sweep(rule.order, *entry_codes(rule), rule._starts)
+    return _orbit_sweep(rule.order, rule._f, rule._h, rule._starts)
 
 
 def test_sweeps_agree_across_many_blocks(monkeypatch):
@@ -855,7 +867,7 @@ def test_orbit_sweep_matches_the_permutation_oracle(rule, block):
     number = {m: j for j, key in enumerate(sorted(naive)) for m in naive[key]}
     members = sorted(number)
     p = num_pairs(rule.order)
-    f, h = entry_codes(rule)
+    f, h = rule._f, rule._h
     want = {
         "sizes": [len(naive[key]) for key in sorted(naive)],
         "members": members,

@@ -21,9 +21,6 @@ from flipproc import (
     RuleValidationError,
     ignorant_edge_count,
     is_deterministic,
-    check_k1,
-    classify_unique,
-    coeff_vector,
     is_symmetric,
     lift,
     load_rule,
@@ -33,10 +30,9 @@ from flipproc import (
     rule_to_json,
     rule_to_json_obj,
     rule_problems,
-    symmetrize,
     validate,
 )
-from flipproc.rules import _ENTRY, MAX_NAMED_ORDER, _json_records, _json_text, exact_number
+from flipproc.rules import _ENTRY, _json_records, _json_text, exact_number
 
 import oracles
 
@@ -106,56 +102,75 @@ def test_construction_defers_validation():
 
 
 def test_validation_catches_out_of_range_and_bad_probabilities():
-    with pytest.raises(RuleValidationError) as exc:
-        validate(Rule(2, {(1, 2): F(1)}))
-    assert any("out of range" in p for p in exc.value.problems)
+    # a code out of range is refused when the rule is built, by name
+    with pytest.raises(ValueError, match="graph code 2 is out of range for order 2"):
+        Rule(2, {(1, 2): F(1)})
     with pytest.raises(RuleValidationError) as exc:
         validate(Rule(2, {(1, 0): F(3, 2), (1, 1): F(-1, 2)}))
     assert any("outside [0, 1]" in p for p in exc.value.problems)
     with pytest.raises(ValueError):
         Rule(0, {})
-    # codes beyond int64, as JSON can carry them
-    huge = Rule(2, {(1 << 63, 0): F(1, 2), (1, 1 << 64): F(3, 2)})
-    assert rule_problems(huge) == oracles.naive_rule_problems(huge) == [
-        "replacement index 18446744073709551616 out of range for order 2",
-        "entry (1 -> 18446744073709551616) has probability 3/2 outside [0, 1]",
+    bad = Rule(3, {(3, 0): F(1, 2), (1, 2): F(3, 2)})
+    assert rule_problems(bad) == oracles.naive_rule_problems(bad) == [
+        "entry (1 -> 2) has probability 3/2 outside [0, 1]",
         "row 1 has row sum 3/2",
-        "row index 9223372036854775808 out of range for order 2",
-        "row 9223372036854775808 has row sum 1/2",
+        "row 3 has row sum 1/2",
     ]
-    # the numpy paths reject them as out of range, like codes within int64
+    # codes beyond int64, as JSON can carry them, are refused by the reader
+    # like codes within it
     for code in (1 << 62, 1 << 63, (1 << 64) + 5):
-        for rule in (Rule(2, {(code, 0): F(1)}), Rule(2, {(0, code): F(1)})):
-            for check in (coeff_vector, is_symmetric, symmetrize,
-                          lambda r: check_k1(r, r), lambda r: lift(r, 3)):
-                with pytest.raises(ValueError, match="out of range for order 2"):
-                    check(rule)
+        for f, h in ((code, 0), (0, code)):
+            obj = {"order": 2, "entries": [{"from": f, "to": h, "p": "1"}]}
+            with pytest.raises(ValueError, match=f"graph code {code} is out of range for order 2"):
+                rule_from_json_obj(obj)
 
 
 def test_codes_past_62_bits_are_capped():
-    # an order-12 graph has 66 pairs: its codes fit no int64, so every path
-    # that reads them as one refuses the order instead of wrapping or
-    # calling valid codes out of range
-    rule11, rule12 = make_named("clique-removal", 11), make_named("clique-removal", 12)
-    for call in (lambda: lift(rule11, 12), lambda: lift(rule12, 13),
-                 lambda: symmetrize(rule12), lambda: is_symmetric(rule12),
-                 lambda: classify_unique(rule12), lambda: check_k1(rule12, rule12)):
+    # an order-12 graph has 66 pairs: its codes fit no int64, so a rule of
+    # that order is refused where it is built or lifted to, by its order,
+    # instead of wrapping or calling valid codes out of range
+    rule11 = make_named("clique-removal", 11)
+    clique12 = {((1 << 66) - 1, 0): F(1)}
+    for call in (lambda: lift(rule11, 12), lambda: lift(rule11, 13),
+                 lambda: lift(Rule(11), 12), lambda: Rule(12, clique12)):
         with pytest.raises(CapExceeded, match="62-bit"):
             call()
 
 
+def test_codes_are_checked_when_built():
+    # a code of an entry kept is in [0, 2^C(k, 2)) or a ValueError, at
+    # every order a rule can have; zero-probability entries are dropped
+    # before the check
+    for k in range(1, 12):
+        P = k * (k - 1) // 2
+        for code in (-1, 0, (1 << P) - 1, 1 << P, 1 << 62, 1 << 63, (1 << 64) + 5):
+            for key in ((code, 0), (0, code), (code, code)):
+                assert Rule(k, {key: F(0)}) == Rule(k)
+                if 0 <= code < 1 << P:
+                    Rule(k, {key: F(1)})
+                    continue
+                with pytest.raises(ValueError,
+                                   match=f"graph code {code} is out of range for order {k}$"):
+                    Rule(k, {key: F(1)})
+
+
 def test_validation_at_huge_orders_builds_no_code_bound():
-    # an order has no bound before validation, so the range check must not
-    # build 2^C(k, 2) (the Fraction oracle does, so it is not asked here)
-    rule = Rule(10 ** 11, {(1, 0): F(1, 2), (2, -1): F(1)})
-    assert rule_problems(rule) == [
-        "row 1 has row sum 1/2",
-        "replacement index -1 out of range for order 100000000000",
-    ]
-    rule = Rule(100_000, {(1, 0): F(1, 2)})
+    # Rule, the JSON reader and every named family refuse an order past 11
+    # in one short line, before they read a code or allocate anything of
+    # size 2^C(k, 2), invalid entries included
+    entry = {"from": 1, "to": 0, "p": "1/2"}
+    families = ("identity", "complementing", "extremist", "clique-removal")
     tracemalloc.start()
     try:
-        assert rule_problems(rule) == ["row 1 has row sum 1/2"]
+        for order in (12, 170, 10 ** 11):
+            builders = [lambda: Rule(order, {(1, 0): F(1, 2), (2, -1): F(1)}),
+                        lambda: rule_from_json_obj({"order": order, "entries": [entry]}),
+                        lambda: make_named("ignorant", order, dist={0: 1})]
+            builders += [lambda family=family: make_named(family, order) for family in families]
+            for build in builders:
+                with pytest.raises(CapExceeded, match="62-bit") as exc:
+                    build()
+                assert "\n" not in str(exc.value) and len(str(exc.value)) < 120
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -193,13 +208,12 @@ _WIDE_DENOMINATORS = [(1 << 61) + 1, 3 ** 40, (1 << 64) + 1]
 
 @st.composite
 def _wide_rules(draw):
-    """Rules of order 2 to 4 that may be invalid: codes in range, just out
-    of it or past int64; row sums exact or off; denominators small or past
-    int64."""
+    """Order and entries of order 2 to 4 that may be invalid: row sums
+    exact or off, denominators small or past int64, and in one case in
+    four an entry whose code is just out of range or past int64."""
     k = draw(st.integers(min_value=2, max_value=4))
     limit = 1 << (k * (k - 1) // 2)
-    codes = st.one_of(st.integers(min_value=0, max_value=limit - 1),
-                      st.sampled_from([limit] + _EDGE_CODES))
+    codes = st.integers(min_value=0, max_value=limit - 1)
     denominator = draw(st.one_of(st.integers(min_value=1, max_value=12),
                                  st.sampled_from(_WIDE_DENOMINATORS)))
     entries = {}
@@ -212,14 +226,27 @@ def _wide_rules(draw):
         for h, w in zip(support, weights):
             p = F(w, total) if how == "exact" else F(w, denominator)
             entries[(f, h)] = -p if how == "negative" else p
-    return Rule(k, entries)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        stray = draw(st.sampled_from([limit] + _EDGE_CODES))
+        key = draw(st.sampled_from([(stray, 0), (0, stray), (stray, stray)]))
+        entries[key] = draw(st.sampled_from([F(1), F(-1, 2), F(0)]))
+    return k, entries
 
 
 @settings(max_examples=150, deadline=None)
 @given(_wide_rules())
-def test_rule_problems_match_the_fraction_oracle(rule):
+def test_rule_problems_match_the_fraction_oracle(case):
     # the numpy check and its fallback on Python integers word every
-    # problem as the exact sums do, in the same order
+    # problem as the exact sums do, in the same order; an entry of nonzero
+    # probability with a code out of range is refused when the rule is built
+    k, entries = case
+    limit = 1 << (k * (k - 1) // 2)
+    stray = [c for key, p in entries.items() if p for c in key if not 0 <= c < limit]
+    if stray:
+        with pytest.raises(ValueError, match=f"graph code {stray[0]} is out of range"):
+            Rule(k, entries)
+        return
+    rule = Rule(k, entries)
     assert rule_problems(rule) == oracles.naive_rule_problems(rule)
 
 
@@ -612,11 +639,10 @@ def test_exact_number_zero_denominator():
 
 
 def test_named_order_bound():
-    # the complete graph of order 169 prints in 4,274 digits, order 170 in
-    # 4,325, past CPython's 4,300-digit limit
-    assert MAX_NAMED_ORDER == 169
-    for family in ("identity", "clique-removal", "triangle-removal"):
-        with pytest.raises(ValueError, match="stop at order 169"):
-            make_named(family, MAX_NAMED_ORDER + 1)
-    rule = make_named("clique-removal", MAX_NAMED_ORDER)
+    # every family stops at order 11, the last whose graphs fit 62 bits,
+    # before it reads its parameters
+    for family in ("identity", "clique-removal", "triangle-removal", "ignorant"):
+        with pytest.raises(CapExceeded, match="62-bit code of an order-12 graph"):
+            make_named(family, 12)
+    rule = make_named("clique-removal", 11)
     assert parse_rule_json(rule_to_json(rule)) == rule
