@@ -44,11 +44,9 @@ from .rules import (
     Rule,
     is_deterministic,
     symmetrize,
-    validate,
     _SMALL,
     _common_denominator,
     _json_records,
-    _largest,
     _lowest_terms,
     _per_numerator,
 )
@@ -189,10 +187,10 @@ def coeff_vector(rule):
     f, h = rule._f, rule._h
     denom, nums = rule._denom, rule._nums
     starts = rule._starts
-    # each entry and each row's own pairs enter at most 2p class sums, so
-    # no sum can exceed 2p times their total |numerator|; beyond int64,
-    # exact Python integers
-    bound = 2 * p * (len(nums) + len(starts)) * _largest(nums, denom)
+    # each entry and each row's own pairs enter at most 2p class sums, and
+    # numerators lie in [0, denom], so no sum passes 2p * denom per entry
+    # and row; beyond int64, exact Python integers
+    bound = 2 * p * (len(nums) + len(starts)) * denom
     dtype = np.int64 if bound < _SMALL else object
     nums = nums.astype(dtype, copy=False)
     bits = np.arange(p)
@@ -307,10 +305,9 @@ def classify_unique(rule):
     with one such pair toggled, and the result is symmetrized; if no row
     has such a pair, a row f = {L, L + e} moves ε from L + e to L while a
     relabelled row g = σf moves ε from σL to σ(L + e), and the witness is
-    not symmetric.  Witnesses are verified (valid, distinct,
-    coefficient-equal) before being returned.
+    not symmetric.  Witnesses are verified (distinct, coefficient-equal)
+    before being returned.
     """
-    validate(rule)
     if rule.order <= 2:
         return UniquenessVerdict(True, "order-2", None)
     # a rule is symmetric when it equals its symmetrization, which is the
@@ -320,12 +317,6 @@ def classify_unique(rule):
         if is_deterministic(rule):
             return UniquenessVerdict(True, "symmetric-deterministic", None)
         witness = _marginal_witness(rule)
-    _check_witness(rule, witness)
-    return UniquenessVerdict(False, "witness", witness)
-
-
-def _check_witness(rule, witness):
-    validate(witness)
     if witness == rule:
         raise RuntimeError(
             "internal error: uniqueness witness coincides with the input rule"
@@ -334,6 +325,7 @@ def _check_witness(rule, witness):
         raise RuntimeError(
             "internal error: uniqueness witness is not coefficient-equal"
         )
+    return UniquenessVerdict(False, "witness", witness)
 
 
 def _shift(entries, f, source, target, amount):
@@ -384,8 +376,8 @@ def _marginal_witness(rule):
 
 K1_BANNER = (
     "Equal orbit sums give identically distributed finite processes on every "
-    "n >= k vertices, unequal ones different processes on n = k. CONJECTURE: "
-    "unequal sums give different processes on each n > k too; that is unproven."
+    "n >= k vertices, unequal ones different processes on n = k and, by exact "
+    "rank, on n <= 6 for k <= 4. CONJECTURE: on every larger n too; unproven."
 )
 
 
@@ -397,7 +389,9 @@ def check_k1(rule1, rule2):
     reads the rule only through its symmetrization: equal sums give
     identically distributed finite processes for every n >= k, and on n = k,
     where the transition matrix is the symmetrization, unequal sums give
-    different ones.  That they do on a fixed n > k too is a conjecture.
+    different ones.  On n > k they do where the map from orbit masses to
+    transition entries has full rank, as it has for k <= 4 and n <= 6 (the
+    tests check k = 2, n <= 6 and k = 3, n <= 5); past that, a conjecture.
     """
     if rule1.order != rule2.order:
         raise ValueError("the orbit-sum check compares rules of equal order")

@@ -26,7 +26,7 @@ from .codes import (_check_budget, _check_number, _is_int, _orbit_sweep, _positi
 
 
 class RuleValidationError(ValueError):
-    """Raised by validate(); .problems lists every violation found."""
+    """Raised by Rule() and validate(); .problems lists every violation."""
 
     def __init__(self, problems):
         self.problems = list(problems)
@@ -81,11 +81,6 @@ def _per_numerator(nums, denom, form=None):
     return list(map(made.__getitem__, nums))
 
 
-def _largest(nums, denom):
-    """The largest of denom and every |nums[i]|, a bound for sums."""
-    return max(denom, int(abs(nums).max()) if nums.size else 0)
-
-
 def _row_starts(f):
     """Positions where a run of equal codes starts in the sorted array f."""
     if not len(f):
@@ -104,7 +99,8 @@ class Rule:
 
     Past order 11, whose graphs need more than 62 bits, CapExceeded; an
     entry of nonzero probability with a code outside [0, 2^C(k, 2)) is a
-    ValueError.
+    ValueError, and a probability outside [0, 1] or a row sum other than 1
+    a RuleValidationError listing every problem: a rule is valid once built.
 
     The explicit entries are held sorted by (from, to) in read-only arrays:
     int64 codes _f and _h, and numerators _nums over their least common
@@ -139,15 +135,21 @@ class Rule:
             fits = False
         if not fits:
             code = next(c for key in keys for c in key if not 0 <= c < 1 << P)
-            raise ValueError(f"graph code {code} is out of range for order {order}")
+            try:
+                shown = f"graph code {code}"
+            except ValueError:  # past CPython's integer-to-text limit
+                shown = f"graph code of {code.bit_length()} bits"
+            raise ValueError(f"{shown} is out of range for order {order}")
         nums, denom = _common_denominator([merged[key] for key in keys])
         self._store(order, f, h, nums, denom)
+        validate(self)
 
     @classmethod
     def _from_numerators(cls, order, f, h, nums, denom):
         """The rule with entries (f[i], h[i]) -> nums[i] / denom, for int64
-        code arrays in range, sorted by (from, to) without repeated pairs, as
-        the library builds them: unchecked.  Normalizes like the constructor."""
+        code arrays in range, sorted by (from, to) without repeated pairs, of
+        stochastic rows, as the library builds them from valid rules:
+        unchecked.  Normalizes like the constructor."""
         rule = cls.__new__(cls)
         rule._store(order, f, h, nums, denom)
         return rule
@@ -262,14 +264,12 @@ def _exact_problems(rule):
 
 def rule_problems(rule):
     """Every probability outside [0, 1] and every row sum other than 1, as
-    human-readable strings.  A rule whose row sums cannot pass 2^62 is
-    checked in numpy; one found invalid there, or too large for it, is
-    checked again on Python integers, which word the problems."""
+    human-readable strings: what Rule() refuses.  Row sums that cannot pass
+    2^62 are checked in numpy; a rule found invalid there, or too large for
+    it, is checked again on Python integers, which word the problems."""
     nums, denom = rule._nums, rule._denom
-    if not len(nums):
-        return []
     if nums.dtype != object and len(nums) * denom < _SMALL:
-        if (nums.min() >= 0 and nums.max() <= denom
+        if (nums.min(initial=0) >= 0 and nums.max(initial=0) <= denom
                 and (np.add.reduceat(nums, rule._starts) == denom).all()):
             return []
     return _exact_problems(rule)
@@ -277,7 +277,7 @@ def rule_problems(rule):
 
 def validate(rule):
     """Raise RuleValidationError listing every probability outside [0, 1]
-    and every row sum other than 1; no-op when valid."""
+    and every row sum other than 1, as Rule() does; no-op when valid."""
     problems = rule_problems(rule)
     if problems:
         raise RuleValidationError(problems)
@@ -373,8 +373,8 @@ def is_symmetric(rule):
 
 def symmetrize(rule):
     """Average the rule over simultaneous relabellings of both indices.
-    The result is symmetric, row-stochastic whenever the input is, and has
-    the same coefficient vector, hence the same trajectories.
+    The result is symmetric, row-stochastic, and has the same coefficient
+    vector, hence the same trajectories.
 
     Each relabelling orbit of index pairs that an explicit row touches
     spreads its mass evenly over its members; relabelled identity rows
@@ -390,8 +390,8 @@ def symmetrize(rule):
     # members less the explicit rows among them
     explicit = np.bincount(orbits.row_orbit, minlength=len(sizes))
     identity = np.where(explicit > 0, sizes - explicit, 0)
-    # no mass can pass the total |numerator| of the entries and identities
-    bound = (len(nums) + int(identity.sum())) * _largest(nums, denom)
+    # numerators lie in [0, denom]: no mass passes denom per entry and identity
+    bound = (len(nums) + int(identity.sum())) * denom
     dtype = np.int64 if bound < _SMALL else object
     masses = identity.astype(dtype) * denom
     np.add.at(masses, orbits.entry_orbit, nums.astype(dtype))
@@ -399,7 +399,7 @@ def symmetrize(rule):
     # is masses * (lcm / sizes) over denom * lcm for the lcm of the sizes
     held = masses != 0
     lcm = math.lcm(*sizes[held].tolist())
-    if dtype != object and _largest(masses, 1) * lcm >= _SMALL:
+    if dtype != object and int(masses.max(initial=0)) * lcm >= _SMALL:
         masses = masses.astype(object)
     shares = masses * (lcm // sizes)
     # members come sorted, and member codes f << P | h sort as (f, h) do
@@ -410,25 +410,23 @@ def symmetrize(rule):
 
 
 def is_deterministic(rule):
-    """Every row is a point mass."""
-    nums = rule._nums
-    return len(rule._starts) == len(nums) and bool((nums == rule._denom).all())
+    """Every row is a point mass: every explicit row has one entry, which
+    holds the row's mass 1."""
+    return len(rule._starts) == len(rule._nums)
 
 
 def ignorant_edge_count(rule):
     """The common expected replacement edge count when the rule ignores its
-    input (every row is the same distribution), else None."""
-    k = rule.order
-    shared = None
-    for f in range(1 << num_pairs(k)):
-        row = rule.row(f)
-        if row is None:
-            row = {f: Fraction(1)}
-        if shared is None:
-            shared = row
-        elif row != shared:
-            return None
-    return sum(p * Fraction(h.bit_count()) for h, p in shared.items())
+    input, as make_named("ignorant") of its row 0 does, else None; past
+    that family's budget of entries, CapExceeded."""
+    if len(rule._starts) < (1 << num_pairs(rule.order)) - 1:
+        return None  # two identity rows, which differ
+    end = int(np.searchsorted(rule._f, 0, side="right"))  # row 0's entries
+    probs = _per_numerator(rule._nums[:end].tolist(), rule._denom)
+    row0 = dict(zip(rule._h[:end].tolist(), probs)) or {0: Fraction(1)}
+    if make_named("ignorant", rule.order, dist=row0) != rule:
+        return None
+    return sum(p * h.bit_count() for h, p in row0.items())
 
 
 # -------------------------------------------------------------- serialization
@@ -548,10 +546,10 @@ def _json_object(obj, what, required, optional=()):
 
 
 def rule_from_json_obj(obj):
-    """The rule a JSON object describes, validated as a named rule is when
-    built: a malformed object or an out-of-range code is a ValueError, an
-    order past 11 is CapExceeded, and a rule that breaks a row sum or a
-    probability is a RuleValidationError."""
+    """The rule a JSON object describes, checked as Rule() checks it: a
+    malformed object or an out-of-range code is a ValueError, an order past
+    11 is CapExceeded, and a rule that breaks a row sum or a probability is
+    a RuleValidationError."""
     _json_object(obj, "rule", ("order",), ("entries", "default"))
     order = _positive_int(obj["order"], "order")
     default = obj.get("default", "identity")
@@ -568,9 +566,7 @@ def rule_from_json_obj(obj):
             raise ValueError("entry graph codes must be integers")
         p = _exact_value(item["p"], "a probability")
         entries[key] = entries[key] + p if key in entries else p
-    rule = Rule(order, entries)
-    validate(rule)
-    return rule
+    return Rule(order, entries)
 
 
 def parse_rule_json(text):

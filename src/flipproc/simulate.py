@@ -49,7 +49,6 @@ import numpy as np
 from . import codes
 from .codes import _check_budget, _is_int, _positive_int, pair_list
 from .dynamics import _GRID_BUDGET, StepKernel, _kernel_arrays, integrate
-from .rules import validate
 
 _STEP_BUDGET = 10_000_000
 _MAX_N = 5000
@@ -262,8 +261,8 @@ class _Engine:
     and the explicit rows as sorted codes with their cumulatives and
     replacements laid end to end, read off the rule's own arrays.  A
     cumulative is the exact prefix sum of a row's numerators over the
-    denominator, rounded once to a float; the last of each row is pinned
-    to at least 1."""
+    denominator, rounded once to a float; the last of each row is
+    denom / denom, exactly 1.0."""
 
     def __init__(self, rule):
         self.k = rule.order
@@ -282,7 +281,6 @@ class _Engine:
         for lo, hi in zip(bounds, bounds[1:]):
             # int / int rounds the exact quotient once, as float(Fraction)
             cums.extend(acc / denom for acc in accumulate(nums[lo:hi]))
-            cums[-1] = max(cums[-1], 1.0)
         self.cums = np.array(cums, np.float64)
         # halvings that narrow the widest row to one entry
         self.depth = (int(self.widths.max(initial=1)) - 1).bit_length()
@@ -395,14 +393,13 @@ def run(config, reference=None):
     """Simulate config.runs independent processes and record block densities
     at the sample times.  reference, when given, must map each sample time
     to a kernel on the start's parts (the same weights), else ValueError;
-    per-run absolute deviations are filled in.  An invalid rule, an n, runs
-    or sample_points below 1 and a seed that is not an integer are
+    per-run absolute deviations are filled in.  An n, runs or
+    sample_points below 1 and a seed that is not an integer are
     ValueErrors.  Beyond 5,000 vertices, 10,000,000 steps over all runs or
     4,000,000 stored block densities (runs * sample points * parts^2),
     CapExceeded before the first step.
     """
     rule = config.rule
-    validate(rule)
     n = _positive_int(config.n, "n")
     runs = _positive_int(config.runs, "runs")
     sample_points = _positive_int(config.sample_points, "sample_points")

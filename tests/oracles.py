@@ -257,25 +257,42 @@ def naive_orbit_sums(rule):
     return {key: v for key, v in sums.items() if v != 0}
 
 
-def naive_rule_problems(rule):
-    """Validation problems from an exact Fraction sum of every row."""
+def naive_rule_problems(order, entries):
+    """The problems Rule(order, entries) reports, for codes in range, from
+    exact Fraction sums: entries summed per row, a row of zeros dropped,
+    every entry outside [0, 1] and then the row sum, row by row."""
+    rows = {}
+    for (f, h), p in entries.items():
+        row = rows.setdefault(int(f), {})
+        row[int(h)] = row.get(int(h), 0) + Fraction(p)
     problems = []
-    limit = 1 << len(pairs_of(rule.order))
-    for f, row in sorted(rule.rows().items()):
-        if not 0 <= f < limit:
-            problems.append(f"row index {f} out of range for order {rule.order}")
-        total = Fraction(0)
+    for f, row in sorted(rows.items()):
+        row = {h: p for h, p in row.items() if p}
+        if not row:
+            continue
         for h, p in sorted(row.items()):
-            if not 0 <= h < limit:
-                problems.append(
-                    f"replacement index {h} out of range for order {rule.order}"
-                )
             if p < 0 or p > 1:
                 problems.append(f"entry ({f} -> {h}) has probability {p} outside [0, 1]")
-            total += p
+        total = sum(row.values())
         if total != 1:
             problems.append(f"row {f} has row sum {total}")
     return problems
+
+
+def naive_ignorant_edge_count(rule):
+    """The common expected replacement edge count when every row of the
+    rule, identity rows included, is the same distribution, else None:
+    one row at a time."""
+    shared = None
+    for f in range(1 << len(pairs_of(rule.order))):
+        row = rule.row(f)
+        if row is None:
+            row = {f: Fraction(1)}
+        if shared is None:
+            shared = row
+        elif row != shared:
+            return None
+    return sum(p * Fraction(h.bit_count()) for h, p in shared.items())
 
 
 # ------------------------------------------------------------------- velocity
@@ -575,8 +592,7 @@ def sample_tuple(rng, idx, k):
 
 def compile_rows(rule):
     """Row f -> (cumulative probabilities, replacement codes): each
-    cumulative a Fraction sum turned into a float, the last of each row
-    pinned to at least 1."""
+    cumulative a Fraction sum turned into a float."""
     compiled = {}
     for f, row in rule.rows().items():
         hs = sorted(row)
@@ -585,7 +601,6 @@ def compile_rows(rule):
         for h in hs:
             acc += row[h]
             cums.append(float(acc))
-        cums[-1] = max(cums[-1], 1.0)
         compiled[f] = (cums, hs)
     return compiled
 

@@ -178,9 +178,6 @@ def test_velocity_matches_literal_oracle():
     cases = [(2, 1), (2, 3), (3, 1), (3, 2), (3, 4), (4, 2)]
     cases = cases * 3 + [(4, 4), (4, 1)] + [(5, 2), (5, 3)] * 2
     rules = [(oracles.random_rule(rng, k), m) for k, m in cases]
-    # an unnormalized row: the certificate path must give the literal drift
-    # of invalid rules too
-    rules += [(Rule(2, {(1, 1): F(2)}), m) for m in (1, 2)]
     for r, m in rules:
         kern = oracles.random_kernel(rng, m)
         fast = velocity(r, kern)
@@ -341,14 +338,16 @@ def test_integrate_refuses_non_graphon_without_flag():
 
 @pytest.mark.filterwarnings("error")
 def test_integrate_detects_domain_escape():
-    # unnormalized row doubling the edge indicator: drift 2w blows past 1
-    runaway = Rule(2, {(1, 1): F(2)})
+    # a step far too long for the rule: complementing's drift at w is
+    # 6(1 - 2w), and one RK4 step of h = 1 multiplies w - 1/2 by
+    # 1 - 12 + 72 - 288 + 864 = 637, so 0.1 goes to -254.3
+    runaway = make_named("complementing", 3)
     with pytest.raises(IntegrationError, match=r"left \[0, 1\]"):
-        integrate(runaway, constant_kernel(0.5), 1.0)
+        integrate(runaway, constant_kernel(0.1), 1.0, h=1.0)
     # on two parts the excursion is caught before the clip removes it
     two = StepKernel((F(1, 3), F(2, 3)), ((0.5, 0.4), (0.4, 0.6)))
     with pytest.raises(IntegrationError, match=r"left \[0, 1\]"):
-        integrate(runaway, two, 1.0)
+        integrate(runaway, two, 1.0, h=1.0)
     # outside the graphon domain the cubic drift overflows to inf and nan
     huge = StepKernel((F(1, 2), F(1, 2)), ((1e100, 1e100), (1e100, 1e100)))
     with pytest.raises(IntegrationError, match="no longer finite"):
@@ -438,9 +437,10 @@ def test_one_part_trajectory_bytes(name, p, t_max, h, digest):
 def test_integrate_steps_are_capped():
     # the stored trajectory, (steps + 1) * m^2 block values, is held to the
     # grid budget of 4,000,000 before the first step; on two parts that is
-    # 999,999 steps, where the runaway rule leaves [0, 1] at once instead
-    runaway = Rule(2, {(1, 1): F(2)})
-    kern = StepKernel((F(1, 2), F(1, 2)), ((0.5, 0.5), (0.5, 0.5)))
+    # 999,999 steps, where complementing leaves [0, 1] at its first step
+    # of h = 1 instead
+    runaway = make_named("complementing", 3)
+    kern = StepKernel((F(1, 2), F(1, 2)), ((0.1, 0.1), (0.1, 0.1)))
     with pytest.raises(CapExceeded, match="steps"):
         integrate(runaway, kern, 1_000_000.0, h=1.0)
     with pytest.raises(IntegrationError):

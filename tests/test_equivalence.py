@@ -23,6 +23,7 @@ from flipproc import (
     K1_BANNER,
     RootedPairGraph,
     Rule,
+    RuleValidationError,
     StepKernel,
     canonical_class,
     check_k1,
@@ -35,8 +36,10 @@ from flipproc import (
     is_symmetric,
     lift,
     make_named,
+    parse_rule_json,
     rooted_density,
     rule_problems,
+    rule_to_json,
     symmetrize,
 )
 from flipproc import equivalence
@@ -279,14 +282,6 @@ def test_dilation_factor():
     assert dilation_factor(lift(TR, 4), TER) == 3
 
 
-def test_dilation_rejects_negative_proportionality():
-    # within valid rules a class's coefficient sign is forced by whether the
-    # root pair is an edge, so a negative ratio needs an unnormalized row
-    deleter = Rule(2, {(1, 0): F(1)})
-    doubled = Rule(2, {(1, 1): F(2)})
-    assert dilation_factor(deleter, doubled) is None
-
-
 def test_symmetrize_single_edge_rule():
     r = Rule(3, {(1, 0): F(1)})
     sym = symmetrize(r)
@@ -335,17 +330,44 @@ def _valid_rules(draw, min_order=2, max_order=4):
 @st.composite
 def _sparse_rules(draw):
     """Valid sparse rules of order 3 to 5, some symmetrized by the oracle
-    and some of those with one entry dropped (left invalid) to break the
-    symmetry."""
+    and some of those with one entry's mass moved onto its row's diagonal
+    to break the symmetry."""
     rule = draw(_valid_rules(3, 5))
     shape = draw(st.sampled_from(["raw", "symmetric", "near-symmetric"]))
     if shape != "raw":
         rule = oracles.naive_symmetrize(rule)
     if shape == "near-symmetric" and rule.entries:
-        drop = draw(st.sampled_from(sorted(rule.entries)))
-        rule = Rule(rule.order,
-                    {key: p for key, p in rule.entries.items() if key != drop})
+        entries = dict(rule.entries)
+        f, h = draw(st.sampled_from(sorted(entries)))
+        p = entries.pop((f, h))
+        entries[(f, f)] = entries.get((f, f), 0) + p
+        rule = Rule(rule.order, entries)
     return rule
+
+
+@st.composite
+def _dilation_pairs(draw):
+    """A valid rule paired with an independent one, with itself slowed by
+    mixing with the identity, with its symmetrization or with its lift one
+    order up."""
+    rule = draw(_valid_rules(2, 4))
+    how = draw(st.sampled_from(["independent", "slowed", "symmetrized", "lifted"]))
+    if how == "independent":
+        return rule, draw(_valid_rules(2, 4))
+    if how == "slowed":
+        lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+        return rule, _mixture(rule, make_named("identity", rule.order), lam)
+    return rule, symmetrize(rule) if how == "symmetrized" else lift(rule, rule.order + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dilation_pairs())
+def test_dilation_rejects_negative_proportionality(pair):
+    # a valid rule's coefficient at a class has the sign that whether its
+    # root pair is an edge forces, so no two valid rules are negatively
+    # proportional: the factor is None or positive
+    factor = dilation_factor(*pair)
+    assert factor is None or factor > 0
 
 
 # the relabellings of row 1 include the identity rows 2 and 4
@@ -521,6 +543,24 @@ def test_symmetric_nondeterministic_rules_get_witnesses(rule):
         _verified_witness(rule)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_valid_rules(2, 4), _symmetric_rules()),
+       st.sampled_from(["complementing", "extremist", "ignorant"]),
+       st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
+def test_rules_built_unchecked_are_valid(rule, family, k, rng):
+    # lift, symmetrize, the dense named families and uniqueness witnesses
+    # build their rules without the constructor's check: each is valid and
+    # reads back from its JSON text as itself
+    built = [lift(rule, rule.order + 1), symmetrize(rule), classify_unique(rule).witness]
+    space = 1 << num_pairs(k)
+    dist = dict.fromkeys(rng.sample(range(space), min(3, space)), F(1, min(3, space)))
+    built.append(make_named(family, k, **({"dist": dist} if family == "ignorant" else {})))
+    for r in built:
+        if r is not None:
+            assert rule_problems(r) == []
+            assert parse_rule_json(rule_to_json(r)) == r
+
+
 def test_random_witnesses_verify():
     rng = random.Random(41)
     seen_witness = 0
@@ -591,18 +631,23 @@ def test_check_k1_invariant_under_symmetrization():
 
 @st.composite
 def _altered(draw, rule):
-    """The rule as it is, or made invalid: one entry halved, negated or
-    zeroed, or an extra (f, f) entry on an explicit row."""
-    how = draw(st.sampled_from(["as-is", "halved", "negated", "zeroed", "diagonal"]))
-    if how == "as-is" or not rule.entries:
-        return rule
+    """The rule's order and entries as they are, with one entry's mass
+    moved onto its row's diagonal, or made invalid: one entry halved,
+    negated or zeroed, or an extra (f, f) entry on an explicit row."""
+    how = draw(st.sampled_from(["as-is", "as-is", "moved", "halved", "negated",
+                                "zeroed", "diagonal"]))
     entries = dict(rule.entries)
+    if how == "as-is" or not entries:
+        return rule.order, entries
     f, h = draw(st.sampled_from(sorted(entries)))
-    if how == "diagonal":
+    if how == "moved":
+        p = entries.pop((f, h))
+        entries[(f, f)] = entries.get((f, f), 0) + p
+    elif how == "diagonal":
         entries[(f, f)] = entries.get((f, f), 0) + 1
     else:
         entries[(f, h)] *= {"halved": F(1, 2), "negated": -1, "zeroed": 0}[how]
-    return Rule(rule.order, entries)
+    return rule.order, entries
 
 
 @st.composite
@@ -627,18 +672,27 @@ def _partner(draw, rule):
 _k1_base = st.shared(_valid_rules(), key="k1-base")
 
 
-# row 1 holds no diagonal mass in the first rule and 1 in the second: the
-# touched diagonal orbit must count as 0, not as the identity default 1
-@example(Rule(2, {(1, 0): F(1)}), Rule(2, {(1, 0): F(1), (1, 1): F(1)}))
-@settings(max_examples=60, deadline=None)
+# row 1 holds no diagonal mass in the first rule and 1/2 in the second:
+# the touched diagonal orbit counts its own mass, not the identity default 1
+@example((2, {(1, 0): F(1)}), (2, {(1, 0): F(1, 2), (1, 1): F(1, 2)}))
+@settings(max_examples=80, deadline=None)
 @given(_k1_base.flatmap(_altered),
        _k1_base.flatmap(_partner).flatmap(_altered))
-def test_orbit_sums_and_problems_match_oracles(rule1, rule2):
-    assert check_k1(rule1, rule2) == (
-        oracles.naive_orbit_sums(rule1) == oracles.naive_orbit_sums(rule2)
-    )
-    assert rule_problems(rule1) == oracles.naive_rule_problems(rule1)
-    assert rule_problems(rule2) == oracles.naive_rule_problems(rule2)
+def test_orbit_sums_and_problems_match_oracles(case1, case2):
+    # entries that break a probability or a row sum are refused as the
+    # oracle words them; rules that are built compare by orbit sums
+    built = []
+    for k, entries in (case1, case2):
+        problems = oracles.naive_rule_problems(k, entries)
+        if problems:
+            with pytest.raises(RuleValidationError) as exc:
+                Rule(k, entries)
+            assert exc.value.problems == problems
+        else:
+            built.append(Rule(k, entries))
+    if len(built) == 2:
+        assert check_k1(*built) == (
+            oracles.naive_orbit_sums(built[0]) == oracles.naive_orbit_sums(built[1]))
 
 
 _transition_base = st.shared(_valid_rules(2, 3), key="transition-base")
@@ -670,7 +724,7 @@ def test_orbit_masses_to_transitions_have_full_rank():
     # unequal orbit sums give different n-vertex processes when the map
     # from orbit masses to transition entries is injective: full column
     # rank mod a prime proves it for these k and n
-    for k, n in ((2, 3), (2, 4), (3, 3), (3, 4), (3, 5)):
+    for k, n in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5)):
         rank, columns = oracles.k1_rank(k, n, range(1 << num_pairs(n)))
         assert rank == columns == {2: 2, 3: 16}[k]
     # negative control: one column per raw pair (F, H), not per orbit, is
@@ -833,22 +887,22 @@ def test_sweeps_agree_across_many_blocks(monkeypatch):
 
 @st.composite
 def _swept_rules(draw):
-    """Rules of order 2 to 5: valid, invalid (entries outside [0, 1], row
-    sums off), empty, one row of many entries, or a symmetrization, whose
-    many pairs fall in few orbits."""
+    """Rules of order 2 to 5: random, uniform rows on any set of pairs,
+    empty, one row of many entries, or a symmetrization, whose many pairs
+    fall in few orbits."""
     k = draw(st.integers(min_value=2, max_value=5))
     space = 1 << num_pairs(k)
     codes = st.integers(min_value=0, max_value=space - 1)
-    kind = draw(st.sampled_from(["valid", "invalid", "empty", "wide", "symmetrized"]))
+    kind = draw(st.sampled_from(["valid", "supports", "empty", "wide", "symmetrized"]))
     if kind == "valid":
         return oracles.random_rule(draw(st.randoms(use_true_random=False)), k, max_rows=6)
     if kind == "symmetrized":
         rng = draw(st.randoms(use_true_random=False))
         return symmetrize(oracles.random_rule(rng, k, max_rows=3))
-    if kind == "invalid":
-        values = st.sampled_from([F(1, 2), F(-1, 3), F(2), F(1)])
-        return Rule(k, draw(st.dictionaries(st.tuples(codes, codes), values,
-                                            min_size=1, max_size=10)))
+    if kind == "supports":
+        keys = draw(st.sets(st.tuples(codes, codes), min_size=1, max_size=10))
+        widths = {f: sum(g == f for g, _ in keys) for f, _ in keys}
+        return Rule(k, {(f, h): F(1, widths[f]) for f, h in keys})
     if kind == "empty":
         return Rule(k, {})
     f = draw(codes)

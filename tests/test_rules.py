@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipproc import (
@@ -30,6 +30,7 @@ from flipproc import (
     rule_to_json,
     rule_to_json_obj,
     rule_problems,
+    symmetrize,
     validate,
 )
 from flipproc.rules import _ENTRY, _json_records, _json_text, exact_number
@@ -65,23 +66,31 @@ def test_normalization_drops_zeros_and_identity_rows():
         with pytest.raises(ValueError, match=re.escape(shown)):
             Rule(3, {(7, 0): p, (7, 7): F(1, 2)})
     for p in (0.1, np.float64(0.1), np.float32(0.1), np.float16(0.1)):
-        assert Rule(3, {(7, 0): p}).entries == {(7, 0): F(*p.as_integer_ratio())}
+        exact = F(*p.as_integer_ratio())
+        assert Rule(3, {(7, 0): p, (7, 7): 1 - exact}).row(7)[0] == exact
     assert Rule(3, {(7, 0): np.int8(1)}).entries == {(7, 0): F(1)}
 
 
 def test_only_lone_diagonal_entries_are_identity_rows():
-    # (3, 3) -> 1 shares its (invalid) row with (3, 5) and (3, 1), so it is
-    # kept; rows 0 and 6, first and last, are point rows and dropped
-    r = Rule(3, {(0, 0): F(1), (3, 1): F(1, 2), (3, 3): F(1), (3, 5): F(1, 2),
-                 (6, 6): F(1)})
-    assert r.entries == {(3, 1): F(1, 2), (3, 3): F(1), (3, 5): F(1, 2)}
-    assert r._starts.tolist() == [0]
-    # a wider row whose last entry is the diagonal keeps it too
-    r = Rule(3, {(3, 1): F(1, 2), (3, 3): F(1), (6, 6): F(1)})
-    assert r.entries == {(3, 1): F(1, 2), (3, 3): F(1)}
+    # rows 0 and 6, first and last, are point rows and dropped
+    r = Rule(3, {(0, 0): F(1), (3, 1): F(1, 2), (3, 5): F(1, 2), (6, 6): F(1)})
+    assert r.entries == {(3, 1): F(1, 2), (3, 5): F(1, 2)}
     assert r._starts.tolist() == [0]
     assert Rule(3, {(6, 6): F(1)}).entries == {}
     assert Rule(3, {(5, 0): F(1), (6, 6): F(1)})._starts.tolist() == [0]
+    # a diagonal 1 beside other entries, first, inside or last in its row
+    # and in the rule, stays in its row, which is refused as it was given
+    # instead of made valid by dropping the 1
+    for entries, problem in (
+            ({(3, 1): F(1, 2), (3, 3): F(1), (3, 5): F(1, 2)}, "row 3 has row sum 2"),
+            ({(3, 1): F(1, 2), (3, 3): F(1), (3, 5): F(-1, 2)},
+             "entry (3 -> 5) has probability -1/2 outside [0, 1]"),
+            ({(3, 3): F(1), (3, 5): F(1, 2)}, "row 3 has row sum 3/2"),
+            ({(3, 1): F(1, 2), (3, 3): F(1)}, "row 3 has row sum 3/2")):
+        for around in ({}, {(0, 0): F(1), (6, 6): F(1)}):
+            with pytest.raises(RuleValidationError) as exc:
+                Rule(3, {**around, **entries})
+            assert exc.value.problems == [problem]
 
 
 def test_structural_equality_is_semantic():
@@ -92,13 +101,16 @@ def test_structural_equality_is_semantic():
     assert a != a.entries and a.__eq__("rule") is NotImplemented
 
 
-def test_construction_defers_validation():
-    # constructing a broken rule is allowed; validate() reports it
-    bad = Rule(2, {(1, 0): F(1, 2)})
+def test_construction_refuses_invalid_rules():
+    # a built rule is a flip-process rule: Rule() raises what validate()
+    # reports, a ValueError listing every problem
     with pytest.raises(RuleValidationError) as exc:
-        validate(bad)
-    assert "row 1 has row sum 1/2" in str(exc.value)
+        Rule(2, {(1, 0): F(1, 2)})
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == "invalid rule: row 1 has row sum 1/2"
     assert exc.value.problems == ["row 1 has row sum 1/2"]
+    valid = Rule(2, {(1, 0): F(1, 2), (1, 1): F(1, 2)})
+    assert validate(valid) is None and rule_problems(valid) == []
 
 
 def test_validation_catches_out_of_range_and_bad_probabilities():
@@ -106,12 +118,14 @@ def test_validation_catches_out_of_range_and_bad_probabilities():
     with pytest.raises(ValueError, match="graph code 2 is out of range for order 2"):
         Rule(2, {(1, 2): F(1)})
     with pytest.raises(RuleValidationError) as exc:
-        validate(Rule(2, {(1, 0): F(3, 2), (1, 1): F(-1, 2)}))
+        Rule(2, {(1, 0): F(3, 2), (1, 1): F(-1, 2)})
     assert any("outside [0, 1]" in p for p in exc.value.problems)
     with pytest.raises(ValueError):
         Rule(0, {})
-    bad = Rule(3, {(3, 0): F(1, 2), (1, 2): F(3, 2)})
-    assert rule_problems(bad) == oracles.naive_rule_problems(bad) == [
+    bad = {(3, 0): F(1, 2), (1, 2): F(3, 2)}
+    with pytest.raises(RuleValidationError) as exc:
+        Rule(3, bad)
+    assert exc.value.problems == oracles.naive_rule_problems(3, bad) == [
         "entry (1 -> 2) has probability 3/2 outside [0, 1]",
         "row 1 has row sum 3/2",
         "row 3 has row sum 1/2",
@@ -154,6 +168,18 @@ def test_codes_are_checked_when_built():
                     Rule(k, {key: F(1)})
 
 
+def test_codes_too_long_to_print_are_named_by_their_bits():
+    # a code past CPython's 4,300-digit integer-to-text limit is named by
+    # its bit length, where Rule() and the reader of a dict refuse it
+    for code in (10 ** 5000, -10 ** 5000):
+        message = "graph code of 16610 bits is out of range for order 3$"
+        for f, h in ((code, 0), (0, code)):
+            with pytest.raises(ValueError, match=message):
+                Rule(3, {(f, h): F(1)})
+            with pytest.raises(ValueError, match=message):
+                rule_from_json_obj({"order": 3, "entries": [{"from": f, "to": h, "p": "1"}]})
+
+
 def test_validation_at_huge_orders_builds_no_code_bound():
     # Rule, the JSON reader and every named family refuse an order past 11
     # in one short line, before they read a code or allocate anything of
@@ -179,13 +205,20 @@ def test_validation_at_huge_orders_builds_no_code_bound():
 
 @st.composite
 def _raw_entries(draw):
-    """Order and raw entries with zeros, identity point rows and values
-    outside [0, 1]."""
+    """Order and the entries of a valid rule as a caller may write them:
+    rows of drawn weights normalized to sum 1, zero entries, integer
+    probabilities and identity point rows."""
     k = draw(st.integers(min_value=2, max_value=5))
     codes = st.integers(min_value=0, max_value=(1 << (k * (k - 1) // 2)) - 1)
-    values = st.sampled_from([F(0), F(1), F(1, 2), F(-1, 3), F(2), 1, 0])
-    entries = draw(st.dictionaries(st.tuples(codes, codes), values, max_size=8))
+    entries = {}
+    for f in draw(st.lists(codes, max_size=3, unique=True)):
+        row = draw(st.dictionaries(codes, st.integers(min_value=0, max_value=4),
+                                   min_size=1, max_size=4))
+        total = sum(row.values()) or 1  # a row of zeros stays one
+        for h, w in row.items():
+            entries[(f, h)] = F(w, total) if w != total else draw(st.sampled_from([F(1), 1]))
     for f in draw(st.lists(codes, max_size=2)):
+        entries = {key: p for key, p in entries.items() if key[0] != f}
         entries[(f, f)] = F(1)
     return k, entries
 
@@ -219,12 +252,13 @@ def _wide_rules(draw):
     entries = {}
     for f in draw(st.lists(codes, min_size=1, max_size=3, unique=True)):
         support = draw(st.lists(codes, min_size=1, max_size=3, unique=True))
-        weights = draw(st.lists(st.integers(min_value=1, max_value=denominator),
+        weights = draw(st.lists(st.integers(min_value=1, max_value=max(1, denominator // 4)),
                                 min_size=len(support), max_size=len(support)))
-        total = sum(weights)
+        ps = [F(w, denominator) for w in weights]
         how = draw(st.sampled_from(["exact", "exact", "off", "negative"]))
-        for h, w in zip(support, weights):
-            p = F(w, total) if how == "exact" else F(w, denominator)
+        if how != "off":  # the last entry takes what the others leave of 1
+            ps[-1] = 1 - sum(ps[:-1])
+        for h, p in zip(support, ps):
             entries[(f, h)] = -p if how == "negative" else p
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         stray = draw(st.sampled_from([limit] + _EDGE_CODES))
@@ -233,12 +267,25 @@ def _wide_rules(draw):
     return k, entries
 
 
+def _assert_built_as_the_oracle_says(k, entries):
+    """Rule(k, entries) raises RuleValidationError exactly when the Fraction
+    oracle finds problems, with the same list; a built rule has none."""
+    problems = oracles.naive_rule_problems(k, entries)
+    if problems:
+        with pytest.raises(RuleValidationError) as exc:
+            Rule(k, entries)
+        assert exc.value.problems == problems
+    else:
+        assert rule_problems(Rule(k, entries)) == []
+
+
 @settings(max_examples=150, deadline=None)
 @given(_wide_rules())
 def test_rule_problems_match_the_fraction_oracle(case):
     # the numpy check and its fallback on Python integers word every
-    # problem as the exact sums do, in the same order; an entry of nonzero
-    # probability with a code out of range is refused when the rule is built
+    # problem as the exact sums do, in the same order, where Rule() refuses
+    # the entries; an entry of nonzero probability with a code out of
+    # range is refused first
     k, entries = case
     limit = 1 << (k * (k - 1) // 2)
     stray = [c for key, p in entries.items() if p for c in key if not 0 <= c < limit]
@@ -246,8 +293,32 @@ def test_rule_problems_match_the_fraction_oracle(case):
         with pytest.raises(ValueError, match=f"graph code {stray[0]} is out of range"):
             Rule(k, entries)
         return
-    rule = Rule(k, entries)
-    assert rule_problems(rule) == oracles.naive_rule_problems(rule)
+    _assert_built_as_the_oracle_says(k, entries)
+
+
+@st.composite
+def _arbitrary_entries(draw):
+    """Order and entries of order 2 to 4, each probability drawn on its
+    own: negative, zero, in (0, 1], above 1, over small denominators or
+    ones past int64, with diagonal entries beside others."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    codes = st.integers(min_value=0, max_value=(1 << (k * (k - 1) // 2)) - 1)
+    denominator = draw(st.one_of(st.integers(min_value=1, max_value=6),
+                                 st.sampled_from(_WIDE_DENOMINATORS)))
+    values = st.builds(F, st.integers(min_value=-denominator, max_value=2 * denominator),
+                       st.just(denominator))
+    entries = draw(st.dictionaries(st.tuples(codes, codes), values, min_size=1, max_size=8))
+    for f in draw(st.lists(st.sampled_from(sorted({f for f, _ in entries})), max_size=2)):
+        entries[(f, f)] = draw(st.one_of(st.sampled_from([F(1), F(1, 2)]), values))
+    return k, entries
+
+
+# a diagonal 1 beside other entries keeps its row invalid
+@example((3, {(3, 1): F(1, 2), (3, 3): F(1), (3, 5): F(1, 2)}))
+@settings(max_examples=150, deadline=None)
+@given(_arbitrary_entries())
+def test_construction_refuses_exactly_the_oracle_problems(case):
+    _assert_built_as_the_oracle_says(*case)
 
 
 @settings(max_examples=100, deadline=None)
@@ -447,6 +518,33 @@ def test_ignorant_edge_count():
     # identity is not ignorant for k >= 2 (the kept graph depends on the draw)
     assert ignorant_edge_count(make_named("identity", 2)) is None
     assert ignorant_edge_count(make_named("identity", 1)) == 0
+
+
+def test_ignorant_edge_count_matches_the_row_walk():
+    # the named families at orders 1 to 4, their symmetrizations, and
+    # ignorant rules as built or with one row replaced by another
+    # distribution or by an identity row, against the walk over every row
+    rng = random.Random(31)
+    rules = [make_named("triangle-removal", 3), make_named("triangle-edge-removal", 3)]
+    for k in range(1, 5):
+        top = (1 << k * (k - 1) // 2) - 1
+        rules += [make_named(family, k) for family in
+                  ("identity", "complementing", "extremist", "clique-removal")]
+        rules.append(make_named("ignorant", k, dist={0: F(3, 4), top: F(1, 4)} if top else {0: 1}))
+    rules += [symmetrize(rule) for rule in rules]
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        space = 1 << k * (k - 1) // 2
+        rule = oracles.random_ignorant_rule(rng, k)
+        f = rng.choice([0, rng.randrange(space)])
+        entries = {key: p for key, p in rule.entries.items() if key[0] != f}
+        if rng.random() < 0.5:
+            support = rng.sample(range(space), rng.randint(1, min(3, space)))
+            probs = oracles.random_fractions(rng, len(support))
+            entries |= {(f, h): p for h, p in zip(support, probs)}
+        rules += [rule, Rule(k, entries)]
+    for rule in rules:
+        assert ignorant_edge_count(rule) == oracles.naive_ignorant_edge_count(rule)
 
 
 def test_json_round_trip_exact():
